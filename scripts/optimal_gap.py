@@ -13,16 +13,9 @@ a path graph there), so its N^2 rate tends to pi^2.
 import argparse
 import math
 
+from sud_estimate.cli import parse_range
 from sud_estimate.risk import fit_constant, RiskPoint
 from sud_estimate.spectral import optimality_gap
-
-
-def parse_range(text: str) -> list[int]:
-    pieces = [int(p) for p in text.split(":")]
-    if len(pieces) == 1:
-        return pieces
-    lo, hi, *step = pieces
-    return list(range(lo, hi + 1, step[0] if step else 1))
 
 
 def main() -> None:
@@ -34,9 +27,6 @@ def main() -> None:
                         metavar="A:B[:STEP]",
                         help="levels for the N^2 rate fit of the optimum")
     args = parser.parse_args()
-    for name in ("levels", "extrapolate"):
-        if isinstance(getattr(args, name), str):
-            setattr(args, name, parse_range(getattr(args, name)))
 
     closed_form = args.d == 2
     header = "   N    product    optimal     strict   N^2 opt"

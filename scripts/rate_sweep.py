@@ -12,15 +12,8 @@ optionally dumping one CSV per scheme.  Typical runs:
 import argparse
 from pathlib import Path
 
+from sud_estimate.cli import parse_range
 from sud_estimate.risk import curve_to_csv, risk_curve
-
-
-def parse_range(text: str) -> list[int]:
-    pieces = [int(p) for p in text.split(":")]
-    if len(pieces) == 1:
-        return pieces
-    lo, hi, *step = pieces
-    return list(range(lo, hi + 1, step[0] if step else 1))
 
 
 def main() -> None:
@@ -36,8 +29,6 @@ def main() -> None:
     parser.add_argument("--csv-dir", type=Path, default=None,
                         help="write <scheme>.csv files here")
     args = parser.parse_args()
-    if isinstance(args.levels, str):
-        args.levels = parse_range(args.levels)
 
     for scheme in args.schemes.split(","):
         curve = risk_curve(

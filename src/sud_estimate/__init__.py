@@ -41,7 +41,6 @@ from .partitions import (
 from .risk import (
     ExpansionDiagnostics,
     RiskBreakdown,
-    cauchy_schwarz_bound_check,
     exact_risk,
     expansion_diagnostics,
     float_risk,
@@ -80,7 +79,6 @@ __all__ = [
     "TorusPoint",
     "WeightVector",
     "build_incidence",
-    "cauchy_schwarz_bound_check",
     "constant_vs_risk_consistency",
     "enumerate_partitions",
     "exact_constant",

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptySumError, EmptySupportError
-from .risk import RiskPoint, exact_risk, expansion_diagnostics
+from .risk import RiskPoint, exact_risk
 from .weights import product_weights
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "exact_constant",
     "gap_lattice",
     "riemann_constant",
-    "riemann_trace",
     "ConsistencyReport",
     "constant_vs_risk_consistency",
 ]
@@ -295,10 +294,6 @@ def riemann_constant(d: int, n: int) -> float:
     return num / den
 
 
-def riemann_trace(d: int, levels: Iterable[int]) -> list[tuple[int, float]]:
-    return [(int(n), riemann_constant(d, int(n))) for n in levels]
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """How fast N^2 * exact risk approaches the exact constant.
@@ -342,9 +337,3 @@ def constant_vs_risk_consistency(d: int, n_values: Iterable[int]) -> Consistency
         d, c, tuple(points), tuple(remainders), num / den
     )
 
-
-def _expansion_risk_gap(d: int, n: int) -> float:
-    """|exact risk - (u2 - t2)|, the O(N^-3) defect of the expansion."""
-    diag = expansion_diagnostics(d, n)
-    r = exact_risk(d, n, product_weights(d, n)).risk
-    return abs(float(r - diag.u2_minus_t2))

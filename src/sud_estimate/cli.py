@@ -9,12 +9,13 @@ Subcommands:
 * ``verify``   cross-checks of the combinatorial engine against the
                character oracle; fails (exit 1) iff any check exceeds its
                tolerance
-* ``cache``    build / revalidate the on-disk partition tables
 
 Reports are JSON by default (stable key order, exact rationals as
 "num/den" strings) or CSV via ``--format csv``.  Exit codes: 0 success,
 1 failed verification, 2 infeasible parameters (empty support or empty
-sum), 3 numerical non-convergence or refused resolution.
+sum), 3 numerical failure (non-convergence, refused resolution or an
+exact value outside its mathematical range).  Errors are one JSON object
+on stderr.  ``parse_range`` is shared with the experiment scripts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from fractions import Fraction
 
 from . import __version__
 from .asymptotics import exact_constant
-from .cache import cache_tables, resolve_cache_dir
 from .characters import (
     haar_quadrature,
     min_resolution,
@@ -60,7 +60,7 @@ def _fr(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_range(text: str) -> list[int]:
+def parse_range(text: str) -> list[int]:
     """'a:b' inclusive, 'a:b:step', or a single integer."""
     pieces = text.split(":")
     try:
@@ -309,27 +309,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_cache(args) -> int:
-    directory = resolve_cache_dir(args.cache_dir)
-    report = cache_tables(args.d, args.n_max, directory)
-    if args.format == "csv":
-        rows = [
-            [e["d"], e["level"], e["path"], e["sha256"]]
-            for e in report.manifest["entries"]
-        ]
-        print(_csv_rows(["d", "level", "path", "sha256"], rows), end="")
-        return EXIT_OK
-    body = {
-        "directory": str(report.directory),
-        "reused_levels": list(report.reused),
-        "rebuilt_levels": list(report.rebuilt),
-        "warnings": list(report.warnings),
-        "manifest": report.manifest,
-    }
-    _print_json(_payload(args, "cache", body))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -350,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative residual tolerance for iterative solvers")
     common.add_argument("--workers", type=int, default=1,
                         help="process count for sweeps; results are identical at any setting")
-    common.add_argument("--cache-dir", default=None,
-                        help=f"partition table directory (else ${'{'}SUD_ESTIMATE_CACHE{'}'})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -365,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="risk as a function of N")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("-N", dest="n", type=_parse_range, required=True,
+    p.add_argument("-N", dest="n", type=parse_range, required=True,
                    metavar="A:B[:STEP]", help="inclusive level range")
     p.add_argument("--scheme", default="product")
     p.add_argument("--fit", action=argparse.BooleanOptionalAction, default=True,
@@ -376,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", parents=[common], help="closed-form rate constant")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--riemann", type=_parse_range, default=None, metavar="A:B[:STEP]",
+    p.add_argument("--riemann", type=parse_range, default=None, metavar="A:B[:STEP]",
                    help="also evaluate lattice-sum estimates at these levels")
     p.set_defaults(func=_cmd_constant)
 
@@ -399,11 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random torus points for the pointwise branching check")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("cache", parents=[common], help="build/revalidate partition tables")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=_cmd_cache)
-
     return parser
 
 
@@ -417,7 +389,7 @@ def main(argv=None) -> int:
         # strings all mean the request itself cannot be satisfied
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConvergenceError, ResolutionError, NumericalInstabilityError) as exc:
+    except (ConvergenceError, ResolutionError, NumericalInstabilityError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -35,7 +35,6 @@ __all__ = [
     "removable_rows",
     "IrrepInfo",
     "irrep_info",
-    "partition_records",
 ]
 
 
@@ -216,18 +215,3 @@ def irrep_info(parts, d: int | None = None) -> IrrepInfo:
     t = check_partition(parts, d)
     return IrrepInfo(t, weyl_dimension(t), syt_count(t))
 
-
-def partition_records(d: int, n: int) -> Iterator[dict]:
-    """Rows for the on-disk partition table at one level, in canonical order.
-
-    Dimensions and multiplicities are serialized as decimal strings so very
-    large integers survive any JSON reader.
-    """
-    for parts in enumerate_partitions(d, n):
-        info = irrep_info(parts)
-        yield {
-            "d": d,
-            "parts": list(parts),
-            "dim": str(info.dimension),
-            "mult": str(info.multiplicity),
-        }

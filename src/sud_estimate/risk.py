@@ -11,10 +11,13 @@ of rows from which a box can be removed.  The numerator couples each level-
 to saturate Cauchy-Schwarz simultaneously, and the shape of the best
 achievable deficit is what drives the 1/N^2 estimation rate.
 
-Everything in this module is exact rational arithmetic on the unnormalised
-coefficients; a floating-point fast path with compensated summation is
-provided for long sweeps and is validated against the exact path in the test
-suite.
+The inner sums are the entries of B c, where B is the 0/1 box-removal
+incidence matrix between the partitions of level N+1 and level N, so the
+numerator is ||B c||^2.  B is built in one place (``_box_removal``), which
+also serves the spectral optimum.  The exact path works in rational
+arithmetic on the unnormalised coefficients; a floating-point fast path with
+compensated summation is provided for long sweeps and is validated against
+the exact path in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import EmptySumError, EmptySupportError
 from .partitions import enumerate_partitions, gap_vector, removable_rows
@@ -37,8 +43,6 @@ __all__ = [
     "float_risk",
     "ExpansionDiagnostics",
     "expansion_diagnostics",
-    "BoundWitness",
-    "cauchy_schwarz_bound_check",
     "RiskPoint",
     "FitResult",
     "RiskCurve",
@@ -69,12 +73,58 @@ class RiskBreakdown:
         return sum(self.numerator_terms.values(), Fraction(0))
 
 
-def _parent_sum(parts: tuple[int, ...], w: WeightVector) -> Fraction:
-    total = Fraction(0)
-    for i in removable_rows(parts):
-        parent = parts[: i - 1] + (parts[i - 1] - 1,) + parts[i:]
-        total += w.coefficient(parent)
-    return total
+@dataclass(frozen=True)
+class _BoxRemoval:
+    """Box-removal incidence B between the partitions of level N+1 and level N.
+
+    ``matrix[r, c] = 1`` iff removing one box from ``rows[r]`` gives
+    ``cols[c]``; ``col_of`` inverts ``cols`` and ``strict`` marks the strictly
+    decreasing columns.  Both orders are canonical.  The risk numerator is
+    ||B c||^2, and the spectral optimum is the top eigenpair of B^T B.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+    col_of: dict[tuple[int, ...], int]
+    strict: np.ndarray
+    matrix: csr_matrix
+
+
+def _box_removal(d: int, n: int) -> _BoxRemoval:
+    cols = tuple(enumerate_partitions(d, n))
+    rows = tuple(enumerate_partitions(d, n + 1))
+    col_of = {parts: j for j, parts in enumerate(cols)}
+    indices = []
+    indptr = [0]
+    for child in rows:
+        for i, (a, b) in enumerate(zip(child, child[1:] + (0,))):
+            if a > b:  # row i+1 has a removable box
+                indices.append(col_of[child[:i] + (a - 1,) + child[i + 1 :]])
+        indptr.append(len(indices))
+    table = np.array(cols).reshape(len(cols), d)
+    strict = np.all(table[:, :-1] > table[:, 1:], axis=1) & (table[:, -1] > 0)
+    matrix = csr_matrix(
+        (np.ones(len(indices)), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(rows), len(cols)),
+    )
+    return _BoxRemoval(rows, cols, col_of, strict, matrix)
+
+
+def _integer_coefficients(d: int, n: int, w: WeightVector) -> tuple[_BoxRemoval, list[int], int]:
+    """The structure of level (d, n), and ``scale * c`` as ints in column order.
+
+    ``scale`` is the least common denominator of the coefficients of ``w``.
+    """
+    if w.d != d or w.level != n:
+        raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
+    if not w.entries:
+        raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
+    structure = _box_removal(d, n)
+    scale = math.lcm(*(v.denominator for v in w.entries.values()))
+    c = [0] * len(structure.cols)
+    for parts, v in w.entries.items():
+        c[structure.col_of[parts]] = v.numerator * (scale // v.denominator)
+    return structure, c, scale
 
 
 def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
@@ -82,15 +132,13 @@ def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
 
     Raises :class:`EmptySupportError` if ``w`` has no nonzero coefficient.
     """
-    if w.d != d or w.level != n:
-        raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
-    if not w.entries:
-        raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for child in enumerate_partitions(d, n + 1):
-        s = _parent_sum(child, w)
-        terms[child] = s * s
-    numerator = sum(terms.values(), Fraction(0))
+    structure, c, scale = _integer_coefficients(d, n, w)
+    indptr = structure.matrix.indptr.tolist()
+    indices = structure.matrix.indices.tolist()
+    sums = [sum([c[j] for j in indices[a:b]]) for a, b in zip(indptr, indptr[1:])]
+    scale_sq = scale * scale
+    terms = {child: Fraction(s * s, scale_sq) for child, s in zip(structure.rows, sums)}
+    numerator = Fraction(sum([s * s for s in sums]), scale_sq)
     risk = 1 - numerator / (d * d * w.norm_sq)
     if not 0 <= risk <= 1:
         raise ArithmeticError(f"risk {risk} escaped [0, 1]; this is a bug")
@@ -98,23 +146,18 @@ def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
 
 
 def float_risk(d: int, n: int, w: WeightVector) -> float:
-    """Floating-point risk with compensated (exactly rounded) summation.
+    """Floating-point risk: B c as a sparse product, squares summed exactly rounded.
 
     Fast path for long sweeps; agrees with :func:`exact_risk` to near machine
-    precision on every case the tests compare.
+    precision on every case the tests compare.  Coefficients are divided by
+    their exact maximum before they become floats, so neither they nor their
+    squares overflow.
     """
-    if not w.entries:
-        raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
-    coeff = {parts: float(v) for parts, v in w.entries.items()}
-    sq = math.fsum(c * c for c in coeff.values())
-    terms = []
-    for child in enumerate_partitions(d, n + 1):
-        s = math.fsum(
-            coeff.get(child[: i - 1] + (child[i - 1] - 1,) + child[i:], 0.0)
-            for i in removable_rows(child)
-        )
-        terms.append(s * s)
-    return 1.0 - math.fsum(terms) / (d * d * sq)
+    structure, c, _ = _integer_coefficients(d, n, w)
+    top = max(c)
+    x = np.array([v / top for v in c])
+    sums = structure.matrix @ x
+    return 1.0 - math.fsum((sums * sums).tolist()) / (d * d * math.fsum((x * x).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +279,6 @@ def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     )
 
 
-class BoundWitness(NamedTuple):
-    holds: bool
-    slack: Fraction
-
-
-def cauchy_schwarz_bound_check(d: int, n: int, w: WeightVector) -> BoundWitness:
-    """Verify the numerator bound sum (...)^2 <= d^2 norm_sq, i.e. risk >= 0.
-
-    Each inner sum has at most d parents, so Cauchy-Schwarz bounds the
-    numerator by d^2 norm_sq.  Returns the exact slack (which equals the
-    risk) together with a boolean witness.
-    """
-    slack = exact_risk(d, n, w).risk
-    return BoundWitness(slack >= 0, slack)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps over N
 # ---------------------------------------------------------------------------
@@ -270,7 +297,7 @@ class FitResult:
     """Least-squares fit of N^2 risk = constant + slope / N.
 
     Fitted on the largest tested half of the N values, where the O(1/N^2)
-    remainder is smallest.
+    remainder is smallest, and on at least two of them.
     """
 
     constant: float
@@ -289,11 +316,11 @@ class RiskCurve:
 
 
 def fit_constant(points: Sequence[RiskPoint]) -> FitResult:
-    """Intercept of N^2 risk against 1/N on the largest tested half."""
+    """Intercept of N^2 risk against 1/N on the largest tested half (>= 2 points)."""
     if len(points) < 2:
         raise ValueError("need at least two points to fit")
     pts = sorted(points, key=lambda p: p.n)
-    window = pts[len(pts) // 2 :]
+    window = pts[min(len(pts) // 2, len(pts) - 2) :]
     xs = [1.0 / p.n for p in window]
     ys = [p.n2_risk for p in window]
     xbar = math.fsum(xs) / len(xs)
@@ -308,9 +335,13 @@ def fit_constant(points: Sequence[RiskPoint]) -> FitResult:
     return FitResult(constant, slope, (window[0].n, window[-1].n), resid)
 
 
-def _curve_point(args) -> RiskPoint:
+def _curve_point(args) -> RiskPoint | tuple[int, str]:
+    """One level of a sweep, or (n, reason) when the scheme has no support there."""
     d, n, label, exact = args
-    w = scheme_weights(label, d, n)
+    try:
+        w = scheme_weights(label, d, n)
+    except EmptySupportError as exc:
+        return n, str(exc)
     if exact:
         r = exact_risk(d, n, w).risk
         rf = float(r)
@@ -336,22 +367,14 @@ def risk_curve(
     the output order is fixed.
     """
     label = parse_scheme(scheme).label()
-    ns = sorted(set(int(n) for n in n_values))
-    feasible = []
-    skipped = []
-    for n in ns:
-        try:
-            scheme_weights(label, d, n)
-        except EmptySupportError as exc:
-            skipped.append((n, str(exc)))
-            continue
-        feasible.append(n)
-    jobs = [(d, n, label, exact) for n in feasible]
+    jobs = [(d, n, label, exact) for n in sorted(set(int(n) for n in n_values))]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_curve_point, jobs))
+            results = list(pool.map(_curve_point, jobs))
     else:
-        points = [_curve_point(job) for job in jobs]
+        results = [_curve_point(job) for job in jobs]
+    points = [r for r in results if isinstance(r, RiskPoint)]
+    skipped = [r for r in results if not isinstance(r, RiskPoint)]
     fitted = fit_constant(points) if fit and len(points) >= 2 else None
     return RiskCurve(d, label, tuple(points), tuple(skipped), fitted)
 

@@ -26,8 +26,7 @@ from fractions import Fraction
 from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, EmptySupportError
-from .partitions import enumerate_partitions, removable_rows
-from .risk import exact_risk
+from .risk import _box_removal, exact_risk
 from .weights import WeightVector, product_weights
 
 __all__ = [
@@ -69,29 +68,14 @@ class IncidenceStructure:
 def build_incidence(d: int, n: int, support: str = "full") -> IncidenceStructure:
     if support not in ("full", "strict"):
         raise ValueError(f"support must be 'full' or 'strict', got {support!r}")
-    cols = tuple(enumerate_partitions(d, n, strict=(support == "strict")))
-    if not cols:
-        raise EmptySupportError(
-            f"no {support} partition at level {n} for d={d}"
-        )
-    rows = tuple(enumerate_partitions(d, n + 1))
-    col_of = {parts: j for j, parts in enumerate(cols)}
-    data = []
-    indices = []
-    indptr = [0]
-    for child in rows:
-        for i in sorted(removable_rows(child)):
-            parent = child[: i - 1] + (child[i - 1] - 1,) + child[i:]
-            j = col_of.get(parent)
-            if j is not None:
-                data.append(1.0)
-                indices.append(j)
-        indptr.append(len(indices))
-    matrix = csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(rows), len(cols)),
-    )
-    return IncidenceStructure(d, n, support, rows, cols, matrix)
+    structure = _box_removal(d, n)
+    if support == "full":
+        return IncidenceStructure(d, n, support, structure.rows, structure.cols, structure.matrix)
+    keep = np.flatnonzero(structure.strict)
+    if not keep.size:
+        raise EmptySupportError(f"no {support} partition at level {n} for d={d}")
+    cols = tuple(structure.cols[j] for j in keep)
+    return IncidenceStructure(d, n, support, structure.rows, cols, structure.matrix[:, keep])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from sud_estimate.asymptotics import (
     exact_constant,
     gap_lattice,
     riemann_constant,
-    riemann_trace,
     simplex_monomial_integral,
     weighted_simplex_integral,
 )
@@ -183,11 +182,6 @@ class TestRiemannConstant:
         # at level 1 the only gap vector is (1, 0), killing prod x_j^2
         with pytest.raises(EmptySumError):
             riemann_constant(2, 0)
-
-    def test_trace_shape(self):
-        trace = riemann_trace(2, [100, 300])
-        assert [n for n, _ in trace] == [100, 300]
-        assert all(isinstance(v, float) for _, v in trace)
 
 
 class TestConsistency:

@@ -164,6 +164,17 @@ class TestPieriResidual:
         points = random_torus_points(len(parts), 25, seed=42)
         assert pieri_residual(parts, points) < 1e-9
 
+    def test_branching_identity_near_confluence(self):
+        # point 74 of this sample has two eigenvalues 1.25e-5 apart, where the
+        # alternant ratio is still used but has lost about four digits
+        point = random_torus_points(4, 100, seed=290127639)[74]
+        worst = max(
+            pieri_residual(parts, [point])
+            for n in range(5)
+            for parts in enumerate_partitions(4, n)
+        )
+        assert worst < 1e-11
+
 
 class TestQuadratureRisk:
     def test_matches_exact_risk_d2(self):

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from sud_estimate.cache import level_filename
 from sud_estimate.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -83,6 +82,19 @@ class TestRisk:
         _, payload, _ = run_json(capsys, "risk", "-d", "2", "-N", "5")
         assert "generated_at" in payload
 
+    def test_arithmetic_error_exits_3(self, capsys, monkeypatch):
+        def escaped(d, n, w):
+            raise ArithmeticError("risk 2 escaped [0, 1]; this is a bug")
+
+        monkeypatch.setattr("sud_estimate.cli.exact_risk", escaped)
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "risk 2 escaped [0, 1]; this is a bug",
+            "type": "ArithmeticError",
+        }
+
 
 class TestSweep:
     def test_json_rows_and_fit(self, capsys):
@@ -117,6 +129,25 @@ class TestSweep:
         assert code == EXIT_OK
         assert [r["N"] for r in payload["rows"]] == [3, 4]
         assert [s["N"] for s in payload["skipped"]] == [2]
+
+    def test_large_power_scheme_stays_finite(self, capsys):
+        # power:60 coefficients reach ~200^60; squaring them as floats overflowed
+        code, out, _ = run(
+            capsys, "sweep", "-d", "2", "-N", "380:400:10",
+            "--scheme", "power:60", "--no-timestamp",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert [r["N"] for r in payload["rows"]] == [380, 390, 400]
+        assert all(math.isfinite(r["risk_float"]) for r in payload["rows"])
+        assert math.isfinite(payload["fit"]["constant"])
+
+    def test_two_level_sweep_fits_both(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "sweep", "-d", "2", "-N", "390:400:10", "--no-timestamp"
+        )
+        assert code == EXIT_OK
+        assert payload["fit"]["window"] == [390, 400]
 
     def test_fully_infeasible_range_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "-d", "3", "-N", "1:4")
@@ -266,44 +297,6 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == "check,max_error,tolerance,pass"
         assert len(lines) == 6
-
-
-class TestCache:
-    def test_build_then_reuse(self, capsys, tmp_path):
-        code, payload, _ = run_json(
-            capsys, "cache", "-d", "2", "--n-max", "5",
-            "--cache-dir", str(tmp_path), "--no-timestamp",
-        )
-        assert code == EXIT_OK
-        assert payload["rebuilt_levels"] == [0, 1, 2, 3, 4, 5]
-        assert payload["reused_levels"] == []
-        code, payload, _ = run_json(
-            capsys, "cache", "-d", "2", "--n-max", "5",
-            "--cache-dir", str(tmp_path), "--no-timestamp",
-        )
-        assert code == EXIT_OK
-        assert payload["reused_levels"] == [0, 1, 2, 3, 4, 5]
-        assert payload["rebuilt_levels"] == []
-        assert payload["warnings"] == []
-
-    def test_environment_variable_picks_directory(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUD_ESTIMATE_CACHE", str(tmp_path))
-        code, payload, _ = run_json(
-            capsys, "cache", "-d", "3", "--n-max", "2", "--no-timestamp"
-        )
-        assert code == EXIT_OK
-        assert payload["directory"] == str(tmp_path)
-        assert (tmp_path / level_filename(3, 2)).exists()
-
-    def test_csv_lists_manifest(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "cache", "-d", "2", "--n-max", "3",
-            "--cache-dir", str(tmp_path), "--format", "csv",
-        )
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0] == "d,level,path,sha256"
-        assert len(lines) == 5
 
 
 class TestParser:

@@ -10,7 +10,6 @@ from sud_estimate.partitions import (
     is_strict,
     level,
     parts_from_gaps,
-    partition_records,
     pieri_add,
     removable_rows,
     syt_count,
@@ -197,11 +196,10 @@ class TestBranching:
 
 class TestRecords:
     def test_partition_records_fields(self):
-        recs = list(partition_records(2, 3))
-        assert [r["parts"] for r in recs] == [[3, 0], [2, 1]]
-        for rec in recs:
-            assert set(rec) == {"d", "parts", "dim", "mult"}
-            assert isinstance(rec["dim"], str) and rec["dim"].isdigit()
-            assert isinstance(rec["mult"], str) and rec["mult"].isdigit()
+        infos = [irrep_info(p) for p in enumerate_partitions(2, 3)]
+        assert [(i.parts, i.dimension, i.multiplicity) for i in infos] == [
+            ((3, 0), 4, 1),
+            ((2, 1), 2, 2),
+        ]
         info = irrep_info((2, 1))
         assert (info.dimension, info.multiplicity) == (2, 2)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from conftest import weight_vector_st
 from sud_estimate.errors import EmptySumError, EmptySupportError
 from sud_estimate.risk import (
     RiskPoint,
-    cauchy_schwarz_bound_check,
     curve_to_csv,
     exact_risk,
     expansion_diagnostics,
@@ -16,7 +16,13 @@ from sud_estimate.risk import (
     risk_curve,
 )
 from sud_estimate.partitions import enumerate_partitions, gap_vector
-from sud_estimate.weights import WeightVector, product_weights, scheme_weights, uniform_weights
+from sud_estimate.weights import (
+    WeightVector,
+    power_weights,
+    product_weights,
+    scheme_weights,
+    uniform_weights,
+)
 
 # Exact risks of the gap-product scheme, derived by hand enumeration:
 #   N=3: support {(2,1)} with weight 1; level-4 terms 0, 1, 1 -> 1 - 2/4
@@ -56,9 +62,9 @@ class TestExactRisk:
         for d, n in [(2, 4), (3, 7), (4, 11)]:
             parts = enumerate_partitions(d, n, strict=True)[0]
             w = WeightVector(d, n, {parts: Fraction(1)})
-            witness = cauchy_schwarz_bound_check(d, n, w)
-            assert witness.holds
-            assert witness.slack == 1 - Fraction(1, d)
+            slack = exact_risk(d, n, w).risk
+            assert slack >= 0
+            assert slack == 1 - Fraction(1, d)
 
     def test_empty_support_raises(self):
         with pytest.raises(EmptySupportError):
@@ -89,8 +95,8 @@ class TestExactRisk:
             }
             if all(v == 0 for v in entries.values()):
                 continue
-            witness = cauchy_schwarz_bound_check(3, 8, WeightVector(3, 8, entries))
-            assert witness.holds
+            slack = exact_risk(3, 8, WeightVector(3, 8, entries)).risk
+            assert slack >= 0
 
 
 class TestFloatPath:
@@ -102,6 +108,14 @@ class TestFloatPath:
                     exact = float(exact_risk(d, n, w).risk)
                     fast = float_risk(d, n, w)
                     assert fast == pytest.approx(exact, abs=1e-12)
+
+    def test_huge_coefficients_do_not_overflow(self):
+        # coefficients near 200^60: squared as raw floats they overflowed to NaN
+        w = power_weights(2, 400, 60)
+        exact = float(exact_risk(2, 400, w).risk)
+        fast = float_risk(2, 400, w)
+        assert math.isfinite(fast)
+        assert fast == pytest.approx(exact, rel=1e-12)
 
 
 class TestExpansionDiagnostics:
@@ -177,9 +191,21 @@ class TestRiskCurve:
             assert a.risk_float == pytest.approx(b.risk_float, abs=1e-12)
 
     def test_workers_do_not_change_results(self):
-        one = risk_curve(2, range(3, 30), "product", exact=True, workers=1)
-        two = risk_curve(2, range(3, 30), "product", exact=True, workers=2)
+        one = risk_curve(2, range(1, 30), "product", exact=True, workers=1)
+        two = risk_curve(2, range(1, 30), "product", exact=True, workers=2)
         assert one == two
+
+    def test_one_scheme_build_per_level(self, monkeypatch):
+        calls = []
+
+        def counting(spec, d, n, **kwargs):
+            calls.append(n)
+            return scheme_weights(spec, d, n, **kwargs)
+
+        monkeypatch.setattr("sud_estimate.risk.scheme_weights", counting)
+        curve = risk_curve(2, range(1, 7), "product", fit=False)
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+        assert [n for n, _ in curve.skipped] == [1, 2]
 
     def test_csv_shape(self):
         curve = risk_curve(2, range(3, 8), "product", exact=True, fit=False)
