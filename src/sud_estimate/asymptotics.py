@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -250,11 +250,44 @@ def exact_constant(d: int, riemann_levels: Iterable[int] = ()) -> ConstantReport
     return ConstantReport(d, num / den, num, den, estimates)
 
 
+# Mesh cells per block of the lattice walk: small enough to keep d=4 sums at a
+# few MiB, large enough that d=2 and d=3 sums take one or a few blocks.
+_CELL_BUDGET = 1 << 16
+
+
+def _lattice_blocks(d: int, m: int) -> Iterator[np.ndarray]:
+    """Gap vectors of level m (d >= 2) in blocks of consecutive p_d values.
+
+    A block meshes p_2..p_{d-1} over the ranges of its smallest p_d and
+    solves for p_1.  It holds at most ``_CELL_BUDGET`` mesh cells, or one p_d
+    slice where a slice alone is larger, instead of the prod_j (m/j + 1)
+    cells of one dense mesh over p_2..p_d.
+    """
+    weights = np.arange(2, d + 1, dtype=np.int64)
+    low = 0
+    while low <= m // d:
+        inner = [(m - d * low) // j + 1 for j in range(2, d)]
+        count = min(m // d + 1 - low, max(1, _CELL_BUDGET // math.prod(inner)))
+        grids = np.meshgrid(
+            *[np.arange(k, dtype=np.int64) for k in inner],
+            np.arange(low, low + count, dtype=np.int64),
+            indexing="ij",
+        )
+        rest = np.stack([g.ravel() for g in grids], axis=1)  # columns p_2 .. p_d
+        p1 = m - rest @ weights
+        keep = p1 >= 0
+        block = np.empty((int(keep.sum()), d), dtype=np.int64)
+        block[:, 0] = p1[keep]
+        block[:, 1:] = rest[keep]
+        yield block
+        low += count
+
+
 def gap_lattice(d: int, m: int) -> np.ndarray:
     """Integer points p >= 0 with sum_j j * p_j = m, as an (n, d) array.
 
     These are exactly the gap vectors of the partitions of m into at most d
-    parts.  Built by meshing the last d-1 coordinates and solving for p_1.
+    parts, ordered by p_d.
     """
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
@@ -262,20 +295,7 @@ def gap_lattice(d: int, m: int) -> np.ndarray:
         raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         return np.array([[m]], dtype=np.int64)
-    grids = np.meshgrid(
-        *[np.arange(m // j + 1, dtype=np.int64) for j in range(2, d + 1)],
-        indexing="ij",
-    )
-    rest = np.stack([g.ravel() for g in grids], axis=1)  # columns p_2 .. p_d
-    weights = np.arange(2, d + 1, dtype=np.int64)
-    p1 = m - rest @ weights
-    keep = p1 >= 0
-    points = np.empty((int(keep.sum()), d), dtype=np.int64)
-    points[:, 0] = p1[keep]
-    points[:, 1:] = rest[keep]
-    if points.shape[0] == 0:
-        raise EmptySumError(f"no lattice point at level {m} for d={d}")
-    return points
+    return np.concatenate(list(_lattice_blocks(d, m)))
 
 
 def riemann_constant(d: int, n: int) -> float:
@@ -283,12 +303,18 @@ def riemann_constant(d: int, n: int) -> float:
 
     Sums both integrands over the rescaled gap vectors p/(n+1) of level n+1
     and returns the ratio; the homogeneity degrees match the risk expansion,
-    so the estimate converges to C(d) with an O(1/n) error.
+    so the estimate converges to C(d) with an O(1/n) error.  The sums run
+    block by block (see ``_lattice_blocks``), never over one mesh of the
+    whole lattice.
     """
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
     numerator, denominator = constant_integrands(d)
-    points = gap_lattice(d, n + 1).astype(float) / (n + 1)
-    num = float(np.sum(numerator.evaluate_array(points)))
-    den = float(np.sum(denominator.evaluate_array(points)))
+    num = den = 0.0
+    for block in _lattice_blocks(d, n + 1):
+        points = block.astype(float) / (n + 1)
+        num += float(np.sum(numerator.evaluate_array(points)))
+        den += float(np.sum(denominator.evaluate_array(points)))
     if den == 0.0:
         raise EmptySumError(f"denominator lattice sum vanished at level {n} for d={d}")
     return num / den

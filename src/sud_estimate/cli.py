@@ -213,7 +213,9 @@ def _cmd_constant(args) -> int:
 def _cmd_optimal(args) -> int:
     structure = build_incidence(args.d, args.n, args.support)
     result = max_eigenpair(structure, tol=args.tol, max_iterations=args.max_iterations)
-    gap = optimality_gap(args.d, args.n, tol=args.tol)
+    gap = optimality_gap(
+        args.d, args.n, tol=args.tol, max_iterations=args.max_iterations, solved=result
+    )
     if args.export:
         save_weights(result.eigvec, args.export)
     coeffs = weights_to_json(result.eigvec)
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--support", choices=("full", "strict"), default="full")
     p.add_argument("--max-iterations", type=int, default=10**6,
-                   help="power iteration cap before giving up")
+                   help="cap on applications of B^T B before giving up")
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the optimal coefficients as a weights JSON file")
     p.set_defaults(func=_cmd_optimal)

@@ -11,10 +11,14 @@ and eigmax <= d^2 because every row of B has at most d ones.  The leading
 eigenvector is entrywise nonnegative (B^T B is a nonnegative matrix), so it
 is itself a valid scheme.
 
-B^T B is never materialised; power iteration applies B and B^T once each per
-step.  The iteration starts from the all-ones vector, which has positive
-overlap with the nonnegative leading eigenvector, and stops on a residual
-certificate ||A v - theta v|| <= tol * theta.
+B^T B is never materialised: a thick-restart Lanczos solve (Wu & Simon, SIAM
+J. Matrix Anal. Appl. 22, 2000; the scheme behind ARPACK) applies B and B^T
+once each per step, on a basis of fixed size with full
+reorthogonalisation.  It starts from the all-ones vector, which has positive
+overlap with the nonnegative leading eigenvector, and returns only a pair
+that passes a residual certificate ||A v - theta v|| <= tol * theta
+recomputed on the final nonnegative vector.  Plain numpy, so importing the
+package loads no scipy.linalg.
 """
 
 from __future__ import annotations
@@ -103,52 +107,116 @@ def _vector_to_weights(structure: IncidenceStructure, v: np.ndarray) -> WeightVe
     return WeightVector(structure.d, structure.level, entries)
 
 
+# Basis size of the restarted Lanczos solve: ARPACK's default ncv for one
+# eigenpair.  Each restart keeps about half of it as Ritz vectors (Wu & Simon).
+_BASIS_SIZE = 20
+_KEPT = 10
+
+
+def _certified(
+    structure: IncidenceStructure, bt: csr_matrix, v: np.ndarray, iterations: int
+) -> SpectralResult:
+    """Nonnegative unit vector from a Ritz vector, with its own residual.
+
+    The leading eigenvector is nonnegative up to sign, so ``|v|`` is that
+    vector up to rounding; theta and the residual are recomputed on it.
+    """
+    v = np.abs(v)
+    v /= np.linalg.norm(v)
+    w = bt @ (structure.matrix @ v)
+    theta = float(v @ w)
+    residual = float(np.linalg.norm(w - theta * v))
+    return SpectralResult(
+        structure.d, structure.level, structure.support,
+        theta, _vector_to_weights(structure, v), iterations, residual,
+    )
+
+
 def max_eigenpair(
     structure: IncidenceStructure,
     tol: float = 1e-12,
     max_iterations: int = 10**6,
 ) -> SpectralResult:
-    """Power iteration for the largest eigenpair of B^T B.
+    """Thick-restart Lanczos for the largest eigenpair of B^T B.
 
-    Deterministic: all-ones start, fixed-order sparse reductions, Rayleigh
-    quotient estimate.  Stops when ||A v - theta v|| <= tol * theta; hitting
-    the iteration cap raises :class:`ConvergenceError` with the best iterate
-    attached as ``best``.  The iterates stay entrywise nonnegative, so the
-    returned eigenvector is a valid weight vector.  If the support graph
-    splits into components whose top eigenvalues tie exactly, the iterate
-    converges to a nonnegative mixture over the tied components; the
-    eigenvalue estimate is unaffected.
+    Deterministic: all-ones start, a basis of at most ``_BASIS_SIZE`` vectors
+    orthogonalised twice against all earlier ones, Ritz pairs from
+    ``np.linalg.eigh`` of the projected matrix, and restarts that keep the
+    ``_KEPT`` largest Ritz vectors.  ``iterations`` counts applications of
+    B^T B (the certificate's own product aside) and ``max_iterations`` caps
+    it; at the cap :class:`ConvergenceError` is raised with the current Ritz
+    pair attached as ``best``.  The returned eigenvector is entrywise
+    nonnegative and carries the recomputed residual ||A v - theta v|| <=
+    tol * theta.  A breakdown (the basis spans an invariant subspace, as on
+    small forms and inside the mirror-symmetric half of the d=2 form, where
+    beta falls to rounding level rather than to zero) ends the solve: its
+    Ritz pairs are exact, so a failed certificate there raises
+    :class:`ConvergenceError`.  If the support graph splits into components
+    whose top eigenvalues tie exactly, the vector is a nonnegative mixture
+    over the tied components; the eigenvalue is unaffected.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     b = structure.matrix
+    if b.nnz == 0:
+        raise EmptySupportError(
+            f"incidence form is identically zero at level {structure.level}"
+        )
     bt = b.T.tocsr()
     ncols = b.shape[1]
-    v = np.full(ncols, 1.0 / np.sqrt(ncols))
-    theta = 0.0
-    residual = np.inf
-    for iteration in range(1, max_iterations + 1):
-        w = bt @ (b @ v)
-        theta = float(v @ w)
-        residual = float(np.linalg.norm(w - theta * v))
-        if residual <= tol * theta and theta > 0:
-            return SpectralResult(
-                structure.d, structure.level, structure.support,
-                theta, _vector_to_weights(structure, v), iteration, residual,
-            )
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise EmptySupportError(
-                f"incidence form is identically zero at level {structure.level}"
-            )
-        v = w / norm
-    best = SpectralResult(
-        structure.d, structure.level, structure.support,
-        theta, _vector_to_weights(structure, v), max_iterations, residual,
-    )
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol:g} * theta within "
-        f"{max_iterations} steps (last residual {residual:.3e})",
-        best=best,
-    )
+    size = min(_BASIS_SIZE, ncols)
+    basis = np.empty((size + 1, ncols))
+    basis[0] = 1.0 / np.sqrt(ncols)
+    projected = np.zeros((size, size))
+    first = 0
+    iterations = 0
+
+    def ritz(k: int) -> SpectralResult:
+        _, vectors = np.linalg.eigh(projected[:k, :k])
+        return _certified(structure, bt, vectors[:, -1] @ basis[:k], iterations)
+
+    while True:
+        for j in range(first, size):
+            if iterations == max_iterations:
+                best = ritz(j)
+                raise ConvergenceError(
+                    f"Lanczos did not reach residual {tol:g} * theta within "
+                    f"{max_iterations} applications (last residual {best.residual:.3e})",
+                    best=best,
+                )
+            w = bt @ (b @ basis[j])
+            iterations += 1
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            again = basis[: j + 1] @ w
+            w -= again @ basis[: j + 1]
+            projected[: j + 1, j] = projected[j, : j + 1] = h + again
+            beta = float(np.linalg.norm(w))
+            # beta bounds the residual of every Ritz pair of the basis so far
+            if beta <= tol * projected[0, 0]:
+                found = ritz(j + 1)
+                if found.residual <= tol * found.eigmax:
+                    return found
+                raise ConvergenceError(
+                    f"Lanczos broke down at {iterations} applications with residual "
+                    f"{found.residual:.3e} above {tol:g} * theta",
+                    best=found,
+                )
+            basis[j + 1] = w / beta
+        theta, vectors = np.linalg.eigh(projected)
+        if beta * abs(vectors[-1, -1]) <= tol * theta[-1]:
+            found = ritz(size)
+            if found.residual <= tol * found.eigmax:
+                return found
+        # restart from the largest Ritz vectors, largest first, and the last
+        # Lanczos vector; their couplings are recomputed by the next projection
+        first = min(_KEPT, size - 1)
+        basis[:first] = vectors[:, : -first - 1 : -1].T @ basis[:size]
+        basis[first] = basis[size]
+        projected[:] = 0.0
+        projected[range(first), range(first)] = theta[: -first - 1 : -1]
 
 
 def optimal_weights(
@@ -182,17 +250,35 @@ class OptimalityGap:
         return self.risk_optimal_strict - self.risk_optimal
 
 
-def optimality_gap(d: int, n: int, tol: float = 1e-12) -> OptimalityGap:
+def optimality_gap(
+    d: int,
+    n: int,
+    tol: float = 1e-12,
+    max_iterations: int = 10**6,
+    solved: SpectralResult | None = None,
+) -> OptimalityGap:
     """Compare the gap-product scheme with the spectral optimum at level n.
 
     The product scheme can never beat the full-support optimum; the returned
     ``gap`` (product risk - optimal risk) is nonnegative up to the solver
-    tolerance.
+    tolerance.  ``solved``, an eigenpair already computed at this level, is
+    used for its support instead of a second solve.
     """
-    full = max_eigenpair(build_incidence(d, n, "full"), tol=tol)
+    if solved is not None and (solved.d, solved.level) != (d, n):
+        raise ValueError(
+            f"solved eigenpair is for d={solved.d} N={solved.level}, not d={d} N={n}"
+        )
+
+    def optimum(support: str) -> SpectralResult:
+        if solved is not None and solved.support == support:
+            return solved
+        return max_eigenpair(
+            build_incidence(d, n, support), tol=tol, max_iterations=max_iterations
+        )
+
+    full = optimum("full")
     try:
-        strict = max_eigenpair(build_incidence(d, n, "strict"), tol=tol)
-        strict_risk = strict.optimal_risk
+        strict_risk = optimum("strict").optimal_risk
     except EmptySupportError:
         strict_risk = None
     try:

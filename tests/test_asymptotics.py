@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -162,8 +163,44 @@ class TestGapLattice:
         gaps = {gap_vector(parts) for parts in enumerate_partitions(d, m)}
         assert lattice == gaps
 
+    @pytest.mark.parametrize("d,m", [(3, 700), (4, 120)])
+    def test_blocks_cover_each_gap_vector_once(self, d, m):
+        # levels large enough that the lattice is walked in several blocks
+        lattice = [tuple(int(v) for v in row) for row in gap_lattice(d, m)]
+        gaps = {gap_vector(parts) for parts in enumerate_partitions(d, m)}
+        assert len(lattice) == len(gaps)
+        assert set(lattice) == gaps
+
+
+def _dense_riemann(d: int, n: int) -> float:
+    numerator, denominator = constant_integrands(d)
+    points = np.array(
+        [gap_vector(parts) for parts in enumerate_partitions(d, n + 1)], dtype=float
+    ) / (n + 1)
+    return float(np.sum(numerator.evaluate_array(points))) / float(
+        np.sum(denominator.evaluate_array(points))
+    )
+
 
 class TestRiemannConstant:
+    @pytest.mark.parametrize("d,n", [(2, 50), (3, 40), (3, 699), (4, 30), (4, 119)])
+    def test_matches_dense_sum(self, d, n):
+        assert riemann_constant(d, n) == pytest.approx(_dense_riemann(d, n), rel=1e-13)
+
+    def test_memory_stays_bounded(self):
+        # one dense mesh over p_2..p_4 at level 601 held about 590 MiB
+        tracemalloc.start()
+        try:
+            riemann_constant(4, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError):
+            riemann_constant(2, -2)
+
     def test_d2_close_at_large_level(self):
         assert riemann_constant(2, 4000) == pytest.approx(10.0, rel=0.01)
 

@@ -259,6 +259,26 @@ class TestOptimal:
         assert code == EXIT_NUMERICAL
         assert json.loads(err)["type"] == "ConvergenceError"
 
+    def test_solves_each_support_once(self, capsys, monkeypatch):
+        import sud_estimate.spectral as spectral
+
+        calls = []
+        solve = spectral.max_eigenpair
+
+        def counting(structure, **kwargs):
+            calls.append((structure.support, kwargs))
+            return solve(structure, **kwargs)
+
+        monkeypatch.setattr("sud_estimate.cli.max_eigenpair", counting)
+        monkeypatch.setattr("sud_estimate.spectral.max_eigenpair", counting)
+        code, _, _ = run(
+            capsys, "optimal", "-d", "2", "-N", "12",
+            "--tol", "1e-11", "--max-iterations", "500",
+        )
+        assert code == EXIT_OK
+        options = {"tol": 1e-11, "max_iterations": 500}
+        assert calls == [("full", options), ("strict", options)]
+
     def test_csv_lists_coefficients(self, capsys):
         code, out, _ = run(
             capsys, "optimal", "-d", "2", "-N", "5", "--format", "csv"

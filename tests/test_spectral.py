@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import block_diag
 
 from sud_estimate.errors import ConvergenceError, EmptySupportError
 from sud_estimate.partitions import enumerate_partitions, removable_rows
 from sud_estimate.risk import exact_risk
 from sud_estimate.spectral import (
+    IncidenceStructure,
     build_incidence,
     max_eigenpair,
     optimal_weights,
@@ -62,6 +68,28 @@ class TestMaxEigenpair:
                 math.sin(math.pi / (n + 3)) ** 2, abs=1e-10
             )
 
+    @pytest.mark.parametrize("n", [101, 102, 401, 402, 1001, 1002, 1999, 2000])
+    def test_d2_chain_closed_form_at_large_levels(self, n):
+        # one solve at the default cap, odd and even N alike
+        r = max_eigenpair(build_incidence(2, n, "full"))
+        assert r.eigmax == pytest.approx(4 * math.cos(math.pi / (n + 3)) ** 2, abs=1e-10)
+        assert r.residual <= 1e-12 * r.eigmax
+
+    def test_tied_blocks_give_nonnegative_certified_vector(self):
+        # two identical components tie for the top eigenvalue
+        block = build_incidence(2, 6, "full").matrix
+        cols = tuple(enumerate_partitions(3, 7))[: 2 * block.shape[1]]
+        rows = tuple((k,) for k in range(2 * block.shape[0]))
+        s = IncidenceStructure(3, 7, "full", rows, cols, block_diag([block, block]).tocsr())
+        r = max_eigenpair(s)
+        assert r.eigmax == pytest.approx(4 * math.cos(math.pi / 9) ** 2, abs=1e-12)
+        assert len(r.eigvec.entries) == len(cols)
+        assert all(v > 0 for v in r.eigvec.entries.values())
+        v = np.array([float(r.eigvec.coefficient(p)) for p in cols])
+        av = s.matrix.T @ (s.matrix @ v)
+        assert np.linalg.norm(av - r.eigmax * v) <= 2e-12 * r.eigmax
+        assert r.residual <= 1e-12 * r.eigmax
+
     def test_eigmax_never_exceeds_d_squared(self):
         for d, n in [(2, 9), (2, 14), (3, 8), (3, 12), (4, 11)]:
             for support in ("full", "strict"):
@@ -98,6 +126,13 @@ class TestMaxEigenpair:
         assert best is not None
         assert best.iterations == 2
         assert 0 < best.eigmax <= 4.0
+
+    def test_rejects_nonpositive_cap_and_tolerance(self):
+        s = build_incidence(2, 10, "full")
+        with pytest.raises(ValueError):
+            max_eigenpair(s, max_iterations=0)
+        with pytest.raises(ValueError):
+            max_eigenpair(s, tol=0.0)
 
     def test_determinism(self):
         a = max_eigenpair(build_incidence(3, 8, "full"))
@@ -150,3 +185,22 @@ def test_partition_order_matches_enumeration():
     s = build_incidence(3, 5, "full")
     assert list(s.cols) == enumerate_partitions(3, 5)
     assert list(s.rows) == enumerate_partitions(3, 6)
+
+
+def test_import_loads_no_dense_or_sparse_linalg():
+    # scipy.linalg and scipy.sparse.linalg cost several MiB and ~0.1 s per process
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, sud_estimate.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m in ('scipy.linalg', 'scipy.sparse.linalg')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
