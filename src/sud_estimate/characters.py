@@ -11,11 +11,14 @@ analytically from SU(d) characters:
 * the risk of a scheme has an integral form built from character products
   only, with no reference to box removal.
 
-The quadrature is a tensor trapezoid rule on the torus; since every
-integrand here is a trigonometric polynomial, the rule is exact (up to
-rounding) once the per-angle resolution exceeds the largest frequency, and
-4(N + d) points per angle cover every integrand this package produces at
-level N.
+The quadrature is a tensor trapezoid rule on the torus.  By the bialternant
+formula chi_lambda = a_(lambda+delta) / a_delta, and the Weyl density is
+|a_delta|^2, so every Haar integral of character products is a plain sum of
+alternant products: no division, and nothing special where eigenvalues
+collide.  Every such integrand is a trigonometric polynomial, so the rule is
+exact (up to rounding) once the per-angle resolution exceeds the largest
+frequency; 2(N + d + 1) + 1 points per angle cover every integrand this
+package produces at level N.
 
 Partitions differing by full columns label the same SU(d) irrep; characters
 evaluated here agree on such pairs because the eigenvalue product is 1.
@@ -51,9 +54,9 @@ __all__ = [
 # Weyl-denominator ratio to divided differences, which divide by nothing.  The
 # ratio loses digits well before the pair collides: at a pair 1.25e-5 apart on
 # SU(4) its branching residual is 6.2e-9, against 7.7e-13 for divided
-# differences.  Quadrature grids are unaffected: distinct grid eigenvalues lie
-# at least 2 sin(pi / resolution) apart, which exceeds 1e-3 for every
-# resolution below 6,283.
+# differences.  Quadrature integrals never take the ratio: they sum alternant
+# products, so on a grid only ``QuadratureRule.character_values`` reaches the
+# fallback, at nodes whose eigenvalues collide (and whose Haar weight is 0).
 CONFLUENCE_THRESHOLD = 1e-3
 
 
@@ -98,10 +101,6 @@ def su_equivalent(a, b) -> bool:
     return len(diffs) == 1
 
 
-def _box_partition(d: int) -> tuple[int, ...]:
-    return (1,) + (0,) * (d - 1)
-
-
 def _eigenvalue_matrix(angles: np.ndarray) -> np.ndarray:
     """(n, d-1) free angles -> (n, d) unit eigenvalues with product 1."""
     full = np.concatenate([angles, -angles.sum(axis=1, keepdims=True)], axis=1)
@@ -130,6 +129,11 @@ def _min_pair_gap(z: np.ndarray) -> np.ndarray:
 def _staircase_exponents(parts: tuple[int, ...]) -> np.ndarray:
     d = len(parts)
     return np.array([parts[j] + d - 1 - j for j in range(d)], dtype=np.int64)
+
+
+def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """a_(lambda+delta) = det(z_i^(lambda_j + d - j)) at every row of ``z``."""
+    return np.linalg.det(z[:, :, None] ** _staircase_exponents(parts)[None, None, :])
 
 
 def _h_table(z: Sequence[complex], kmax: int) -> list[list[complex]]:
@@ -183,27 +187,15 @@ def _schur_confluent(parts: tuple[int, ...], z: Sequence[complex]) -> complex:
     return complex(numerator / denominator)
 
 
-def _batch_schur(
-    parts: tuple[int, ...],
-    z: np.ndarray,
-    denominator: np.ndarray | None = None,
-    confluent_rows: np.ndarray | None = None,
-) -> np.ndarray:
+def _batch_schur(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     """Schur values at every row of ``z`` (shape (n, d)).
 
     Generic rows use the bialternant determinant ratio, batched; rows whose
     eigenvalues nearly collide are recomputed by divided differences.
     """
-    n, d = z.shape
-    mu = _staircase_exponents(parts)
-    if denominator is None:
-        denominator = _pair_product(z)
-    if confluent_rows is None:
-        confluent_rows = np.flatnonzero(_min_pair_gap(z) < CONFLUENCE_THRESHOLD)
-    numerator = np.linalg.det(z[:, :, None] ** mu[None, None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = numerator / denominator
-    for idx in confluent_rows:
+        values = _alternant(parts, z) / _pair_product(z)
+    for idx in np.flatnonzero(_min_pair_gap(z) < CONFLUENCE_THRESHOLD):
         values[idx] = _schur_confluent(parts, z[idx])
     if not np.all(np.isfinite(values)):
         raise NumericalInstabilityError(
@@ -232,22 +224,23 @@ def schur_eval(parts, point: TorusPoint | Sequence[float]) -> complex:
 class QuadratureRule:
     """Tensor trapezoid rule for class functions against Haar measure.
 
-    ``weights`` already contain the Weyl density |Delta(z)|^2 / (d! (2 pi)^
-    (d-1)) times the cell volume, so integrating a class function is a dot
-    product with its values at ``eigenvalues``.  Exact for integrands whose
-    per-angle frequency content stays below ``resolution``.  Character
-    values are cached per rule instance.
+    Every node has the cell weight ``cell`` = 1 / (d! resolution^(d-1)).
+    ``weights`` fold in the Weyl density, |Delta(z)|^2 * cell per node, so
+    integrating a class function is a dot product with its values at
+    ``eigenvalues``.  Character products need no density: |Delta|^2 cancels
+    the denominators, so ``inner_product`` sums alternants times ``cell``.
+    Exact for integrands whose per-angle frequency content stays below
+    ``resolution``.  Alternants and character values are cached per label.
     """
 
-    def __init__(self, d, resolution, angles, eigenvalues, weights, denominator, confluent_rows):
+    def __init__(self, d, resolution, angles, eigenvalues):
         self.d = d
         self.resolution = resolution
         self.angles = angles  # (n, d-1)
         self.eigenvalues = eigenvalues  # (n, d)
-        self.weights = weights  # (n,)
-        self._denominator = denominator
-        self._confluent_rows = confluent_rows
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self.cell = 1.0 / (math.factorial(d) * resolution ** (d - 1))
+        self.weights = np.abs(_pair_product(eigenvalues)) ** 2 * self.cell  # (n,)
+        self._cache: dict[tuple, np.ndarray] = {}
 
     @property
     def nodes(self) -> tuple[TorusPoint, ...]:
@@ -256,32 +249,39 @@ class QuadratureRule:
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
 
+    def _cached(self, parts, evaluate) -> np.ndarray:
+        key = (evaluate, check_partition(parts, self.d))
+        if key not in self._cache:
+            self._cache[key] = evaluate(key[1], self.eigenvalues)
+        return self._cache[key]
+
+    def alternant(self, parts) -> np.ndarray:
+        """a_(lambda+delta) at every node: chi_lambda times the Weyl denominator."""
+        return self._cached(parts, _alternant)
+
     def character_values(self, parts) -> np.ndarray:
-        t = check_partition(parts, self.d)
-        if t not in self._cache:
-            self._cache[t] = _batch_schur(
-                t, self.eigenvalues, self._denominator, self._confluent_rows
-            )
-        return self._cache[t]
+        return self._cached(parts, _batch_schur)
 
     def inner_product(self, a, b) -> complex:
         """Haar inner product <chi_a, chi_b>; 1 on equivalent labels, else 0."""
-        va = self.character_values(a)
-        vb = self.character_values(b)
-        return self.integrate(va * np.conj(vb))
+        return complex(self.cell * np.vdot(self.alternant(b), self.alternant(a)))
 
 
 def min_resolution(d: int, n: int) -> int:
-    """Per-angle points that make every level-n risk integrand exact."""
-    return 4 * (n + d)
+    """Per-angle points that make every level-n risk integrand exact.
+
+    That integrand reaches frequency 2(n + d + 1) per free angle, and the
+    trapezoid rule is exact one point above its bandwidth.
+    """
+    return 2 * (n + d + 1) + 1
 
 
 def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
     """Uniform tensor grid with the Weyl density folded into the weights.
 
     The grid has ``resolution`` points per free angle, resolution**(d-1)
-    nodes total.  Nodes where eigenvalues collide carry weight zero; their
-    character values are still computed stably, so no node is dropped.
+    nodes total.  Nodes where eigenvalues collide stay on the grid with
+    weight zero; their alternants vanish, so they add nothing to an integral.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -293,11 +293,7 @@ def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
     ticks = 2.0 * math.pi * np.arange(resolution) / resolution
     grids = np.meshgrid(*([ticks] * (d - 1)), indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
-    z = _eigenvalue_matrix(angles)
-    den = _pair_product(z)
-    weights = (np.abs(den) ** 2) / (math.factorial(d) * resolution ** (d - 1))
-    confluent = np.flatnonzero(_min_pair_gap(z) < CONFLUENCE_THRESHOLD)
-    return QuadratureRule(d, resolution, angles, z, weights, den, confluent)
+    return QuadratureRule(d, resolution, angles, _eigenvalue_matrix(angles))
 
 
 def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
@@ -306,17 +302,18 @@ def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
     Tensoring with the defining representation adds one box in every
     admissible row, so chi_lambda(z) * (z_1 + ... + z_d) must equal the sum
     of the children characters at every point.  Returns the maximum absolute
-    deviation over the sample.
+    deviation over the sample; each character is evaluated once over all of
+    it.
     """
     t = check_partition(parts)
-    worst = 0.0
-    children = [child for _, child in pieri_add(t)]
-    for point in points:
-        z = point.eigenvalues
-        lhs = schur_eval(t, point) * sum(z)
-        rhs = sum(schur_eval(c, point) for c in children)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    z = np.array([point.eigenvalues for point in points], dtype=complex)
+    if z.size == 0:
+        return 0.0
+    if z.shape[1] != len(t):
+        raise ValueError(f"points are on SU({z.shape[1]}), partition has {len(t)} rows")
+    lhs = _batch_schur(t, z) * z.sum(axis=1)
+    rhs = sum(_batch_schur(child, z) for _, child in pieri_add(t))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def orthogonality_defect(d: int, max_level: int, resolution: int | None = None) -> float:
@@ -333,8 +330,8 @@ def orthogonality_defect(d: int, max_level: int, resolution: int | None = None) 
         for n in range(max_level + 1)
         for p in enumerate_partitions(d, n)
     ]
-    values = np.stack([rule.character_values(p) for p in labels])
-    gram = (values * rule.weights) @ np.conj(values.T)
+    values = np.stack([rule.alternant(p) for p in labels])
+    gram = rule.cell * (values @ np.conj(values.T))
     worst = 0.0
     for a, b in itertools.product(range(len(labels)), repeat=2):
         expected = 1.0 if su_equivalent(labels[a], labels[b]) else 0.0
@@ -353,8 +350,11 @@ def quadrature_risk(
                                * |chi_box(U)|^2  dU,
 
     which touches no box-removal combinatorics: expanding the product of
-    characters is left entirely to the integral.  The rule resolution
-    defaults to ``min_resolution(d, n)``, which is exact for this integrand.
+    characters is left entirely to the integral.  With the Weyl density the
+    integrand is |sum_lambda c(lambda) a_(lambda+delta) * p_1|^2, where
+    p_1 = z_1 + ... + z_d, summed with the uniform cell weight.  The rule
+    resolution defaults to ``min_resolution(d, n)``, bandwidth + 1, which is
+    exact for this integrand.
     A requested resolution below the integrand bandwidth is refused outright
     (passing the top-degree self-test would not rule out aliasing of lower
     frequencies); one that fails the self-test is refused as well.
@@ -363,8 +363,7 @@ def quadrature_risk(
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
     if resolution is None:
         resolution = min_resolution(d, n)
-    # per free angle the squared amplitude reaches frequency 2(n + d + 1)
-    bandwidth = 2 * (n + d + 1)
+    bandwidth = min_resolution(d, n) - 1
     if resolution <= bandwidth:
         raise ResolutionError(
             f"resolution {resolution} is inside the level-{n} integrand "
@@ -383,9 +382,7 @@ def quadrature_risk(
     coeff = w.float_coefficients()
     total = np.zeros(rule.eigenvalues.shape[0], dtype=complex)
     for parts, c in coeff.items():
-        total += c * rule.character_values(parts)
-    box_values = rule.character_values(_box_partition(d))
-    integral = float(
-        np.real(rule.integrate(np.abs(total * box_values) ** 2))
-    )
+        total += c * rule.alternant(parts)
+    p1 = rule.eigenvalues.sum(axis=1)
+    integral = rule.cell * float(np.sum(np.abs(total * p1) ** 2))
     return 1.0 - integral / (d * d)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sud_estimate import characters
 from sud_estimate.characters import (
     CONFLUENCE_THRESHOLD,
     QuadratureRule,
@@ -16,10 +17,10 @@ from sud_estimate.characters import (
     schur_eval,
     su_equivalent,
 )
-from sud_estimate.errors import ResolutionError
-from sud_estimate.partitions import enumerate_partitions, weyl_dimension
+from sud_estimate.errors import EmptySupportError, ResolutionError
+from sud_estimate.partitions import enumerate_partitions, pieri_add, weyl_dimension
 from sud_estimate.risk import exact_risk
-from sud_estimate.weights import product_weights, uniform_weights
+from sud_estimate.weights import product_weights, scheme_weights, uniform_weights
 
 
 def su2_character(k: int, theta: float) -> float:
@@ -113,8 +114,35 @@ class TestQuadrature:
             haar_quadrature(1, 8)
 
     def test_min_resolution_value(self):
-        assert min_resolution(2, 5) == 28
-        assert min_resolution(3, 0) == 12
+        assert min_resolution(2, 5) == 17
+        assert min_resolution(3, 0) == 9
+
+    @pytest.mark.parametrize(
+        "d, n", [(2, 3), (2, 8), (2, 12), (3, 6), (3, 9), (3, 12), (4, 10), (4, 11)]
+    )
+    def test_min_resolution_is_bandwidth_plus_one(self, d, n):
+        bandwidth = 2 * (n + d + 1)
+        assert min_resolution(d, n) == bandwidth + 1
+        w = product_weights(d, n)
+        want = float(exact_risk(d, n, w).risk)
+        got = quadrature_risk(d, n, w, resolution=min_resolution(d, n))
+        assert got == pytest.approx(want, abs=1e-12)
+        with pytest.raises(ResolutionError):
+            quadrature_risk(d, n, w, resolution=min_resolution(d, n) - 1)
+
+    def test_grids_never_use_divided_differences(self, monkeypatch):
+        # every grid contains the identity node, where the Schur ratio is 0/0;
+        # integrals of character products must not evaluate it at all
+        def refuse(parts, z):
+            raise AssertionError(f"divided differences called for {parts}")
+
+        monkeypatch.setattr(characters, "_schur_confluent", refuse)
+        assert quadrature_risk(4, 10, product_weights(4, 10)) == pytest.approx(
+            float(exact_risk(4, 10, product_weights(4, 10)).risk), abs=1e-12
+        )
+        assert orthogonality_defect(4, 4) < 1e-14
+        rule = haar_quadrature(3, 25)
+        assert rule.inner_product((3, 1, 0), (3, 1, 0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_node_survives_with_zero_weight(self):
         # first grid node is the identity; its character value comes from
@@ -175,6 +203,28 @@ class TestPieriResidual:
         )
         assert worst < 1e-11
 
+    def test_batched_residual_matches_pointwise_evaluation(self):
+        # the sample includes the near-confluent point 74
+        points = random_torus_points(4, 100, seed=290127639)
+        for n in range(5):
+            for parts in enumerate_partitions(4, n):
+                children = [child for _, child in pieri_add(parts)]
+                pointwise = max(
+                    abs(
+                        schur_eval(parts, p) * sum(p.eigenvalues)
+                        - sum(schur_eval(c, p) for c in children)
+                    )
+                    for p in points
+                )
+                assert pieri_residual(parts, points) == pytest.approx(
+                    pointwise, abs=1e-14
+                )
+
+    def test_rejects_points_of_another_rank(self):
+        with pytest.raises(ValueError):
+            pieri_residual((2, 1, 0), random_torus_points(4, 3))
+        assert pieri_residual((2, 1, 0), []) == 0.0
+
 
 class TestQuadratureRisk:
     def test_matches_exact_risk_d2(self):
@@ -208,6 +258,20 @@ class TestQuadratureRisk:
         )
         with pytest.raises(ResolutionError):
             quadrature_risk(2, 5, w, resolution=16)
+
+    @pytest.mark.parametrize("d, n_max, pairs", [(4, 10, 12), (5, 3, 3)])
+    def test_matches_exact_risk_every_feasible_scheme(self, d, n_max, pairs):
+        compared = 0
+        for scheme in ("product", "uniform", "optimal"):
+            for n in range(1, n_max + 1):
+                try:
+                    w = scheme_weights(scheme, d, n)
+                except EmptySupportError:
+                    continue
+                want = float(exact_risk(d, n, w).risk)
+                assert quadrature_risk(d, n, w) == pytest.approx(want, abs=1e-12)
+                compared += 1
+        assert compared == pairs
 
     def test_weight_metadata_must_match(self):
         w = product_weights(2, 5)
