@@ -33,6 +33,7 @@ from .partitions import (
     enumerate_partitions,
     gap_vector,
     irrep_info,
+    partition_table,
     pieri_add,
     removable_rows,
     syt_count,
@@ -93,6 +94,7 @@ __all__ = [
     "optimal_weights",
     "optimality_gap",
     "orthogonality_defect",
+    "partition_table",
     "pieri_add",
     "pieri_residual",
     "power_weights",

@@ -61,7 +61,7 @@ def _fr(value: Fraction) -> str:
 
 
 def parse_range(text: str) -> list[int]:
-    """'a:b' inclusive, 'a:b:step', or a single integer."""
+    """'a:b' inclusive, 'a:b:step', or a single integer; never empty."""
     pieces = text.split(":")
     try:
         nums = [int(p) for p in pieces]
@@ -69,13 +69,12 @@ def parse_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
     if len(nums) == 1:
         return nums
-    if len(nums) == 2:
-        lo, hi = nums
-        return list(range(lo, hi + 1))
-    if len(nums) == 3:
-        lo, hi, step = nums
-        return list(range(lo, hi + 1, step))
-    raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    if len(nums) > 3:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    values = list(range(nums[0], nums[1] + 1, *nums[2:]))
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -104,7 +103,14 @@ def _payload(args: argparse.Namespace, command: str, body: dict) -> dict:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print the report, or refuse it whole if it holds a NaN or an infinity."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalInstabilityError(
+            f"{payload['command']}: non-finite number in the report ({exc})"
+        ) from exc
+    print(text)
 
 
 def _csv_rows(header: list[str], rows: list[list]) -> str:

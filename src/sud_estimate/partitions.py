@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "check_partition",
@@ -28,6 +29,7 @@ __all__ = [
     "gap_vector",
     "parts_from_gaps",
     "is_strict",
+    "partition_table",
     "enumerate_partitions",
     "weyl_dimension",
     "syt_count",
@@ -94,33 +96,52 @@ def is_strict(parts) -> bool:
     return all(g >= 1 for g in gap_vector(parts))
 
 
-def _descending(n: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if slots == 0:
-        if n == 0:
-            yield ()
-        return
-    lo = -(-n // slots)  # smallest admissible leading part
-    for first in range(min(cap, n), lo - 1, -1):
-        for rest in _descending(n - first, slots - 1, first):
-            yield (first, *rest)
+def partition_table(d: int, n: int, strict: bool = False) -> np.ndarray:
+    """All partitions of ``n`` into at most ``d`` parts, one per row of a (k, d) int64 table.
+
+    Rows are in the canonical lexicographically descending order.  The table
+    is built one column at a time: each prefix branches into every admissible
+    next entry, largest first, so each prefix's completions stay contiguous
+    and in order.  With ``strict=True`` only partitions with
+    lambda_1 > ... > lambda_d > 0 are kept; lambda is such a partition exactly
+    when lambda - (d, d-1, ..., 1) is a partition of n - d(d+1)/2, so that
+    set is the shifted table of the smaller level (empty when n < d(d+1)/2).
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
+    if strict:
+        base = n - d * (d + 1) // 2
+        if base < 0:
+            return np.zeros((0, d), dtype=np.int64)
+        return partition_table(d, base) + np.arange(d, 0, -1)
+    columns: list[np.ndarray] = []
+    rest = np.array([n], dtype=np.int64)  # boxes left for the remaining rows
+    cap = rest  # length of the row above
+    for slots in range(d, 1, -1):
+        hi = np.minimum(cap, rest)
+        # entries hi, hi-1, ..., ceil(rest / slots): each leaves room for the rest
+        counts = hi + rest // -slots + 1
+        prefix = np.repeat(np.arange(len(rest)), counts)
+        value = (hi + np.cumsum(counts) - counts)[prefix] - np.arange(len(prefix))
+        columns = [column[prefix] for column in columns]
+        columns.append(value)
+        rest = rest[prefix] - value
+        cap = value
+    columns.append(rest)  # the last row takes what is left
+    return np.stack(columns, axis=1)
 
 
 def enumerate_partitions(d: int, n: int, strict: bool = False) -> list[tuple[int, ...]]:
-    """All partitions of ``n`` into at most ``d`` parts, as d-tuples.
+    """The rows of :func:`partition_table` as d-tuples of ints, in canonical order.
 
     The order is lexicographically descending and is the canonical order used
     everywhere in this package.  With ``strict=True`` only partitions with
     lambda_1 > lambda_2 > ... > lambda_d > 0 are kept; that set is nonempty
     exactly when n >= d(d+1)/2.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    out = list(_descending(n, d, n))
-    if strict:
-        out = [p for p in out if is_strict(p)]
-    return out
+    return list(map(tuple, partition_table(d, n, strict).tolist()))
 
 
 def weyl_dimension(parts, d: int | None = None) -> int:

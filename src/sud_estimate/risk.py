@@ -26,15 +26,16 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import EmptySumError, EmptySupportError
-from .partitions import enumerate_partitions, gap_vector, removable_rows
+from .partitions import partition_table
 from .weights import Scheme, WeightVector, parse_scheme, scheme_weights
 
 __all__ = [
@@ -54,60 +55,98 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiskBreakdown:
-    """Exact risk together with the per-partition numerator terms.
+    """Exact risk, its numerator and, on request, the per-partition numerator terms.
 
     ``numerator_terms[lambda']`` is (sum of parent coefficients)^2 on the raw
     (unnormalised) scale, so
 
-        risk = 1 - sum(numerator_terms.values()) / (d^2 * norm_sq).
+        risk = 1 - numerator / (d^2 * norm_sq),  numerator = sum(numerator_terms.values()).
+
+    The terms are built from the level-(N+1) table the first time they are read.
     """
 
     d: int
     level: int
     risk: Fraction
-    numerator_terms: dict[tuple[int, ...], Fraction]
+    numerator: Fraction
     norm_sq: Fraction
+    _children: np.ndarray = field(repr=False, compare=False)
+    _parent_sums: list[int] = field(repr=False, compare=False)
+    _scale_sq: int = field(repr=False, compare=False)
 
-    @property
-    def numerator(self) -> Fraction:
-        return sum(self.numerator_terms.values(), Fraction(0))
+    @cached_property
+    def numerator_terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {
+            child: Fraction(s * s, self._scale_sq)
+            for child, s in zip(map(tuple, self._children.tolist()), self._parent_sums)
+        }
 
 
 @dataclass(frozen=True)
 class _BoxRemoval:
     """Box-removal incidence B between the partitions of level N+1 and level N.
 
-    ``matrix[r, c] = 1`` iff removing one box from ``rows[r]`` gives
-    ``cols[c]``; ``col_of`` inverts ``cols`` and ``strict`` marks the strictly
-    decreasing columns.  Both orders are canonical.  The risk numerator is
+    ``matrix[r, c] = 1`` iff removing one box from row ``r`` of ``child_table``
+    gives row ``c`` of ``parent_table``; ``strict`` marks the strictly
+    decreasing columns.  Both tables are canonical.  The risk numerator is
     ||B c||^2, and the spectral optimum is the top eigenpair of B^T B.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    col_of: dict[tuple[int, ...], int]
-    strict: np.ndarray
+    child_table: np.ndarray
+    parent_table: np.ndarray
     matrix: csr_matrix
+
+    @cached_property
+    def strict(self) -> np.ndarray:
+        t = self.parent_table
+        return np.all(t[:, :-1] > t[:, 1:], axis=1) & (t[:, -1] > 0)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.child_table.tolist()))
+
+    @cached_property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.parent_table.tolist()))
+
+
+def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each row of ``queries`` in the canonical partition table ``table``.
+
+    Every query must occur in the table, so its level is the table's and its
+    first d-1 entries fix it.  Column by column, each table row is keyed by
+    (first row sharing its prefix so far, -entry); the keys ascend down the
+    table, so one binary search per column moves each query to the first row
+    sharing one more of its entries.  A key's magnitude is below
+    rows * (largest entry + 1): far inside int64 for any table that fits in
+    memory.
+    """
+    width = int(table[0, 0]) + 1  # the first row is (n, 0, ..., 0)
+    first = np.zeros(len(table), dtype=np.int64)
+    found = np.zeros(len(queries), dtype=np.int64)
+    for j in range(table.shape[1] - 1):
+        keys = first * width - table[:, j]
+        found = keys.searchsorted(found * width - queries[:, j])
+        first = keys.searchsorted(keys)
+    return found
 
 
 def _box_removal(d: int, n: int) -> _BoxRemoval:
-    cols = tuple(enumerate_partitions(d, n))
-    rows = tuple(enumerate_partitions(d, n + 1))
-    col_of = {parts: j for j, parts in enumerate(cols)}
-    indices = []
-    indptr = [0]
-    for child in rows:
-        for i, (a, b) in enumerate(zip(child, child[1:] + (0,))):
-            if a > b:  # row i+1 has a removable box
-                indices.append(col_of[child[:i] + (a - 1,) + child[i + 1 :]])
-        indptr.append(len(indices))
-    table = np.array(cols).reshape(len(cols), d)
-    strict = np.all(table[:, :-1] > table[:, 1:], axis=1) & (table[:, -1] > 0)
+    parents = partition_table(d, n)
+    children = partition_table(d, n + 1)
+    below = np.zeros_like(children)
+    below[:, :-1] = children[:, 1:]
+    removable = children > below  # entry [r, i]: row i+1 of child r has a removable box
+    child, row = np.nonzero(removable)  # by child, then by row: the CSR order
+    parent = children[child]
+    parent[np.arange(len(row)), row] -= 1
+    indptr = np.zeros(len(children) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(removable, axis=1), out=indptr[1:])
     matrix = csr_matrix(
-        (np.ones(len(indices)), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(rows), len(cols)),
+        (np.ones(len(parent)), _locate(parents, parent), indptr),
+        shape=(len(children), len(parents)),
     )
-    return _BoxRemoval(rows, cols, col_of, strict, matrix)
+    return _BoxRemoval(children, parents, matrix)
 
 
 def _integer_coefficients(d: int, n: int, w: WeightVector) -> tuple[_BoxRemoval, list[int], int]:
@@ -121,9 +160,10 @@ def _integer_coefficients(d: int, n: int, w: WeightVector) -> tuple[_BoxRemoval,
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
     structure = _box_removal(d, n)
     scale = math.lcm(*(v.denominator for v in w.entries.values()))
-    c = [0] * len(structure.cols)
-    for parts, v in w.entries.items():
-        c[structure.col_of[parts]] = v.numerator * (scale // v.denominator)
+    c = [0] * structure.matrix.shape[1]
+    columns = _locate(structure.parent_table, np.array(list(w.entries), dtype=np.int64))
+    for j, v in zip(columns.tolist(), w.entries.values()):
+        c[j] = v.numerator * (scale // v.denominator)
     return structure, c, scale
 
 
@@ -137,12 +177,11 @@ def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
     indices = structure.matrix.indices.tolist()
     sums = [sum([c[j] for j in indices[a:b]]) for a, b in zip(indptr, indptr[1:])]
     scale_sq = scale * scale
-    terms = {child: Fraction(s * s, scale_sq) for child, s in zip(structure.rows, sums)}
     numerator = Fraction(sum([s * s for s in sums]), scale_sq)
     risk = 1 - numerator / (d * d * w.norm_sq)
     if not 0 <= risk <= 1:
         raise ArithmeticError(f"risk {risk} escaped [0, 1]; this is a bug")
-    return RiskBreakdown(d, n, risk, terms, w.norm_sq)
+    return RiskBreakdown(d, n, risk, numerator, w.norm_sq, structure.child_table, sums, scale_sq)
 
 
 def float_risk(d: int, n: int, w: WeightVector) -> float:
@@ -165,32 +204,27 @@ def float_risk(d: int, n: int, w: WeightVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _r_corrections(gaps: tuple[int, ...], rows: set[int]) -> dict[int, int]:
-    """First-order correction r(i) to the gap product when a box leaves row i.
+def _r_corrections(gaps: list[int]) -> list[int]:
+    """First-order corrections r(i) to the gap product, one per removable row i.
 
-    Removing a box from row i of lambda' shifts its gap vector p by
-    +e_{i-1} - e_i, so the new gap product equals prod(p) + r(i) with
+    Removing a box from row i of lambda' (possible iff p_i > 0) shifts its gap
+    vector p by +e_{i-1} - e_i, so the new gap product equals prod(p) + r(i)
+    with
 
         r(i) = -prod_{j != i} p_j + [i > 1] (prod_{j != i-1} p_j
-                                             - prod_{j != i-1, i} p_j).
+                                             - prod_{j != i-1, i} p_j)
+             = -prod_{j != i} p_j + [i > 1] (p_i - 1) prod_{j != i-1, i} p_j.
 
-    Exact integers; only rows in ``rows`` are needed.
+    Exact integers, in row order.
     """
-    d = len(gaps)
-
-    def prod_except(skip: tuple[int, ...]) -> int:
-        out = 1
-        for j in range(1, d + 1):
-            if j not in skip:
-                out *= gaps[j - 1]
-        return out
-
-    out = {}
-    for i in rows:
-        r = -prod_except((i,))
-        if i > 1:
-            r += prod_except((i - 1,)) - prod_except((i - 1, i))
-        out[i] = r
+    out = []
+    for i, gap in enumerate(gaps):
+        if gap:
+            tail = math.prod(gaps[i + 1 :])
+            r = -math.prod(gaps[:i]) * tail
+            if i:
+                r += (gap - 1) * math.prod(gaps[: i - 1]) * tail
+            out.append(r)
     return out
 
 
@@ -247,21 +281,18 @@ def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     u1_num = 0
     t2_num = 0
     u2_num = 0
-    for child in enumerate_partitions(d, n + 1):
-        gaps = gap_vector(child)
-        prod = 1
-        for g in gaps:
-            prod *= g
-        rows = removable_rows(child)
-        k = len(rows)
-        r = _r_corrections(gaps, rows)
+    for child in partition_table(d, n + 1).tolist():
+        gaps = [a - b for a, b in zip(child, child[1:] + [0])]
+        prod = math.prod(gaps)
+        r = _r_corrections(gaps)
+        k = len(r)  # removable rows
         c_t += k * k * prod * prod
         c_u += d * k * prod * prod
-        r_sum = sum(r.values())
+        r_sum = sum(r)
         t1_num += 2 * k * prod * r_sum
         u1_num += 2 * d * prod * r_sum
         t2_num += r_sum * r_sum
-        u2_num += d * sum(v * v for v in r.values())
+        u2_num += d * sum(v * v for v in r)
     if c_t == 0:
         raise EmptySumError(
             f"every gap product vanishes at level {n + 1} for d={d} "

@@ -17,15 +17,18 @@ the gap product to ``alpha`` (alpha = 0 is uniform on the strict set), and
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .errors import EmptySupportError
-from .partitions import check_partition, enumerate_partitions, gap_vector, level
+from .partitions import check_partition, gap_vector, level, partition_table
 
 __all__ = [
     "WeightVector",
@@ -50,8 +53,10 @@ class WeightVector:
 
     ``entries`` maps partition -> coefficient; absent partitions carry
     coefficient zero, and zero entries are dropped at construction so the
-    stored support is exactly the set of nonzero coefficients.  Instances are
-    immutable; ``norm_sq`` is the exact sum of squared coefficients.
+    stored support is exactly the set of nonzero coefficients.  Every key is
+    validated as a partition of ``level`` into ``d`` rows in one batched pass
+    over all keys; a ValueError names the first key that fails.  Instances
+    are immutable; ``norm_sq`` is the exact sum of squared coefficients.
     """
 
     d: int
@@ -60,21 +65,26 @@ class WeightVector:
     norm_sq: Fraction = field(init=False)
 
     def __post_init__(self):
-        cleaned = {}
-        for parts, value in self.entries.items():
-            t = check_partition(parts, self.d)
-            if level(t) != self.level:
-                raise ValueError(
-                    f"partition {t} has level {level(t)}, expected {self.level}"
-                )
-            v = Fraction(value)
-            if v < 0:
-                raise ValueError(f"coefficient for {t} is negative: {v}")
-            if v:
-                cleaned[t] = v
-        ordered = dict(sorted(cleaned.items(), reverse=True))
+        keys = list(map(tuple, self.entries))
+        if not _are_partitions(self.d, self.level, keys):
+            for t in keys:  # name the first offender
+                t = check_partition(t, self.d)
+                if level(t) != self.level:
+                    raise ValueError(
+                        f"partition {t} has level {level(t)}, expected {self.level}"
+                    )
+        values = [v if type(v) is Fraction else Fraction(v) for v in self.entries.values()]
+        nums = [v.numerator for v in values]
+        if nums and min(nums) < 0:
+            t, v = next((t, v) for t, v in zip(keys, values) if v < 0)
+            raise ValueError(f"coefficient for {t} is negative: {v}")
+        ordered = dict(sorted(((t, v) for t, v in zip(keys, values) if v), reverse=True))
+        # sum of squares over the common denominator: one Fraction, not one per entry
+        dens = [v.denominator for v in values]
+        scale = math.lcm(*dens)
+        total = sum([(a * (scale // b)) ** 2 for a, b in zip(nums, dens)])
         object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "norm_sq", sum((v * v for v in ordered.values()), Fraction(0)))
+        object.__setattr__(self, "norm_sq", Fraction(total, scale * scale))
 
     def coefficient(self, parts) -> Fraction:
         return self.entries.get(tuple(parts), Fraction(0))
@@ -97,7 +107,7 @@ class WeightVector:
             raise EmptySupportError(
                 f"no nonzero coefficient at level {self.level} for d={self.d}"
             )
-        norm = sqrt(float(self.norm_sq))
+        norm = math.sqrt(float(self.norm_sq))
         return {parts: float(v) / norm for parts, v in self.entries.items()}
 
     def scaled(self, factor) -> "WeightVector":
@@ -105,6 +115,28 @@ class WeightVector:
         if f <= 0:
             raise ValueError(f"scale factor must be positive, got {f}")
         return WeightVector(self.d, self.level, {p: v * f for p, v in self.entries.items()})
+
+
+def _are_partitions(d: int, n: int, keys: list[tuple]) -> bool:
+    """Whether every key is a partition of level n into d rows of exact ints.
+
+    Each condition is checked over all keys at once: exact int type, length
+    d, row sum n, then weakly decreasing and nonnegative rows on one int64
+    table.
+    """
+    if not keys:
+        return True
+    if d < 1 or set(map(len, keys)) != {d}:
+        return False
+    if set(map(type, itertools.chain.from_iterable(keys))) != {int}:
+        return False
+    if set(map(sum, keys)) != {n}:
+        return False
+    try:
+        table = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return False
+    return bool(np.all(table[:, :-1] >= table[:, 1:]) and np.all(table[:, -1] >= 0))
 
 
 def normalize(raw: WeightVector) -> WeightVector:
@@ -126,10 +158,22 @@ def normalize(raw: WeightVector) -> WeightVector:
 
 def product_gap_weight(parts) -> int:
     """Product of the row gaps; zero unless the partition is strictly decreasing."""
-    prod = 1
-    for g in gap_vector(parts):
-        prod *= g
-    return prod
+    return math.prod(gap_vector(parts))
+
+
+def _exponent(alpha) -> Fraction:
+    a = Fraction(alpha)
+    if a < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    return a
+
+
+def _raised(prod: int, a: Fraction) -> Fraction | float:
+    if prod == 0:
+        return Fraction(0)
+    if a.denominator == 1:
+        return Fraction(prod) ** a.numerator
+    return float(prod) ** float(a)
 
 
 def power_gap_weight(parts, alpha) -> Fraction | float:
@@ -140,38 +184,32 @@ def power_gap_weight(parts, alpha) -> Fraction | float:
     the plain gap product.
     """
     prod = product_gap_weight(parts)
-    a = Fraction(alpha)
-    if a < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if prod == 0:
-        return Fraction(0)
-    if a.denominator == 1:
-        return Fraction(prod) ** a.numerator
-    return float(prod) ** float(a)
+    return _raised(prod, _exponent(alpha))
 
 
-def _scheme_vector(d: int, n: int, weight_fn) -> WeightVector:
-    entries = {}
-    for parts in enumerate_partitions(d, n, strict=True):
-        w = weight_fn(parts)
-        if w:
-            entries[parts] = Fraction(w)
-    if not entries:
+def _gap_products(d: int, n: int) -> dict[tuple[int, ...], int]:
+    """Gap product of every strict partition of level n, in canonical order."""
+    table = partition_table(d, n, strict=True)
+    if not len(table):
         raise EmptySupportError(
             f"no strictly decreasing partition at level {n} for d={d} "
             f"(need N >= {d * (d + 1) // 2})"
         )
-    return WeightVector(d, n, entries)
+    gaps = table.copy()
+    gaps[:, :-1] -= table[:, 1:]
+    return dict(zip(map(tuple, table.tolist()), map(math.prod, gaps.tolist())))
 
 
 def product_weights(d: int, n: int) -> WeightVector:
     """Gap-product coefficients on the strict partitions of level n."""
-    return _scheme_vector(d, n, product_gap_weight)
+    return WeightVector(d, n, _gap_products(d, n))
 
 
 def power_weights(d: int, n: int, alpha) -> WeightVector:
     """Gap-product-to-the-alpha coefficients on the strict partitions."""
-    return _scheme_vector(d, n, lambda p: power_gap_weight(p, alpha))
+    products = _gap_products(d, n)
+    a = _exponent(alpha)
+    return WeightVector(d, n, {parts: _raised(prod, a) for parts, prod in products.items()})
 
 
 def uniform_weights(d: int, n: int) -> WeightVector:

@@ -46,10 +46,10 @@ def weight_vector_st(draw, d: int | None = None, max_level: int = 10):
 
 
 def brute_partitions(d: int, n: int) -> list[tuple[int, ...]]:
-    """Exhaustive enumeration by filtering the full integer grid."""
+    """Exhaustive enumeration by filtering every weakly decreasing d-tuple of 0..n."""
     out = [
         p
-        for p in itertools.product(range(n, -1, -1), repeat=d)
+        for p in itertools.combinations_with_replacement(range(n, -1, -1), d)
         if sum(p) == n and all(a >= b for a, b in zip(p, p[1:]))
     ]
     return sorted(out, reverse=True)

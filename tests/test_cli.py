@@ -170,6 +170,17 @@ class TestSweep:
         assert solo == duo
 
 
+    def test_non_finite_value_exits_3_with_nothing_on_stdout(self, capsys, monkeypatch):
+        import sud_estimate.risk
+
+        monkeypatch.setattr(sud_estimate.risk, "float_risk", lambda d, n, w: math.nan)
+        code, out, err = run(capsys, "sweep", "-d", "2", "-N", "5:9", "--no-timestamp")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"].startswith("sweep: non-finite number")
+
+
 class TestConstant:
     def test_exact_value(self, capsys):
         code, payload, _ = run_json(
@@ -332,6 +343,22 @@ class TestParser:
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "-d", "2", "-N", "3:x"])
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["sweep", "-d", "2", "-N", "10:5"], "10:5"),
+            (["sweep", "-d", "2", "-N", "10:20:-1"], "10:20:-1"),
+            (["constant", "-d", "2", "--riemann", "10:5"], "10:5"),
+        ],
+    )
+    def test_empty_range_is_usage_error_naming_it(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert f"empty range '{text}'" in err
+        assert "min()" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

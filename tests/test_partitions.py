@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +10,7 @@ from sud_estimate.partitions import (
     irrep_info,
     is_strict,
     level,
+    partition_table,
     parts_from_gaps,
     pieri_add,
     removable_rows,
@@ -46,6 +48,43 @@ class TestEnumeration:
             enumerate_partitions(0, 3)
         with pytest.raises(ValueError):
             enumerate_partitions(2, -1)
+
+
+def reference_descending(n: int, slots: int, cap: int):
+    """Recursive lex-descending generator: largest first part, then the rest."""
+    if slots == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(min(cap, n), -(-n // slots) - 1, -1):
+        for rest in reference_descending(n - first, slots - 1, first):
+            yield (first, *rest)
+
+
+class TestPartitionTable:
+    def test_int64_table_of_d_columns(self):
+        for d, n, strict in [(1, 0, False), (3, 7, False), (4, 12, True), (3, 5, True)]:
+            table = partition_table(d, n, strict)
+            assert table.dtype == np.int64
+            assert table.shape == (len(enumerate_partitions(d, n, strict)), d)
+        assert partition_table(3, 5, strict=True).shape == (0, 3)
+
+    def test_matches_bruteforce_up_to_six_rows(self):
+        for d in range(1, 7):
+            for n in range(15):
+                assert enumerate_partitions(d, n) == brute_partitions(d, n), (d, n)
+
+    @pytest.mark.parametrize("d, n", [(3, 603), (4, 83), (2, 2001)])
+    def test_matches_recursive_generator_at_large_levels(self, d, n):
+        assert enumerate_partitions(d, n) == list(reference_descending(n, d, n))
+
+    def test_strict_rows_are_the_filtered_full_table(self):
+        for d, n in [(d, n) for d in range(1, 7) for n in range(15)] + [(3, 603), (4, 83)]:
+            full = enumerate_partitions(d, n)
+            assert enumerate_partitions(d, n, strict=True) == [p for p in full if is_strict(p)]
+
+    def test_rows_are_tuples_of_python_ints(self):
+        assert all(type(x) is int for p in enumerate_partitions(3, 9) for x in p)
 
 
 class TestValidation:

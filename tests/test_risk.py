@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csr_matrix
 
 from conftest import weight_vector_st
 from sud_estimate.errors import EmptySumError, EmptySupportError
 from sud_estimate.risk import (
     RiskPoint,
+    _box_removal,
     curve_to_csv,
     exact_risk,
     expansion_diagnostics,
@@ -15,7 +18,7 @@ from sud_estimate.risk import (
     float_risk,
     risk_curve,
 )
-from sud_estimate.partitions import enumerate_partitions, gap_vector
+from sud_estimate.partitions import enumerate_partitions, gap_vector, removable_rows
 from sud_estimate.weights import (
     WeightVector,
     power_weights,
@@ -66,6 +69,12 @@ class TestExactRisk:
             assert slack >= 0
             assert slack == 1 - Fraction(1, d)
 
+    def test_terms_are_built_when_read(self):
+        b = exact_risk(3, 30, product_weights(3, 30))
+        assert "numerator_terms" not in vars(b)
+        assert list(b.numerator_terms) == enumerate_partitions(3, 31)
+        assert sum(b.numerator_terms.values()) == b.numerator
+
     def test_empty_support_raises(self):
         with pytest.raises(EmptySupportError):
             exact_risk(2, 2, WeightVector(2, 2, {}))
@@ -97,6 +106,44 @@ class TestExactRisk:
                 continue
             slack = exact_risk(3, 8, WeightVector(3, 8, entries)).risk
             assert slack >= 0
+
+
+def reference_incidence(d: int, n: int) -> csr_matrix:
+    """B from a loop over the level-(N+1) tuples and a dict of the level-N columns."""
+    cols = enumerate_partitions(d, n)
+    rows = enumerate_partitions(d, n + 1)
+    col_of = {parts: j for j, parts in enumerate(cols)}
+    indices, indptr = [], [0]
+    for child in rows:
+        for i, (a, b) in enumerate(zip(child, child[1:] + (0,))):
+            if a > b:
+                indices.append(col_of[child[:i] + (a - 1,) + child[i + 1 :]])
+        indptr.append(len(indices))
+    return csr_matrix(
+        (np.ones(len(indices)), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(rows), len(cols)),
+    )
+
+
+class TestBoxRemoval:
+    @pytest.mark.parametrize(
+        "d, n",
+        [(2, 1), (2, 5), (2, 401), (3, 0), (3, 30), (3, 602), (4, 12), (4, 82), (5, 9), (6, 14)],
+    )
+    def test_matches_reference_loop_bit_for_bit(self, d, n):
+        got = _box_removal(d, n).matrix
+        want = reference_incidence(d, n)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_tables_and_strict_mask(self):
+        s = _box_removal(3, 9)
+        assert s.rows == tuple(enumerate_partitions(3, 10))
+        assert s.cols == tuple(enumerate_partitions(3, 9))
+        strict = set(enumerate_partitions(3, 9, strict=True))
+        assert s.strict.tolist() == [p in strict for p in s.cols]
 
 
 class TestFloatPath:
@@ -149,6 +196,32 @@ class TestExpansionDiagnostics:
                     prod *= g
                 total += prod * prod
             assert diag.c_t == d * d * total
+
+    def test_matches_row_by_row_expansion(self):
+        # the same sums from the validating per-partition helpers
+        for d, n in [(2, 9), (3, 5), (3, 17), (4, 13), (5, 16)]:
+            c_t = c_u = t1 = u1 = t2 = u2 = 0
+            for child in enumerate_partitions(d, n + 1):
+                gaps = gap_vector(child)
+                prod = math.prod(gaps)
+                r = []
+                for i in sorted(removable_rows(child)):
+                    shifted = list(gaps)
+                    shifted[i - 1] -= 1
+                    if i > 1:
+                        shifted[i - 2] += 1
+                    r.append(math.prod(shifted) - prod)
+                k = len(r)
+                c_t += k * k * prod * prod
+                c_u += d * k * prod * prod
+                t1 += 2 * k * prod * sum(r)
+                u1 += 2 * d * prod * sum(r)
+                t2 += sum(r) ** 2
+                u2 += d * sum(v * v for v in r)
+            diag = expansion_diagnostics(d, n)
+            assert (diag.c_t, diag.c_u) == (c_t, c_u)
+            assert (diag.t1, diag.u1) == (Fraction(t1, c_t), Fraction(u1, c_u))
+            assert (diag.t2, diag.u2) == (Fraction(t2, c_t), Fraction(u2, c_u))
 
     def test_exact_reconstruction_of_risk(self):
         # the expansion pieces reassemble the exact product-scheme risk with

@@ -1,11 +1,15 @@
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from conftest import weight_vector_st
+from sud_estimate import partitions
 from sud_estimate.errors import EmptySupportError
+from sud_estimate.risk import exact_risk
 from sud_estimate.weights import (
     WeightVector,
     load_weights,
@@ -55,6 +59,49 @@ class TestWeightVector:
             WeightVector(2, 5, {(3, 1): Fraction(1)})  # wrong level
         with pytest.raises(ValueError):
             WeightVector(3, 5, {(4, 1): Fraction(1)})  # wrong d
+
+    @pytest.mark.parametrize(
+        "d, key, value, message",
+        [
+            (2, (True, False), 1, "partition entries must be ints, got True"),
+            (2, (3.0, 2), 1, "partition entries must be ints, got 3.0"),
+            (3, (4, 1), 1, "expected 3 rows, got 2: (4, 1)"),
+            (2, (1, 4), 1, "rows must be weakly decreasing: (1, 4)"),
+            (2, (6, -1), 1, "rows must be nonnegative: (6, -1)"),
+            (2, (3, 1), 1, "partition (3, 1) has level 4, expected 5"),
+            (2, (3, 2), -1, "coefficient for (3, 2) is negative: -1"),
+        ],
+    )
+    def test_names_the_offending_entry_among_valid_ones(self, d, key, value, message):
+        valid = {(5, 0): Fraction(1), (4, 1): Fraction(2)} if d == 2 else {(3, 1, 1): 1}
+        for entries in ({key: value}, {**valid, key: value}):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                WeightVector(d, 5, entries)
+
+    def test_norm_sq_is_the_exact_sum_of_squares(self):
+        w = WeightVector(2, 6, {(6, 0): Fraction(1, 6), (5, 1): Fraction(-0, 4),
+                                (4, 2): Fraction(3, 10), (3, 3): 2})
+        assert w.norm_sq == Fraction(1, 36) + Fraction(9, 100) + 4
+        assert w.support == ((6, 0), (4, 2), (3, 3))
+
+    def test_scheme_build_and_risk_validate_in_bulk(self, monkeypatch):
+        # product_weights(3, 600) has 29,701 entries; none is validated on its own
+        calls = []
+        original = partitions.check_partition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("sud_estimate") and (
+                getattr(module, "check_partition", None) is original
+            ):
+                monkeypatch.setattr(module, "check_partition", counting)
+        w = product_weights(3, 600)
+        exact_risk(3, 600, w)
+        assert len(w.entries) == 29701
+        assert len(calls) <= 3
 
     def test_squared_weights_example(self):
         w = WeightVector(2, 5, {(4, 1): Fraction(3), (3, 2): Fraction(2)})
