@@ -11,14 +11,19 @@ analytically from SU(d) characters:
 * the risk of a scheme has an integral form built from character products
   only, with no reference to box removal.
 
+A character at given points is the Jacobi-Trudi determinant
+det(h_(lambda_i - i + j)) of complete homogeneous polynomials, which divides
+by nothing and needs no special case where eigenvalues collide.
+
 The quadrature is a tensor trapezoid rule on the torus.  By the bialternant
 formula chi_lambda = a_(lambda+delta) / a_delta, and the Weyl density is
 |a_delta|^2, so every Haar integral of character products is a plain sum of
-alternant products: no division, and nothing special where eigenvalues
-collide.  Every such integrand is a trigonometric polynomial, so the rule is
-exact (up to rounding) once the per-angle resolution exceeds the largest
-frequency; 2(N + d + 1) + 1 points per angle cover every integrand this
-package produces at level N.
+alternant products, with no character evaluated at all.  Every such
+integrand is a trigonometric polynomial, so the rule is exact (up to
+rounding) once the per-angle resolution exceeds the largest frequency;
+2(N + d + 1) + 1 points per angle cover every integrand this package
+produces at level N.  One rule at the highest level of a run serves every
+check and level below it.
 
 Partitions differing by full columns label the same SU(d) irrep; characters
 evaluated here agree on such pairs because the eigenvalue product is 1.
@@ -26,15 +31,14 @@ evaluated here agree on such pairs because the eigenvalue product is 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, ResolutionError
-from .partitions import check_partition, enumerate_partitions, pieri_add
+from .errors import ResolutionError
+from .partitions import check_partition, partition_table, pieri_add
 from .weights import WeightVector
 
 __all__ = [
@@ -50,28 +54,22 @@ __all__ = [
     "quadrature_risk",
 ]
 
-# Below this pairwise eigenvalue distance evaluation switches from the
-# Weyl-denominator ratio to divided differences, which divide by nothing.  The
-# ratio loses digits well before the pair collides: at a pair 1.25e-5 apart on
-# SU(4) its branching residual is 6.2e-9, against 7.7e-13 for divided
-# differences.  Quadrature integrals never take the ratio: they sum alternant
-# products, so on a grid only ``QuadratureRule.character_values`` reaches the
-# fallback, at nodes whose eigenvalues collide (and whose Haar weight is 0).
-CONFLUENCE_THRESHOLD = 1e-3
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """A point on the maximal torus of SU(d), carried by d-1 free angles.
 
     The d-th eigenphase is -(sum of the others), so the eigenvalue product
-    is exactly 1.
+    is exactly 1.  Every angle must be finite.
     """
 
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        angles = tuple(float(a) for a in self.angles)
+        for i, a in enumerate(angles):
+            if not math.isfinite(a):
+                raise ValueError(f"torus angle {i} is {a}, not a finite number")
+        object.__setattr__(self, "angles", angles)
 
     @property
     def d(self) -> int:
@@ -117,15 +115,6 @@ def _pair_product(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_pair_gap(z: np.ndarray) -> np.ndarray:
-    n, d = z.shape
-    out = np.full(n, np.inf)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out = np.minimum(out, np.abs(z[:, i] - z[:, j]))
-    return out
-
-
 def _staircase_exponents(parts: tuple[int, ...]) -> np.ndarray:
     d = len(parts)
     return np.array([parts[j] + d - 1 - j for j in range(d)], dtype=np.int64)
@@ -136,81 +125,40 @@ def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     return np.linalg.det(z[:, :, None] ** _staircase_exponents(parts)[None, None, :])
 
 
-def _h_table(z: Sequence[complex], kmax: int) -> list[list[complex]]:
-    """h[m][k] = complete homogeneous polynomial h_k(z_1..z_{m+1}).
+def _h_table(z: np.ndarray, kmax: int) -> np.ndarray:
+    """h[k] = complete homogeneous polynomial h_k of each row of ``z``, k <= kmax.
 
-    Built by the recurrence h_k(z_1..z_m) = h_k(z_1..z_{m-1})
-    + z_m * h_{k-1}(z_1..z_m), which never subtracts like terms and is
-    well defined for repeated arguments.
+    Built one variable at a time by h_k(z_1..z_m) = h_k(z_1..z_{m-1})
+    + z_m * h_{k-1}(z_1..z_m), which never subtracts like terms; h_1 is the
+    row sum taken left to right.
     """
-    table: list[list[complex]] = []
-    prev = [complex(1.0)] + [complex(0.0)] * kmax  # h_k of no variables
-    for zm in z:
-        row = [complex(1.0)]
+    h = np.zeros((kmax + 1, z.shape[0]), dtype=complex)
+    h[0] = 1.0
+    for column in z.T:
         for k in range(1, kmax + 1):
-            row.append(prev[k] + zm * row[k - 1])
-        table.append(row)
-        prev = row
-    return table
+            h[k] += column * h[k - 1]
+    return h
 
 
-def _schur_confluent(parts: tuple[int, ...], z: Sequence[complex]) -> complex:
-    """Divided-difference evaluation, stable under eigenvalue collisions.
-
-    The bialternant ratio equals det(h_{mu_j - i + 1}(z_1..z_i)) divided by
-    the same determinant built for the empty partition; both use only
-    complete homogeneous polynomials, so confluent points need no limits.
-    At the identity the value reduces to the Weyl dimension exactly.
-    """
+def _jacobi_trudi(parts: tuple[int, ...], h: np.ndarray) -> np.ndarray:
+    """chi_lambda = det(h_(lambda_i - i + j)) at every column of the h table."""
     d = len(parts)
-    mu = _staircase_exponents(parts)
-    kmax = int(mu[0])
-    h = _h_table(list(z), kmax)
-
-    def build(exponents: np.ndarray) -> np.ndarray:
-        m = np.zeros((d, d), dtype=complex)
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                k = int(exponents[j - 1]) - i + 1
-                if k == 0:
-                    m[i - 1, j - 1] = 1.0
-                elif k > 0:
-                    m[i - 1, j - 1] = h[i - 1][k]
-        return m
-
-    numerator = np.linalg.det(build(mu))
-    denominator = np.linalg.det(build(_staircase_exponents((0,) * d)))
-    if not np.isfinite(numerator) or abs(denominator) < 0.5:
-        raise NumericalInstabilityError(
-            f"divided-difference evaluation failed for {parts} at {z!r}"
-        )
-    return complex(numerator / denominator)
+    index = np.array(parts)[:, None] - np.arange(d)[:, None] + np.arange(d)[None, :]
+    entries = np.where(index[..., None] >= 0, h[np.maximum(index, 0)], 0.0)
+    return np.linalg.det(np.moveaxis(entries, -1, 0))
 
 
 def _batch_schur(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
-    """Schur values at every row of ``z`` (shape (n, d)).
-
-    Generic rows use the bialternant determinant ratio, batched; rows whose
-    eigenvalues nearly collide are recomputed by divided differences.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = _alternant(parts, z) / _pair_product(z)
-    for idx in np.flatnonzero(_min_pair_gap(z) < CONFLUENCE_THRESHOLD):
-        values[idx] = _schur_confluent(parts, z[idx])
-    if not np.all(np.isfinite(values)):
-        raise NumericalInstabilityError(
-            f"character evaluation produced non-finite values for {parts}"
-        )
-    return values
+    """Schur values at every row of ``z`` (shape (n, d)), by Jacobi-Trudi."""
+    return _jacobi_trudi(parts, _h_table(z, parts[0] + len(parts) - 1))
 
 
 def schur_eval(parts, point: TorusPoint | Sequence[float]) -> complex:
     """chi_lambda at a torus point: the Schur polynomial of the eigenvalues.
 
-    Uses the ratio of alternants det(z_i^(lambda_j + d - j)) / det(z_i^(d-j));
-    when two eigenvalues are closer than ``CONFLUENCE_THRESHOLD`` the
-    evaluation switches to a divided-difference form that is exact in the
-    confluent limit (and equals the Weyl dimension at the identity).
+    Evaluated as the Jacobi-Trudi determinant det(h_(lambda_i - i + j)), which
+    divides by nothing, so colliding eigenvalues need no special case; at the
+    identity it gives the Weyl dimension.
     """
     t = check_partition(parts)
     if not isinstance(point, TorusPoint):
@@ -230,7 +178,8 @@ class QuadratureRule:
     ``eigenvalues``.  Character products need no density: |Delta|^2 cancels
     the denominators, so ``inner_product`` sums alternants times ``cell``.
     Exact for integrands whose per-angle frequency content stays below
-    ``resolution``.  Alternants and character values are cached per label.
+    ``resolution``.  Alternants and character values (Jacobi-Trudi, as in
+    ``schur_eval``) are cached per label.
     """
 
     def __init__(self, d, resolution, angles, eigenvalues):
@@ -302,8 +251,8 @@ def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
     Tensoring with the defining representation adds one box in every
     admissible row, so chi_lambda(z) * (z_1 + ... + z_d) must equal the sum
     of the children characters at every point.  Returns the maximum absolute
-    deviation over the sample; each character is evaluated once over all of
-    it.
+    deviation over the sample.  One h table serves every character, and
+    z_1 + ... + z_d is its h_1.
     """
     t = check_partition(parts)
     z = np.array([point.eigenvalues for point in points], dtype=complex)
@@ -311,37 +260,31 @@ def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
         return 0.0
     if z.shape[1] != len(t):
         raise ValueError(f"points are on SU({z.shape[1]}), partition has {len(t)} rows")
-    lhs = _batch_schur(t, z) * z.sum(axis=1)
-    rhs = sum(_batch_schur(child, z) for _, child in pieri_add(t))
+    h = _h_table(z, t[0] + len(t))
+    lhs = _jacobi_trudi(t, h) * h[1]
+    rhs = sum(_jacobi_trudi(child, h) for _, child in pieri_add(t))
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def orthogonality_defect(d: int, max_level: int, resolution: int | None = None) -> float:
+def orthogonality_defect(d: int, max_level: int, rule: QuadratureRule | None = None) -> float:
     """Largest deviation of the character Gram matrix from its exact value.
 
     Runs over every pair of partitions up to ``max_level``; the exact inner
-    product is 1 when the labels are SU(d)-equivalent and 0 otherwise.
+    product is 1 when the labels are SU(d)-equivalent (all row differences
+    equal) and 0 otherwise.  The rule defaults to
+    ``haar_quadrature(d, min_resolution(d, max_level))``.
     """
-    if resolution is None:
-        resolution = min_resolution(d, max_level)
-    rule = haar_quadrature(d, resolution)
-    labels = [
-        p
-        for n in range(max_level + 1)
-        for p in enumerate_partitions(d, n)
-    ]
-    values = np.stack([rule.alternant(p) for p in labels])
+    if rule is None:
+        rule = haar_quadrature(d, min_resolution(d, max_level))
+    labels = np.concatenate([partition_table(d, n) for n in range(max_level + 1)])
+    values = np.stack([rule.alternant(tuple(p)) for p in labels.tolist()])
     gram = rule.cell * (values @ np.conj(values.T))
-    worst = 0.0
-    for a, b in itertools.product(range(len(labels)), repeat=2):
-        expected = 1.0 if su_equivalent(labels[a], labels[b]) else 0.0
-        worst = max(worst, abs(gram[a, b] - expected))
-    return worst
+    diffs = labels[:, None, :] - labels[None, :, :]
+    expected = np.all(diffs == diffs[..., :1], axis=-1)
+    return float(np.max(np.abs(gram - expected)))
 
 
-def quadrature_risk(
-    d: int, n: int, w: WeightVector, resolution: int | None = None
-) -> float:
+def quadrature_risk(d: int, n: int, w: WeightVector, rule: QuadratureRule | None = None) -> float:
     """Risk recomputed as a Haar integral of character products.
 
     For unit-norm coefficients c the risk equals
@@ -353,29 +296,29 @@ def quadrature_risk(
     characters is left entirely to the integral.  With the Weyl density the
     integrand is |sum_lambda c(lambda) a_(lambda+delta) * p_1|^2, where
     p_1 = z_1 + ... + z_d, summed with the uniform cell weight.  The rule
-    resolution defaults to ``min_resolution(d, n)``, bandwidth + 1, which is
-    exact for this integrand.
-    A requested resolution below the integrand bandwidth is refused outright
-    (passing the top-degree self-test would not rule out aliasing of lower
-    frequencies); one that fails the self-test is refused as well.
+    defaults to ``haar_quadrature(d, min_resolution(d, n))``, bandwidth + 1,
+    which is exact for this integrand; one rule at the resolution of the
+    highest level serves every lower level, and its alternants are reused.
+    A rule whose resolution is inside the integrand bandwidth is refused
+    outright (passing the top-degree self-test would not rule out aliasing of
+    lower frequencies); one that fails the self-test is refused as well.
     """
     if w.d != d or w.level != n:
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
-    if resolution is None:
-        resolution = min_resolution(d, n)
+    if rule is None:
+        rule = haar_quadrature(d, min_resolution(d, n))
     bandwidth = min_resolution(d, n) - 1
-    if resolution <= bandwidth:
+    if rule.resolution <= bandwidth:
         raise ResolutionError(
-            f"resolution {resolution} is inside the level-{n} integrand "
+            f"resolution {rule.resolution} is inside the level-{n} integrand "
             f"bandwidth {bandwidth}",
             suggested_resolution=min_resolution(d, n),
         )
-    rule = haar_quadrature(d, resolution)
     top = (n + 1,) + (0,) * (d - 1)
     self_test = abs(rule.inner_product(top, top) - 1.0)
     if self_test > 1e-9:
         raise ResolutionError(
-            f"resolution {resolution} fails the level-{n + 1} orthonormality "
+            f"resolution {rule.resolution} fails the level-{n + 1} orthonormality "
             f"self-test (defect {self_test:.3e})",
             suggested_resolution=min_resolution(d, n),
         )

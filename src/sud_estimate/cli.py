@@ -266,7 +266,7 @@ def _verify_checks(args) -> list[dict]:
     ortho_level = min(args.n_max, 8)
     record(
         "character-orthogonality",
-        orthogonality_defect(args.d, ortho_level),
+        orthogonality_defect(args.d, ortho_level, rule=rule),
         1e-8,
     )
 
@@ -286,7 +286,7 @@ def _verify_checks(args) -> list[dict]:
             except EmptySupportError:
                 continue
             exact = float(exact_risk(args.d, n, w).risk)
-            quad = quadrature_risk(args.d, n, w)
+            quad = quadrature_risk(args.d, n, w, rule=rule)
             worst = max(worst, abs(exact - quad))
             compared += 1
     if compared == 0:

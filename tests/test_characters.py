@@ -1,11 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sud_estimate import characters
 from sud_estimate.characters import (
-    CONFLUENCE_THRESHOLD,
     QuadratureRule,
     TorusPoint,
     haar_quadrature,
@@ -48,6 +49,17 @@ class TestTorusPoint:
         assert [p.angles for p in a] == [p.angles for p in b]
         assert [p.angles for p in a] != [p.angles for p in c]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected_where_it_enters(self, bad):
+        with pytest.raises(ValueError, match="angle 1"):
+            TorusPoint((0.3, bad))
+        with pytest.raises(ValueError, match="angle 1"):
+            schur_eval((2, 1, 0), (0.3, bad))
+        # a lazy sample meets the bad angle inside the residual computation
+        sample = (TorusPoint(angles) for angles in [(0.1, 0.2), (0.3, bad)])
+        with pytest.raises(ValueError, match="angle 1"):
+            pieri_residual((2, 1, 0), sample)
+
 
 class TestSuEquivalence:
     def test_full_column_shift(self):
@@ -76,14 +88,17 @@ class TestSchurEval:
             assert got == pytest.approx(sum(point.eigenvalues), abs=1e-10)
 
     def test_identity_gives_weyl_dimension(self):
-        # all eigenvalues collide at 1, forcing the divided-difference path
-        for d, parts in [(2, (4, 0)), (3, (3, 1, 0)), (4, (2, 2, 1, 0))]:
+        # all eigenvalues collide at 1, where the alternant ratio would be 0/0
+        labels = [(2, (4, 0)), (3, (3, 1, 0)), (4, (2, 2, 1, 0))]
+        labels += [(4, p) for n in range(11) for p in enumerate_partitions(4, n)]
+        labels += [(5, p) for n in range(7) for p in enumerate_partitions(5, n)]
+        for d, parts in labels:
             point = TorusPoint((0.0,) * (d - 1))
             got = schur_eval(parts, point)
-            assert got == pytest.approx(weyl_dimension(parts), abs=1e-9)
+            assert got == pytest.approx(weyl_dimension(parts), rel=1e-12)
 
     def test_confluent_path_matches_closed_form(self):
-        theta = CONFLUENCE_THRESHOLD / 100  # well inside the fallback regime
+        theta = 1e-5  # two eigenvalues 2e-5 apart
         got = schur_eval((5, 0), TorusPoint((theta,)))
         assert got.real == pytest.approx(su2_character(5, theta), abs=1e-8)
 
@@ -125,18 +140,18 @@ class TestQuadrature:
         assert min_resolution(d, n) == bandwidth + 1
         w = product_weights(d, n)
         want = float(exact_risk(d, n, w).risk)
-        got = quadrature_risk(d, n, w, resolution=min_resolution(d, n))
+        got = quadrature_risk(d, n, w, rule=haar_quadrature(d, min_resolution(d, n)))
         assert got == pytest.approx(want, abs=1e-12)
         with pytest.raises(ResolutionError):
-            quadrature_risk(d, n, w, resolution=min_resolution(d, n) - 1)
+            quadrature_risk(d, n, w, rule=haar_quadrature(d, min_resolution(d, n) - 1))
 
     def test_grids_never_use_divided_differences(self, monkeypatch):
-        # every grid contains the identity node, where the Schur ratio is 0/0;
-        # integrals of character products must not evaluate it at all
+        # integrals of character products read alternants only: no character
+        # is evaluated on a grid, not even at the identity node
         def refuse(parts, z):
-            raise AssertionError(f"divided differences called for {parts}")
+            raise AssertionError(f"character evaluated for {parts}")
 
-        monkeypatch.setattr(characters, "_schur_confluent", refuse)
+        monkeypatch.setattr(characters, "_batch_schur", refuse)
         assert quadrature_risk(4, 10, product_weights(4, 10)) == pytest.approx(
             float(exact_risk(4, 10, product_weights(4, 10)).risk), abs=1e-12
         )
@@ -146,7 +161,7 @@ class TestQuadrature:
 
     def test_identity_node_survives_with_zero_weight(self):
         # first grid node is the identity; its character value comes from
-        # the stable path and its quadrature weight vanishes
+        # Jacobi-Trudi and its quadrature weight vanishes
         rule = haar_quadrature(2, 12)
         values = rule.character_values((3, 0))
         assert values[0] == pytest.approx(4.0, abs=1e-9)
@@ -193,8 +208,8 @@ class TestPieriResidual:
         assert pieri_residual(parts, points) < 1e-9
 
     def test_branching_identity_near_confluence(self):
-        # point 74 of this sample has two eigenvalues 1.25e-5 apart, where the
-        # alternant ratio is still used but has lost about four digits
+        # point 74 of this sample has two eigenvalues 1.25e-5 apart, where an
+        # alternant ratio would lose about four digits
         point = random_torus_points(4, 100, seed=290127639)[74]
         worst = max(
             pieri_residual(parts, [point])
@@ -245,19 +260,18 @@ class TestQuadratureRisk:
     def test_low_resolution_refused_with_suggestion(self):
         w = product_weights(2, 5)
         with pytest.raises(ResolutionError) as info:
-            quadrature_risk(2, 5, w, resolution=6)
+            quadrature_risk(2, 5, w, rule=haar_quadrature(2, 6))
         assert info.value.suggested_resolution == min_resolution(2, 5)
 
     def test_resolution_just_above_bandwidth_is_exact(self):
-        # bandwidth at d=2, N=5 is 16, so 17 already suffices even though
-        # the default resolution is 28
+        # bandwidth at d=2, N=5 is 16, so 17 already suffices
         w = product_weights(2, 5)
         want = float(exact_risk(2, 5, w).risk)
-        assert quadrature_risk(2, 5, w, resolution=17) == pytest.approx(
+        assert quadrature_risk(2, 5, w, rule=haar_quadrature(2, 17)) == pytest.approx(
             want, abs=1e-12
         )
         with pytest.raises(ResolutionError):
-            quadrature_risk(2, 5, w, resolution=16)
+            quadrature_risk(2, 5, w, rule=haar_quadrature(2, 16))
 
     @pytest.mark.parametrize("d, n_max, pairs", [(4, 10, 12), (5, 3, 3)])
     def test_matches_exact_risk_every_feasible_scheme(self, d, n_max, pairs):
@@ -290,3 +304,21 @@ def test_quadrature_rule_is_reusable_across_levels():
             values = rule.character_values(parts)
             norm = rule.integrate(values * np.conj(values))
             assert norm.real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_oracle_imports_nothing_from_box_removal():
+    # the oracle may share partition enumeration with the exact engine, but
+    # no code from risk, spectral or asymptotics
+    path = Path(__file__).resolve().parent.parent / "src" / "sud_estimate" / "characters.py"
+    source = path.read_text()
+    forbidden = {"risk", "spectral", "asymptotics"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [(node.module or "").split(".")[-1]]
+            if not node.module or node.module == "sud_estimate":
+                modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        assert forbidden.isdisjoint(modules), ast.dump(node)

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from sud_estimate import characters, cli
+from sud_estimate.characters import haar_quadrature, min_resolution
 from sud_estimate.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -318,6 +320,22 @@ class TestVerify:
         ]
         assert all(c["pass"] for c in payload["checks"])
         assert EXIT_VERIFY_FAILED == 1
+
+    @pytest.mark.parametrize("d, n_max", [(4, 4), (3, 10)])
+    def test_one_quadrature_rule_per_run(self, capsys, monkeypatch, d, n_max):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return haar_quadrature(*args)
+
+        monkeypatch.setattr(characters, "haar_quadrature", counting)
+        monkeypatch.setattr(cli, "haar_quadrature", counting)
+        code, payload, _ = run_json(
+            capsys, "verify", "-d", str(d), "--n-max", str(n_max), "--no-timestamp",
+        )
+        assert code == EXIT_OK and payload["pass"] is True
+        assert built == [(d, min_resolution(d, n_max))]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
