@@ -2,9 +2,10 @@
 """Rate constants three ways: closed form, lattice sums, measured sweeps.
 
 For each dimension the table shows the exact constant C(d), lattice-sum
-approximations at increasing levels (converging like 1/N), and the constant
-fitted from actual risk sweeps of the gap-product scheme.  All three columns
-must agree for the package to be telling a consistent story.
+approximations at increasing levels (exact rationals, printed as floats,
+converging like 1/N), and the constant fitted from actual risk sweeps of the
+gap-product scheme.  All three columns must agree for the package to be
+telling a consistent story.
 
     python3 scripts/constant_table.py
     python3 scripts/constant_table.py --max-d 4 --riemann 200,800,3200
@@ -12,7 +13,7 @@ must agree for the package to be telling a consistent story.
 
 import argparse
 
-from sud_estimate.asymptotics import exact_constant, riemann_constant
+from sud_estimate.asymptotics import exact_constant
 from sud_estimate.risk import risk_curve
 
 # fit windows chosen so the float sweep stays fast while the 1/N remainder
@@ -29,13 +30,13 @@ def main() -> None:
     levels = [int(x) for x in args.riemann.split(",")]
 
     for d in range(2, args.max_d + 1):
-        report = exact_constant(d)
+        report = exact_constant(d, levels)
         print(f"== d={d}")
         print(f"   exact            C({d}) = {report.exact} = {report.value:.6f}")
         print(f"   integrals        numerator {report.numerator_integral}, "
               f"denominator {report.denominator_integral}")
-        for n in levels:
-            est = riemann_constant(d, n)
+        for n, exact_est in report.riemann_estimates:
+            est = float(exact_est)
             rel = (est - report.value) / report.value
             print(f"   lattice N={n:<6d} {est:.6f}   ({rel:+.2%})")
         window = FIT_WINDOWS.get(d)

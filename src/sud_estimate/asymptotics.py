@@ -12,12 +12,14 @@ and N^2 * risk converges to a ratio of two polynomial integrals over S:
            ----------------------------------------------------------
            integral of d^2 * prod_j x_j^2
 
-where q_i = prod_{j != i} x_j.  Both integrands are homogeneous of degree
-2(d-1), so the ratio does not depend on how the surface measure on S is
-normalised.  ``exact_constant`` evaluates the ratio in closed form through
+where q_i = prod_{j != i} x_j.  The integrands are homogeneous of degrees
+2(d-1) and 2d, and the ratio does not depend on how the surface measure on
+S is normalised.  ``exact_constant`` evaluates the ratio in closed form through
 Dirichlet moments after substituting y_j = j * x_j; ``riemann_constant``
 approximates the same ratio by lattice sums over the actual gap vectors,
-converging at rate O(1/N).
+converging at rate O(1/N).  The lattice sums are exact rationals: each
+monomial's sum comes from a level recurrence costing O(d m) big-int
+additions at level m, with no mesh and no list of points.
 
 C(2) = 10 exactly, which matches the classical pi^2/N^2 phase-estimation
 rate once the d^2-dimensional parameter count of SU(d) is folded in.
@@ -28,9 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptySumError, EmptySupportError
 from .risk import RiskPoint, exact_risk
@@ -44,7 +45,6 @@ __all__ = [
     "constant_for_constraint",
     "ConstantReport",
     "exact_constant",
-    "gap_lattice",
     "riemann_constant",
     "ConsistencyReport",
     "constant_vs_risk_consistency",
@@ -55,8 +55,7 @@ class MonomialPolynomial:
     """Polynomial in d variables with exact rational coefficients.
 
     Stored as exponent-tuple -> coefficient; zero coefficients are dropped.
-    Supports +, -, *, scalar multiplication, exact evaluation, and vectorised
-    float evaluation on arrays of points.
+    Supports +, -, *, scalar multiplication and exact evaluation.
     """
 
     __slots__ = ("d", "_terms")
@@ -126,18 +125,6 @@ class MonomialPolynomial:
                 term *= x**e
             total += term
         return total
-
-    def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        """Float evaluation at every row of ``points`` (shape (n, d))."""
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[0])
-        for exps, coeff in self._terms.items():
-            term = np.full(pts.shape[0], float(coeff))
-            for j, e in enumerate(exps):
-                if e:
-                    term *= pts[:, j] ** e
-            out += term
-        return out
 
 
 def _product_except(d: int, skip: Iterable[int]) -> MonomialPolynomial:
@@ -229,7 +216,7 @@ class ConstantReport:
     exact: Fraction
     numerator_integral: Fraction
     denominator_integral: Fraction
-    riemann_estimates: tuple[tuple[int, float], ...] = field(default_factory=tuple)
+    riemann_estimates: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
     @property
     def value(self) -> float:
@@ -239,8 +226,8 @@ class ConstantReport:
 def exact_constant(d: int, riemann_levels: Iterable[int] = ()) -> ConstantReport:
     """Closed-form C(d) through Dirichlet moments.
 
-    Optionally attaches lattice-sum estimates at the requested levels so the
-    O(1/N) convergence is visible in one report.
+    Optionally attaches exact lattice-sum estimates at the requested levels so
+    the O(1/N) convergence is visible in one report.
     """
     numerator, denominator = constant_integrands(d)
     coeffs = tuple(range(1, d + 1))
@@ -250,74 +237,55 @@ def exact_constant(d: int, riemann_levels: Iterable[int] = ()) -> ConstantReport
     return ConstantReport(d, num / den, num, den, estimates)
 
 
-# Mesh cells per block of the lattice walk: small enough to keep d=4 sums at a
-# few MiB, large enough that d=2 and d=3 sums take one or a few blocks.
-_CELL_BUDGET = 1 << 16
+def _lattice_moment(exps: Sequence[int], m: int) -> int:
+    """Sum of prod_j p_j^exps[j-1] over the integer points p >= 0 with
+    sum_j j * p_j = m, i.e. over the gap vectors of level m.
 
-
-def _lattice_blocks(d: int, m: int) -> Iterator[np.ndarray]:
-    """Gap vectors of level m (d >= 2) in blocks of consecutive p_d values.
-
-    A block meshes p_2..p_{d-1} over the ranges of its smallest p_d and
-    solves for p_1.  It holds at most ``_CELL_BUDGET`` mesh cells, or one p_d
-    slice where a slice alone is larger, instead of the prod_j (m/j + 1)
-    cells of one dense mesh over p_2..p_d.
+    No point is listed.  ``level[s]`` holds the sum over the coordinates added
+    so far at partial level s; coordinate j with exponent e then maps it to
+    g_e, where g_k[s] = sum_{p >= 0} p^k level[s - j p].  Shifting p -> p + 1
+    gives g_k[s] = [k = 0] level[s] + sum_{i <= k} C(k, i) g_i[s - j]: along
+    each residue class mod j, g_0 is a prefix sum of ``level`` and g_k a
+    prefix sum of the shifted sum_{i < k} C(k, i) g_i.  Each coordinate costs
+    O(e^2 m) big-int additions.
     """
-    weights = np.arange(2, d + 1, dtype=np.int64)
-    low = 0
-    while low <= m // d:
-        inner = [(m - d * low) // j + 1 for j in range(2, d)]
-        count = min(m // d + 1 - low, max(1, _CELL_BUDGET // math.prod(inner)))
-        grids = np.meshgrid(
-            *[np.arange(k, dtype=np.int64) for k in inner],
-            np.arange(low, low + count, dtype=np.int64),
-            indexing="ij",
-        )
-        rest = np.stack([g.ravel() for g in grids], axis=1)  # columns p_2 .. p_d
-        p1 = m - rest @ weights
-        keep = p1 >= 0
-        block = np.empty((int(keep.sum()), d), dtype=np.int64)
-        block[:, 0] = p1[keep]
-        block[:, 1:] = rest[keep]
-        yield block
-        low += count
+    level = [1] + [0] * m
+    for j, e in enumerate(exps, start=1):
+        out = [0] * (m + 1)
+        for r in range(min(j, m + 1)):
+            g = [list(accumulate(level[r::j]))]
+            for k in range(1, e + 1):
+                carry = g[0][:-1]
+                for i in range(1, k):
+                    c = math.comb(k, i)
+                    carry = [a + c * b for a, b in zip(carry, g[i])]
+                g.append(list(accumulate(carry, initial=0)))
+            out[r::j] = g[e]
+        level = out
+    return level[m]
 
 
-def gap_lattice(d: int, m: int) -> np.ndarray:
-    """Integer points p >= 0 with sum_j j * p_j = m, as an (n, d) array.
-
-    These are exactly the gap vectors of the partitions of m into at most d
-    parts, ordered by p_d.
-    """
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if d == 1:
-        return np.array([[m]], dtype=np.int64)
-    return np.concatenate(list(_lattice_blocks(d, m)))
-
-
-def riemann_constant(d: int, n: int) -> float:
-    """Lattice-sum approximation of C(d) at level n.
+def riemann_constant(d: int, n: int) -> Fraction:
+    """Lattice-sum approximation of C(d) at level n, as an exact rational.
 
     Sums both integrands over the rescaled gap vectors p/(n+1) of level n+1
     and returns the ratio; the homogeneity degrees match the risk expansion,
-    so the estimate converges to C(d) with an O(1/n) error.  The sums run
-    block by block (see ``_lattice_blocks``), never over one mesh of the
-    whole lattice.
+    so the estimate converges to C(d) with an O(1/n) error.  The integrands
+    have degrees 2(d-1) and 2d, so the ratio is (n+1)^2 times the ratio of
+    the integer sums over p.  Each monomial's sum is exact and comes from a
+    level recurrence (``_lattice_moment``) costing O(d n) big-int additions;
+    no mesh or list of points is built.
     """
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     numerator, denominator = constant_integrands(d)
-    num = den = 0.0
-    for block in _lattice_blocks(d, n + 1):
-        points = block.astype(float) / (n + 1)
-        num += float(np.sum(numerator.evaluate_array(points)))
-        den += float(np.sum(denominator.evaluate_array(points)))
-    if den == 0.0:
+    num, den = (
+        sum(c * _lattice_moment(exps, n + 1) for exps, c in poly.terms.items())
+        for poly in (numerator, denominator)
+    )
+    if den == 0:
         raise EmptySumError(f"denominator lattice sum vanished at level {n} for d={d}")
-    return num / den
+    return (n + 1) ** 2 * Fraction(num) / den
 
 
 @dataclass(frozen=True)

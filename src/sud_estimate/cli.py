@@ -201,7 +201,7 @@ def _cmd_constant(args) -> int:
     report = exact_constant(args.d, riemann_levels=levels)
     if args.format == "csv":
         rows = [["exact", "", repr(float(report.exact))]]
-        rows += [["riemann", n, repr(v)] for n, v in report.riemann_estimates]
+        rows += [["riemann", n, repr(float(v))] for n, v in report.riemann_estimates]
         print(_csv_rows(["kind", "N", "value"], rows), end="")
         return EXIT_OK
     body = {
@@ -210,7 +210,10 @@ def _cmd_constant(args) -> int:
         "float": float(report.exact),
         "numerator_integral": _fr(report.numerator_integral),
         "denominator_integral": _fr(report.denominator_integral),
-        "riemann": [{"N": n, "value": v} for n, v in report.riemann_estimates],
+        "riemann": [
+            {"N": n, "value": float(v), "exact": _fr(v)}
+            for n, v in report.riemann_estimates
+        ],
     }
     _print_json(_payload(args, "constant", body))
     return EXIT_OK

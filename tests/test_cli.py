@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from sud_estimate import characters, cli
+from sud_estimate.asymptotics import riemann_constant
 from sud_estimate.characters import haar_quadrature, min_resolution
 from sud_estimate.cli import (
     EXIT_INFEASIBLE,
@@ -203,6 +205,9 @@ class TestConstant:
         assert [row["N"] for row in payload["riemann"]] == [100, 200, 300]
         for row in payload["riemann"]:
             assert row["value"] == pytest.approx(10.0, rel=0.05)
+            exact = Fraction(row["exact"])
+            assert exact == riemann_constant(2, row["N"])
+            assert float(exact) == row["value"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

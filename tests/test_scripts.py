@@ -17,9 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
          "fit on N=9..12"),
         (["optimal_gap.py", "-d", "2", "-N", "3:6", "--extrapolate", "20:40:10"],
          "optimal-rate fit on N=30..40"),
-        # the default --max-d 4 --riemann 200,800,3200 sums over ~1.4e9 d=4 lattice cells
         (["constant_table.py", "--max-d", "2", "--riemann", "50,100"],
          "C(2) = 10"),
+        # the defaults: lattice levels 200, 800 and 3200 up to d=4
+        (["constant_table.py", "--max-d", "4"], "C(4) = 275"),
     ],
 )
 def test_script_runs(argv, expected):
