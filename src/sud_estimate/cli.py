@@ -12,10 +12,11 @@ Subcommands:
 
 Reports are JSON by default (stable key order, exact rationals as
 "num/den" strings) or CSV via ``--format csv``.  Exit codes: 0 success,
-1 failed verification, 2 infeasible parameters (empty support or empty
-sum), 3 numerical failure (non-convergence, refused resolution or an
-exact value outside its mathematical range).  Errors are one JSON object
-on stderr.  ``parse_range`` is shared with the experiment scripts.
+1 failed verification, 2 infeasible parameters (empty support or sum, a bad
+scheme or weight file), 3 numerical failure (non-convergence, refused
+resolution, an exact value outside its mathematical range or a NaN or
+infinity in a report).  Errors are one JSON object on stderr.
+``parse_range`` is shared with the experiment scripts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .partitions import enumerate_partitions
 from .risk import curve_to_csv, exact_risk, expansion_diagnostics, risk_curve
-from .spectral import build_incidence, max_eigenpair, optimality_gap
+from .spectral import optimality_gap
 from .weights import save_weights, scheme_weights, weights_to_json
 
 EXIT_OK = 0
@@ -220,11 +221,10 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    structure = build_incidence(args.d, args.n, args.support)
-    result = max_eigenpair(structure, tol=args.tol, max_iterations=args.max_iterations)
-    gap = optimality_gap(
-        args.d, args.n, tol=args.tol, max_iterations=args.max_iterations, solved=result
-    )
+    gap = optimality_gap(args.d, args.n, tol=args.tol, max_iterations=args.max_iterations)
+    result = getattr(gap, args.support)
+    if result is None:
+        raise EmptySupportError(f"no {args.support} partition at level {args.n} for d={args.d}")
     if args.export:
         save_weights(result.eigvec, args.export)
     coeffs = weights_to_json(result.eigvec)
@@ -336,14 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated_at field for byte-identical reports")
-    common.add_argument("--tol", type=float, default=1e-12,
-                        help="relative residual tolerance for iterative solvers")
-    common.add_argument("--workers", type=int, default=1,
-                        help="process count for sweeps; results are identical at any setting")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-12,
+                        help="relative residual tolerance of the eigensolve")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("risk", parents=[common], help="exact risk of one scheme")
+    p = sub.add_parser("risk", parents=[common, solver], help="exact risk of one scheme")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--scheme", default="product",
@@ -359,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", action=argparse.BooleanOptionalAction, default=True,
                    help="fit N^2 risk = C + b/N on the largest tested half")
     p.add_argument("--exact", action=argparse.BooleanOptionalAction, default=False,
-                   help="exact rational risks instead of the float fast path")
+                   help="print each level's exact rational risk beside its float")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process count; results are identical at any setting")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("constant", parents=[common], help="closed-form rate constant")
@@ -368,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate lattice-sum estimates at these levels")
     p.set_defaults(func=_cmd_constant)
 
-    p = sub.add_parser("optimal", parents=[common], help="leading eigenpair of the incidence form")
+    p = sub.add_parser("optimal", parents=[common, solver],
+                       help="leading eigenpair of the incidence form")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--support", choices=("full", "strict"), default="full")
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the optimal coefficients as a weights JSON file")
     p.set_defaults(func=_cmd_optimal)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, solver],
                        help="cross-check combinatorics against the character oracle")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--n-max", type=int, default=8)

@@ -46,4 +46,4 @@ class ResolutionError(RuntimeError):
 
 
 class NumericalInstabilityError(RuntimeError):
-    """Raised when both evaluation paths of a numerical routine fail."""
+    """Raised when a report would carry a NaN or an infinity; the CLI then exits 3."""

@@ -13,11 +13,11 @@ achievable deficit is what drives the 1/N^2 estimation rate.
 
 The inner sums are the entries of B c, where B is the 0/1 box-removal
 incidence matrix between the partitions of level N+1 and level N, so the
-numerator is ||B c||^2.  B is built in one place (``_box_removal``), which
-also serves the spectral optimum.  The exact path works in rational
-arithmetic on the unnormalised coefficients; a floating-point fast path with
-compensated summation is provided for long sweeps and is validated against
-the exact path in the test suite.
+numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
+:class:`IncidenceStructure`, which also serves the spectral optimum.  The
+risk is computed in one arithmetic: Python ints on the scheme's integer form
+(numerators over a common denominator), giving an exact rational;
+``float_risk`` is its nearest float.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .partitions import partition_table
 from .weights import Scheme, WeightVector, parse_scheme, scheme_weights
 
 __all__ = [
+    "IncidenceStructure",
     "RiskBreakdown",
     "exact_risk",
     "float_risk",
@@ -83,15 +84,20 @@ class RiskBreakdown:
 
 
 @dataclass(frozen=True)
-class _BoxRemoval:
+class IncidenceStructure:
     """Box-removal incidence B between the partitions of level N+1 and level N.
 
     ``matrix[r, c] = 1`` iff removing one box from row ``r`` of ``child_table``
-    gives row ``c`` of ``parent_table``; ``strict`` marks the strictly
-    decreasing columns.  Both tables are canonical.  The risk numerator is
+    gives row ``c`` of ``parent_table`` (both canonical).  Rows are always the
+    full level-(N+1) table; ``support`` names the columns: "full" keeps every
+    level-N partition, "strict" only the strictly decreasing ones (marked by
+    ``strict``), where some rows have degree zero.  The risk numerator is
     ||B c||^2, and the spectral optimum is the top eigenpair of B^T B.
     """
 
+    d: int
+    level: int
+    support: str
     child_table: np.ndarray
     parent_table: np.ndarray
     matrix: csr_matrix
@@ -108,6 +114,12 @@ class _BoxRemoval:
     @cached_property
     def cols(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.parent_table.tolist()))
+
+    def row_degrees(self) -> np.ndarray:
+        return np.asarray(self.matrix.sum(axis=1)).ravel().astype(int)
+
+    def col_degrees(self) -> np.ndarray:
+        return np.asarray(self.matrix.sum(axis=0)).ravel().astype(int)
 
 
 def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -131,7 +143,7 @@ def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return found
 
 
-def _box_removal(d: int, n: int) -> _BoxRemoval:
+def _box_removal(d: int, n: int) -> IncidenceStructure:
     parents = partition_table(d, n)
     children = partition_table(d, n + 1)
     below = np.zeros_like(children)
@@ -146,25 +158,20 @@ def _box_removal(d: int, n: int) -> _BoxRemoval:
         (np.ones(len(parent)), _locate(parents, parent), indptr),
         shape=(len(children), len(parents)),
     )
-    return _BoxRemoval(children, parents, matrix)
+    return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 
-def _integer_coefficients(d: int, n: int, w: WeightVector) -> tuple[_BoxRemoval, list[int], int]:
-    """The structure of level (d, n), and ``scale * c`` as ints in column order.
-
-    ``scale`` is the least common denominator of the coefficients of ``w``.
-    """
+def _integer_coefficients(d: int, n: int, w: WeightVector) -> tuple[IncidenceStructure, list[int]]:
+    """The structure of level (d, n), and ``w.denominator * c`` as ints in column order."""
     if w.d != d or w.level != n:
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
     if not w.entries:
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
     structure = _box_removal(d, n)
-    scale = math.lcm(*(v.denominator for v in w.entries.values()))
     c = [0] * structure.matrix.shape[1]
-    columns = _locate(structure.parent_table, np.array(list(w.entries), dtype=np.int64))
-    for j, v in zip(columns.tolist(), w.entries.values()):
-        c[j] = v.numerator * (scale // v.denominator)
-    return structure, c, scale
+    for j, v in zip(_locate(structure.parent_table, w.table).tolist(), w.numerators):
+        c[j] = v
+    return structure, c
 
 
 def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
@@ -172,11 +179,11 @@ def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
 
     Raises :class:`EmptySupportError` if ``w`` has no nonzero coefficient.
     """
-    structure, c, scale = _integer_coefficients(d, n, w)
+    structure, c = _integer_coefficients(d, n, w)
     indptr = structure.matrix.indptr.tolist()
     indices = structure.matrix.indices.tolist()
     sums = [sum([c[j] for j in indices[a:b]]) for a, b in zip(indptr, indptr[1:])]
-    scale_sq = scale * scale
+    scale_sq = w.denominator * w.denominator
     numerator = Fraction(sum([s * s for s in sums]), scale_sq)
     risk = 1 - numerator / (d * d * w.norm_sq)
     if not 0 <= risk <= 1:
@@ -185,18 +192,8 @@ def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
 
 
 def float_risk(d: int, n: int, w: WeightVector) -> float:
-    """Floating-point risk: B c as a sparse product, squares summed exactly rounded.
-
-    Fast path for long sweeps; agrees with :func:`exact_risk` to near machine
-    precision on every case the tests compare.  Coefficients are divided by
-    their exact maximum before they become floats, so neither they nor their
-    squares overflow.
-    """
-    structure, c, _ = _integer_coefficients(d, n, w)
-    top = max(c)
-    x = np.array([v / top for v in c])
-    sums = structure.matrix @ x
-    return 1.0 - math.fsum((sums * sums).tolist()) / (d * d * math.fsum((x * x).tolist()))
+    """The exact risk of :func:`exact_risk`, rounded once to the nearest float."""
+    return float(exact_risk(d, n, w).risk)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +410,8 @@ def risk_curve(
 def curve_to_csv(curve: RiskCurve) -> str:
     """CSV rows (N, risk_num, risk_den, risk_float, N2_risk), header included.
 
-    Exact numerator/denominator columns are left empty when the sweep ran on
-    the floating-point path.
+    Exact numerator/denominator columns are left empty when the sweep did not
+    keep the exact risks.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

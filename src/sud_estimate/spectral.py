@@ -24,13 +24,14 @@ package loads no scipy.linalg.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, EmptySupportError
-from .risk import _box_removal, exact_risk
+from .risk import IncidenceStructure, _box_removal, exact_risk
 from .weights import WeightVector, product_weights
 
 __all__ = [
@@ -44,67 +45,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
-    """Sparse box-removal incidence between level N+1 and level N.
+def _restrict(structure: IncidenceStructure, support: str) -> IncidenceStructure:
+    """``structure`` (full support) restricted to the columns of ``support``."""
+    if support not in ("full", "strict"):
+        raise ValueError(f"support must be 'full' or 'strict', got {support!r}")
+    if support == "full":
+        return structure
+    keep = np.flatnonzero(structure.strict)
+    if not keep.size:
+        raise EmptySupportError(
+            f"no strict partition at level {structure.level} for d={structure.d}"
+        )
+    return IncidenceStructure(
+        structure.d, structure.level, support, structure.child_table,
+        structure.parent_table[keep], structure.matrix[:, keep],
+    )
 
-    ``matrix[r, c] = 1`` iff removing one box from ``rows[r]`` gives
-    ``cols[c]``.  ``support`` selects the columns: "full" keeps every level-N
-    partition, "strict" only the strictly decreasing ones (where the
-    gap-product scheme lives).  Rows are always the full level-(N+1) set;
-    with strict columns some rows have degree zero.
+
+def build_incidence(d: int, n: int, support: str = "full") -> IncidenceStructure:
+    return _restrict(_box_removal(d, n), support)
+
+
+@dataclass(frozen=True)
+class SpectralResult:
+    """Leading eigenpair of B^T B with its convergence certificate.
+
+    ``eigvec`` is the unit eigenvector as a scheme on the columns of B, built
+    from the vector and the column table the first time it is read.
     """
 
     d: int
     level: int
     support: str
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    matrix: csr_matrix
-
-    def row_degrees(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel().astype(int)
-
-    def col_degrees(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=0)).ravel().astype(int)
-
-
-def build_incidence(d: int, n: int, support: str = "full") -> IncidenceStructure:
-    if support not in ("full", "strict"):
-        raise ValueError(f"support must be 'full' or 'strict', got {support!r}")
-    structure = _box_removal(d, n)
-    if support == "full":
-        return IncidenceStructure(d, n, support, structure.rows, structure.cols, structure.matrix)
-    keep = np.flatnonzero(structure.strict)
-    if not keep.size:
-        raise EmptySupportError(f"no {support} partition at level {n} for d={d}")
-    cols = tuple(structure.cols[j] for j in keep)
-    return IncidenceStructure(d, n, support, structure.rows, cols, structure.matrix[:, keep])
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Leading eigenpair of B^T B with its convergence certificate."""
-
-    d: int
-    level: int
-    support: str
     eigmax: float
-    eigvec: WeightVector
     iterations: int
     residual: float
+    _vector: np.ndarray = field(repr=False, compare=False)
+    _columns: np.ndarray = field(repr=False, compare=False)
 
     @property
     def optimal_risk(self) -> float:
         return 1.0 - self.eigmax / (self.d * self.d)
 
-
-def _vector_to_weights(structure: IncidenceStructure, v: np.ndarray) -> WeightVector:
-    entries = {}
-    for parts, value in zip(structure.cols, v):
-        if value > 0.0:
-            entries[parts] = Fraction(float(value))
-    return WeightVector(structure.d, structure.level, entries)
+    @cached_property
+    def eigvec(self) -> WeightVector:
+        columns = map(tuple, self._columns.tolist())
+        return WeightVector(self.d, self.level, {
+            parts: Fraction(value)
+            for parts, value in zip(columns, self._vector.tolist()) if value > 0.0
+        })
 
 
 # Basis size of the restarted Lanczos solve: ARPACK's default ncv for one
@@ -128,7 +117,7 @@ def _certified(
     residual = float(np.linalg.norm(w - theta * v))
     return SpectralResult(
         structure.d, structure.level, structure.support,
-        theta, _vector_to_weights(structure, v), iterations, residual,
+        theta, iterations, residual, v, structure.parent_table,
     )
 
 
@@ -228,62 +217,54 @@ def optimal_weights(
 
 @dataclass(frozen=True)
 class OptimalityGap:
-    """Gap-product risk against the spectral optimum at the same level.
+    """Gap-product risk against the spectral optima at the same level.
 
-    ``risk_product`` is None when the strict set is empty (the gap-product
-    scheme does not exist there); the full-support optimum always exists.
-    ``support_gap`` = strict optimum - full optimum >= 0 measures how much
-    restricting to strict partitions costs.
+    ``full`` and ``strict`` are the eigenpairs on the two supports.  When the
+    strict set is empty, ``strict`` and ``risk_product`` are None (the
+    gap-product scheme does not exist there); the full-support optimum always
+    exists.  ``support_gap`` = strict optimum - full optimum >= 0 measures how
+    much restricting to strict partitions costs.
     """
 
     d: int
     level: int
     risk_product: Fraction | None
-    risk_optimal: float
-    risk_optimal_strict: float | None
-    gap: float | None
+    full: SpectralResult
+    strict: SpectralResult | None
+
+    @property
+    def risk_optimal(self) -> float:
+        return self.full.optimal_risk
+
+    @property
+    def risk_optimal_strict(self) -> float | None:
+        return None if self.strict is None else self.strict.optimal_risk
+
+    @property
+    def gap(self) -> float | None:
+        return None if self.risk_product is None else float(self.risk_product) - self.risk_optimal
 
     @property
     def support_gap(self) -> float | None:
-        if self.risk_optimal_strict is None:
-            return None
-        return self.risk_optimal_strict - self.risk_optimal
+        return None if self.strict is None else self.strict.optimal_risk - self.risk_optimal
 
 
 def optimality_gap(
-    d: int,
-    n: int,
-    tol: float = 1e-12,
-    max_iterations: int = 10**6,
-    solved: SpectralResult | None = None,
+    d: int, n: int, tol: float = 1e-12, max_iterations: int = 10**6
 ) -> OptimalityGap:
-    """Compare the gap-product scheme with the spectral optimum at level n.
+    """Compare the gap-product scheme with the spectral optima at level n.
 
-    The product scheme can never beat the full-support optimum; the returned
+    Both supports are solved on one box-removal structure, full first.  The
+    product scheme can never beat the full-support optimum; the returned
     ``gap`` (product risk - optimal risk) is nonnegative up to the solver
-    tolerance.  ``solved``, an eigenpair already computed at this level, is
-    used for its support instead of a second solve.
+    tolerance.
     """
-    if solved is not None and (solved.d, solved.level) != (d, n):
-        raise ValueError(
-            f"solved eigenpair is for d={solved.d} N={solved.level}, not d={d} N={n}"
-        )
-
-    def optimum(support: str) -> SpectralResult:
-        if solved is not None and solved.support == support:
-            return solved
-        return max_eigenpair(
-            build_incidence(d, n, support), tol=tol, max_iterations=max_iterations
-        )
-
-    full = optimum("full")
+    structure = _box_removal(d, n)
+    full = max_eigenpair(structure, tol=tol, max_iterations=max_iterations)
     try:
-        strict_risk = optimum("strict").optimal_risk
+        strict_structure = _restrict(structure, "strict")
     except EmptySupportError:
-        strict_risk = None
-    try:
-        product = exact_risk(d, n, product_weights(d, n)).risk
-    except EmptySupportError:
-        product = None
-    gap = float(product) - full.optimal_risk if product is not None else None
-    return OptimalityGap(d, n, product, full.optimal_risk, strict_risk, gap)
+        return OptimalityGap(d, n, None, full, None)
+    strict = max_eigenpair(strict_structure, tol=tol, max_iterations=max_iterations)
+    product = exact_risk(d, n, product_weights(d, n)).risk
+    return OptimalityGap(d, n, product, full, strict)

@@ -57,34 +57,49 @@ class WeightVector:
     validated as a partition of ``level`` into ``d`` rows in one batched pass
     over all keys; a ValueError names the first key that fails.  Instances
     are immutable; ``norm_sq`` is the exact sum of squared coefficients.
+
+    The integer form is kept beside the entries, in the same canonical
+    order: ``table`` is the (k, d) int64 table of the support, and
+    ``numerators[i] / denominator`` is the coefficient of ``table[i]``, with
+    ``denominator`` the least common denominator of the coefficients.
     """
 
     d: int
     level: int
     entries: Mapping[tuple[int, ...], Fraction]
     norm_sq: Fraction = field(init=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         keys = list(map(tuple, self.entries))
-        if not _are_partitions(self.d, self.level, keys):
+        table = _partition_table_of(self.d, self.level, keys)
+        if table is None:
             for t in keys:  # name the first offender
                 t = check_partition(t, self.d)
                 if level(t) != self.level:
                     raise ValueError(
                         f"partition {t} has level {level(t)}, expected {self.level}"
                     )
+            table = np.array(keys, dtype=np.int64)  # valid keys with int subclass entries
         values = [v if type(v) is Fraction else Fraction(v) for v in self.entries.values()]
         nums = [v.numerator for v in values]
         if nums and min(nums) < 0:
             t, v = next((t, v) for t, v in zip(keys, values) if v < 0)
             raise ValueError(f"coefficient for {t} is negative: {v}")
-        ordered = dict(sorted(((t, v) for t, v in zip(keys, values) if v), reverse=True))
+        # canonical order is lex-descending; zero coefficients drop out
+        order = [i for i in np.lexsort(table.T[::-1])[::-1].tolist() if nums[i]] if keys else []
+        scale = math.lcm(*(v.denominator for v in values))
+        numerators = tuple([nums[i] * (scale // values[i].denominator) for i in order])
+        table = table[order]
+        table.flags.writeable = False
         # sum of squares over the common denominator: one Fraction, not one per entry
-        dens = [v.denominator for v in values]
-        scale = math.lcm(*dens)
-        total = sum([(a * (scale // b)) ** 2 for a, b in zip(nums, dens)])
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "norm_sq", Fraction(total, scale * scale))
+        object.__setattr__(self, "norm_sq", Fraction(sum([a * a for a in numerators]), scale**2))
+        object.__setattr__(self, "entries", {keys[i]: values[i] for i in order})
+        object.__setattr__(self, "denominator", scale)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "table", table)
 
     def coefficient(self, parts) -> Fraction:
         return self.entries.get(tuple(parts), Fraction(0))
@@ -117,26 +132,23 @@ class WeightVector:
         return WeightVector(self.d, self.level, {p: v * f for p, v in self.entries.items()})
 
 
-def _are_partitions(d: int, n: int, keys: list[tuple]) -> bool:
-    """Whether every key is a partition of level n into d rows of exact ints.
-
-    Each condition is checked over all keys at once: exact int type, length
-    d, row sum n, then weakly decreasing and nonnegative rows on one int64
-    table.
+def _partition_table_of(d: int, n: int, keys: list[tuple]) -> np.ndarray | None:
+    """The (k, d) int64 table of ``keys`` if each is a partition of level n into d
+    rows of exact ints, else None.  Each condition is checked over all keys at
+    once: length d, exact int type, row sum n, then the row order on the table.
     """
     if not keys:
-        return True
-    if d < 1 or set(map(len, keys)) != {d}:
-        return False
-    if set(map(type, itertools.chain.from_iterable(keys))) != {int}:
-        return False
-    if set(map(sum, keys)) != {n}:
-        return False
+        return np.zeros((0, d), dtype=np.int64)
+    if (d < 1 or set(map(len, keys)) != {d}
+            or set(map(type, itertools.chain.from_iterable(keys))) != {int}
+            or set(map(sum, keys)) != {n}):
+        return None
     try:
         table = np.array(keys, dtype=np.int64)
-    except OverflowError:
-        return False
-    return bool(np.all(table[:, :-1] >= table[:, 1:]) and np.all(table[:, -1] >= 0))
+    except OverflowError as exc:
+        raise ValueError(f"partition rows of level {n} exceed int64") from exc
+    monotone = np.all(table[:, :-1] >= table[:, 1:]) and np.all(table[:, -1] >= 0)
+    return table if monotone else None
 
 
 def normalize(raw: WeightVector) -> WeightVector:
@@ -306,17 +318,20 @@ def weights_to_json(w: WeightVector) -> list[dict]:
     ]
 
 
-def weights_from_json(records, d: int | None = None, n: int | None = None) -> WeightVector:
+def weights_from_json(records) -> WeightVector:
+    """Inverse of :func:`weights_to_json`; a malformed record's ValueError names its index."""
+    if not isinstance(records, list):
+        raise ValueError(f"weight records must be a JSON list, not {type(records).__name__}")
     entries = {}
-    for rec in records:
-        parts = tuple(rec["parts"])
-        entries[parts] = Fraction(rec["weight"])
+    for i, rec in enumerate(records):
+        try:
+            entries[tuple(rec["parts"])] = Fraction(rec["weight"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"weight record {i} is malformed: {exc!r}") from exc
     if not entries:
         raise EmptySupportError("weight file has no entries")
-    some = next(iter(entries))
-    d = d if d is not None else len(some)
-    n = n if n is not None else sum(some)
-    return WeightVector(d, n, entries)
+    first = check_partition(next(iter(entries)))
+    return WeightVector(len(first), level(first), entries)
 
 
 def save_weights(w: WeightVector, path) -> None:
@@ -324,4 +339,8 @@ def save_weights(w: WeightVector, path) -> None:
 
 
 def load_weights(path) -> WeightVector:
-    return weights_from_json(json.loads(Path(path).read_text()))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read weight file {path}: {exc.strerror}") from exc
+    return weights_from_json(json.loads(text))

@@ -82,6 +82,25 @@ class TestRisk:
         assert code == EXIT_INFEASIBLE
         assert json.loads(err)["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "content, names",
+        [
+            ('[{"parts": [4, 1], "weight": "3"}, {"parts": [3, 2]}]', "weight record 1"),
+            ('{"parts": [4, 1], "weight": "3"}', "must be a JSON list"),
+            (None, "cannot read weight file"),
+        ],
+    )
+    def test_malformed_weight_file_exits_2(self, capsys, tmp_path, content, names):
+        path = tmp_path / "w.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5", "--scheme", f"file:{path}")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert names in error["error"]
+
     def test_timestamp_present_by_default(self, capsys):
         _, payload, _ = run_json(capsys, "risk", "-d", "2", "-N", "5")
         assert "generated_at" in payload
@@ -173,6 +192,18 @@ class TestSweep:
         duo["config"].pop("workers")
         assert solo == duo
 
+
+    @pytest.mark.parametrize(
+        "d, levels, scheme",
+        [(2, "3:20", "product"), (2, "3:20", "optimal"), (3, "6:30:6", "product")],
+    )
+    def test_float_rows_are_the_exact_rows_rounded(self, capsys, d, levels, scheme):
+        args = ("sweep", "-d", str(d), "-N", levels, "--scheme", scheme, "--no-timestamp")
+        _, fast, _ = run_json(capsys, *args)
+        _, exact, _ = run_json(capsys, *args, "--exact")
+        got = [row["risk_float"] for row in fast["rows"]]
+        want = [float(Fraction(row["risk"])) for row in exact["rows"]]
+        assert got == want
 
     def test_non_finite_value_exits_3_with_nothing_on_stdout(self, capsys, monkeypatch):
         import sud_estimate.risk
@@ -287,7 +318,6 @@ class TestOptimal:
             calls.append((structure.support, kwargs))
             return solve(structure, **kwargs)
 
-        monkeypatch.setattr("sud_estimate.cli.max_eigenpair", counting)
         monkeypatch.setattr("sud_estimate.spectral.max_eigenpair", counting)
         code, _, _ = run(
             capsys, "optimal", "-d", "2", "-N", "12",
@@ -296,6 +326,23 @@ class TestOptimal:
         assert code == EXIT_OK
         options = {"tol": 1e-11, "max_iterations": 500}
         assert calls == [("full", options), ("strict", options)]
+
+    def test_builds_the_incidence_once_for_both_solves(self, capsys, monkeypatch):
+        # one structure for the full and strict solves, one for the product's risk
+        import sud_estimate.risk as risk
+
+        calls = []
+        build = risk._box_removal
+
+        def counting(d, n):
+            calls.append((d, n))
+            return build(d, n)
+
+        monkeypatch.setattr("sud_estimate.risk._box_removal", counting)
+        monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
+        code, _, _ = run(capsys, "optimal", "-d", "3", "-N", "30", "--no-timestamp")
+        assert code == EXIT_OK
+        assert calls == [(3, 30), (3, 30)]
 
     def test_csv_lists_coefficients(self, capsys):
         code, out, _ = run(
@@ -382,6 +429,23 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"empty range '{text}'" in err
         assert "min()" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "-d", "2", "-N", "10:12", "--tol", "1e-3"],
+            ["constant", "-d", "2", "--tol", "5"],
+            ["constant", "-d", "2", "--workers", "7"],
+            ["risk", "-d", "2", "-N", "5", "--workers", "2"],
+            ["optimal", "-d", "2", "-N", "5", "--workers", "2"],
+            ["verify", "-d", "2", "--n-max", "2", "--workers", "2"],
+        ],
+    )
+    def test_flag_the_command_never_reads_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INFEASIBLE
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

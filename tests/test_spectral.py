@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse import block_diag
 
 from sud_estimate.errors import ConvergenceError, EmptySupportError
-from sud_estimate.partitions import enumerate_partitions, removable_rows
+from sud_estimate.partitions import enumerate_partitions, partition_table, removable_rows
 from sud_estimate.risk import exact_risk
 from sud_estimate.spectral import (
     IncidenceStructure,
@@ -78,9 +78,12 @@ class TestMaxEigenpair:
     def test_tied_blocks_give_nonnegative_certified_vector(self):
         # two identical components tie for the top eigenvalue
         block = build_incidence(2, 6, "full").matrix
-        cols = tuple(enumerate_partitions(3, 7))[: 2 * block.shape[1]]
-        rows = tuple((k,) for k in range(2 * block.shape[0]))
-        s = IncidenceStructure(3, 7, "full", rows, cols, block_diag([block, block]).tocsr())
+        parents = partition_table(3, 7)[: 2 * block.shape[1]]
+        children = partition_table(3, 8)[: 2 * block.shape[0]]
+        s = IncidenceStructure(
+            3, 7, "full", children, parents, block_diag([block, block]).tocsr()
+        )
+        cols = s.cols
         r = max_eigenpair(s)
         assert r.eigmax == pytest.approx(4 * math.cos(math.pi / 9) ** 2, abs=1e-12)
         assert len(r.eigvec.entries) == len(cols)
@@ -167,6 +170,14 @@ class TestOptimality:
         assert g.risk_product is None
         assert g.gap is None
         assert g.risk_optimal == pytest.approx(0.5, abs=1e-12)
+
+    def test_both_eigenpairs_returned_and_strict_vector_left_unbuilt(self):
+        g = optimality_gap(3, 12)
+        assert (g.full.support, g.strict.support) == ("full", "strict")
+        assert g.risk_optimal_strict == g.strict.optimal_risk
+        assert "eigvec" not in vars(g.strict)
+        assert len(g.strict.eigvec.entries) == len(partition_table(3, 12, strict=True))
+        assert "eigvec" in vars(g.strict)
 
     def test_optimal_weights_scheme_entry_point(self):
         w = optimal_weights(2, 6, support="strict")

@@ -203,6 +203,25 @@ class TestSerialization:
         data = json.loads(path.read_text())
         assert all(set(rec) == {"parts", "weight"} for rec in data)
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([{"parts": [4, 1], "weight": "3"}, {"parts": [3, 2]}], "weight record 1 "),
+            ([{"weight": "3"}], "weight record 0 "),
+            ([{"parts": [4, 1], "weight": "1/0"}], "weight record 0 "),
+            ([{"parts": ["4", "1"], "weight": "3"}], "partition entries must be ints, got '4'"),
+            ({"parts": [4, 1], "weight": "3"}, "must be a JSON list, not dict"),
+        ],
+    )
+    def test_malformed_records_name_the_record(self, records, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weights_from_json(records)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ValueError, match=re.escape(f"cannot read weight file {path}")):
+            load_weights(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")
