@@ -78,6 +78,19 @@ def parse_range(text: str) -> list[int]:
     return values
 
 
+def _int_at_least(lo: int):
+    """argparse type: an int >= ``lo``; the usage error names the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
+
+
 def _config_echo(args: argparse.Namespace) -> dict:
     skip = {"func", "format", "no_timestamp", "command"}
     out = {}
@@ -136,7 +149,7 @@ def _cmd_risk(args) -> int:
         "n2_risk": args.n * args.n * float(breakdown.risk),
         "numerator": _fr(breakdown.numerator),
         "norm_sq": _fr(breakdown.norm_sq),
-        "support_size": len(w.entries),
+        "support_size": len(w.numerators),
     }
     if args.terms:
         body["numerator_terms"] = [
@@ -359,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit N^2 risk = C + b/N on the largest tested half")
     p.add_argument("--exact", action=argparse.BooleanOptionalAction, default=False,
                    help="print each level's exact rational risk beside its float")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="process count; results are identical at any setting")
     p.set_defaults(func=_cmd_sweep)
 
@@ -383,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common, solver],
                        help="cross-check combinatorics against the character oracle")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_int_at_least(0), default=8)
     p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--points", type=int, default=100,
+    p.add_argument("--points", type=_int_at_least(1), default=100,
                    help="random torus points for the pointwise branching check")
     p.set_defaults(func=_cmd_verify)
 

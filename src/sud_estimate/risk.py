@@ -17,7 +17,8 @@ numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
 :class:`IncidenceStructure`, which also serves the spectral optimum.  The
 risk is computed in one arithmetic: Python ints on the scheme's integer form
 (numerators over a common denominator), giving an exact rational;
-``float_risk`` is its nearest float.
+``float_risk`` is its nearest float.  Whole-table reductions over object
+arrays of those ints keep every value exact, whatever its size.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class RiskBreakdown:
     numerator: Fraction
     norm_sq: Fraction
     _children: np.ndarray = field(repr=False, compare=False)
-    _parent_sums: list[int] = field(repr=False, compare=False)
+    _parent_sums: np.ndarray = field(repr=False, compare=False)  # Python ints
     _scale_sq: int = field(repr=False, compare=False)
 
     @cached_property
@@ -161,30 +162,23 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 
-def _integer_coefficients(d: int, n: int, w: WeightVector) -> tuple[IncidenceStructure, list[int]]:
-    """The structure of level (d, n), and ``w.denominator * c`` as ints in column order."""
-    if w.d != d or w.level != n:
-        raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
-    if not w.entries:
-        raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
-    structure = _box_removal(d, n)
-    c = [0] * structure.matrix.shape[1]
-    for j, v in zip(_locate(structure.parent_table, w.table).tolist(), w.numerators):
-        c[j] = v
-    return structure, c
-
-
 def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
     """Exact risk of the scheme ``w`` at level ``n``.
 
-    Raises :class:`EmptySupportError` if ``w`` has no nonzero coefficient.
+    B c is one sum per CSR row of B (none is empty) over ``w.denominator * c``
+    in Python ints.  Raises :class:`EmptySupportError` if ``w`` has no
+    nonzero coefficient.
     """
-    structure, c = _integer_coefficients(d, n, w)
-    indptr = structure.matrix.indptr.tolist()
-    indices = structure.matrix.indices.tolist()
-    sums = [sum([c[j] for j in indices[a:b]]) for a, b in zip(indptr, indptr[1:])]
+    if w.d != d or w.level != n:
+        raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
+    if not w.numerators:
+        raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
+    structure = _box_removal(d, n)
+    c = np.zeros(structure.matrix.shape[1], dtype=object)
+    c[_locate(structure.parent_table, w.table)] = np.array(w.numerators, dtype=object)
+    sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])
     scale_sq = w.denominator * w.denominator
-    numerator = Fraction(sum([s * s for s in sums]), scale_sq)
+    numerator = Fraction(int(np.dot(sums, sums)), scale_sq)
     risk = 1 - numerator / (d * d * w.norm_sq)
     if not 0 <= risk <= 1:
         raise ArithmeticError(f"risk {risk} escaped [0, 1]; this is a bug")
@@ -201,37 +195,18 @@ def float_risk(d: int, n: int, w: WeightVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _r_corrections(gaps: list[int]) -> list[int]:
-    """First-order corrections r(i) to the gap product, one per removable row i.
-
-    Removing a box from row i of lambda' (possible iff p_i > 0) shifts its gap
-    vector p by +e_{i-1} - e_i, so the new gap product equals prod(p) + r(i)
-    with
-
-        r(i) = -prod_{j != i} p_j + [i > 1] (prod_{j != i-1} p_j
-                                             - prod_{j != i-1, i} p_j)
-             = -prod_{j != i} p_j + [i > 1] (p_i - 1) prod_{j != i-1, i} p_j.
-
-    Exact integers, in row order.
-    """
-    out = []
-    for i, gap in enumerate(gaps):
-        if gap:
-            tail = math.prod(gaps[i + 1 :])
-            r = -math.prod(gaps[:i]) * tail
-            if i:
-                r += (gap - 1) * math.prod(gaps[: i - 1]) * tail
-            out.append(r)
-    return out
-
-
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
     """Order-by-order pieces of the risk ratio for the gap-product scheme.
 
-    Write the parent coefficient of row i as prod(p) + r(i) (see
-    :func:`_r_corrections`) and expand numerator and denominator of the risk
-    around the leading gap products, summing over the level-(N+1) partitions:
+    Removing a box from row i of lambda' (possible iff its gap p_i > 0)
+    shifts the gap vector p by +e_{i-1} - e_i, so the parent coefficient is
+    prod(p) + r(i), with the exact integer correction
+
+        r(i) = -prod_{j != i} p_j + [i > 1] (p_i - 1) prod_{j != i-1, i} p_j.
+
+    Expand numerator and denominator of the risk around the leading gap
+    products, summing over the level-(N+1) partitions:
 
         numerator   = c_t * (1 + t1 + t2)
         d^2 norm_sq = c_u * (1 + u1 + u2)
@@ -269,41 +244,40 @@ class ExpansionDiagnostics:
 def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     """Exact expansion pieces at level ``n`` for the gap-product scheme.
 
-    Needs n >= d(d+1)/2 - 1 so that level n+1 contains a strict partition;
-    otherwise every term vanishes and :class:`EmptySumError` is raised.
+    Each sum runs over the rows of the level-(n+1) gap table at once, in
+    Python ints; r(i) comes from the prefix products prod_{j<i} p_j and the
+    suffix products prod_{j>i} p_j of each row.  Needs n >= d(d+1)/2 - 1 so
+    that level n+1 contains a strict partition; otherwise every term
+    vanishes and :class:`EmptySumError` is raised.
     """
-    c_t = 0
-    c_u = 0
-    t1_num = 0
-    u1_num = 0
-    t2_num = 0
-    u2_num = 0
-    for child in partition_table(d, n + 1).tolist():
-        gaps = [a - b for a, b in zip(child, child[1:] + [0])]
-        prod = math.prod(gaps)
-        r = _r_corrections(gaps)
-        k = len(r)  # removable rows
-        c_t += k * k * prod * prod
-        c_u += d * k * prod * prod
-        r_sum = sum(r)
-        t1_num += 2 * k * prod * r_sum
-        u1_num += 2 * d * prod * r_sum
-        t2_num += r_sum * r_sum
-        u2_num += d * sum(v * v for v in r)
+    children = partition_table(d, n + 1)
+    gaps = children.copy()
+    gaps[:, :-1] -= children[:, 1:]
+    p = gaps.astype(object)
+    before = np.ones_like(p)  # before[:, i] = prod_{j<i} p_j
+    before[:, 1:] = np.cumprod(p[:, :-1], axis=1)
+    after = np.ones_like(p)  # after[:, i] = prod_{j>i} p_j
+    after[:, :-1] = np.cumprod(p[:, :0:-1], axis=1)[:, ::-1]
+    r = -before * after
+    r[:, 1:] += (p[:, 1:] - 1) * before[:, :-1] * after[:, 1:]
+    r[gaps == 0] = 0  # r(i) exists only for a removable row
+    r_sum = r.sum(axis=1)
+    prod = before[:, -1] * p[:, -1]
+    k = np.count_nonzero(gaps, axis=1).astype(object)  # removable rows
+    kp = k * prod * prod
+    c_t = int(np.dot(k, kp))
     if c_t == 0:
         raise EmptySumError(
             f"every gap product vanishes at level {n + 1} for d={d} "
             f"(need N >= {d * (d + 1) // 2 - 1})"
         )
+    c_u = d * int(kp.sum())
     return ExpansionDiagnostics(
-        d,
-        n,
-        Fraction(c_t),
-        Fraction(c_u),
-        Fraction(t1_num, c_t),
-        Fraction(u1_num, c_u),
-        Fraction(t2_num, c_t),
-        Fraction(u2_num, c_u),
+        d, n, Fraction(c_t), Fraction(c_u),
+        Fraction(2 * int(np.dot(k * prod, r_sum)), c_t),
+        Fraction(2 * d * int(np.dot(prod, r_sum)), c_u),
+        Fraction(int(np.dot(r_sum, r_sum)), c_t),
+        Fraction(d * int((r * r).sum()), c_u),
     )
 
 

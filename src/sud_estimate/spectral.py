@@ -32,7 +32,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, EmptySupportError
 from .risk import IncidenceStructure, _box_removal, exact_risk
-from .weights import WeightVector, product_weights
+from .weights import WeightVector, _exact_ratios, product_weights
 
 __all__ = [
     "IncidenceStructure",
@@ -71,7 +71,8 @@ class SpectralResult:
     """Leading eigenpair of B^T B with its convergence certificate.
 
     ``eigvec`` is the unit eigenvector as a scheme on the columns of B, built
-    from the vector and the column table the first time it is read.
+    from the vector and the column table the first time it is read; each
+    float is taken exactly (``float.as_integer_ratio``).
     """
 
     d: int
@@ -89,11 +90,11 @@ class SpectralResult:
 
     @cached_property
     def eigvec(self) -> WeightVector:
-        columns = map(tuple, self._columns.tolist())
-        return WeightVector(self.d, self.level, {
-            parts: Fraction(value)
-            for parts, value in zip(columns, self._vector.tolist()) if value > 0.0
-        })
+        positive = self._vector > 0.0
+        return WeightVector.from_table(
+            self.d, self.level, self._columns[positive],
+            *_exact_ratios(self._vector[positive].tolist()),
+        )
 
 
 # Basis size of the restarted Lanczos solve: ARPACK's default ncv for one

@@ -1,11 +1,12 @@
 """Coefficient schemes over the partitions of one level.
 
 A scheme assigns a nonnegative coefficient c(lambda) to every partition of N
-into at most d parts.  Coefficients are kept as exact rationals and are
-deliberately left unnormalised: every risk expression downstream is a ratio
-of quadratic forms in c, so dividing by the squared norm on the way out is
-exact, whereas rescaling the coefficients themselves to unit Euclidean norm
-would require square roots.  The squared-weight view ``squared_weights`` is
+into at most d parts.  Coefficients are exact rationals, held as integer
+numerators over one common denominator on the support table (no Fraction per
+partition until one is asked for), and are deliberately left unnormalised:
+every risk expression downstream is a ratio of quadratic forms in c, so
+dividing by the squared norm on the way out is exact, whereas rescaling the
+coefficients themselves to unit Euclidean norm would require square roots.  The squared-weight view ``squared_weights`` is
 the exactly normalised object (it sums to 1 in rational arithmetic).
 
 The scheme of main interest puts c(lambda) proportional to the product of the
@@ -20,8 +21,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -47,108 +50,145 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightVector:
     """Exact nonnegative coefficients on the partitions of one level.
 
-    ``entries`` maps partition -> coefficient; absent partitions carry
-    coefficient zero, and zero entries are dropped at construction so the
-    stored support is exactly the set of nonzero coefficients.  Every key is
-    validated as a partition of ``level`` into ``d`` rows in one batched pass
-    over all keys; a ValueError names the first key that fails.  Instances
-    are immutable; ``norm_sq`` is the exact sum of squared coefficients.
+    The state is the integer form, in canonical order: ``table`` is the
+    read-only (k, d) int64 support table and ``numerators[i] / denominator``
+    is the coefficient of ``table[i]``, with positive numerators and the form
+    reduced by their gcd with the denominator, so equal schemes have equal
+    forms.  ``norm_sq`` is the exact sum of squared coefficients; the map
+    ``entries`` of Fractions is built the first time it is read.  Instances
+    are immutable.
 
-    The integer form is kept beside the entries, in the same canonical
-    order: ``table`` is the (k, d) int64 table of the support, and
-    ``numerators[i] / denominator`` is the coefficient of ``table[i]``, with
-    ``denominator`` the least common denominator of the coefficients.
+    ``WeightVector(d, level, entries)`` takes a map partition -> coefficient
+    (absent or zero: off the support); the named schemes use
+    :meth:`from_table`.  Both routes end in one batched check over all rows,
+    and a ValueError names the first row that fails it.
     """
 
     d: int
     level: int
-    entries: Mapping[tuple[int, ...], Fraction]
-    norm_sq: Fraction = field(init=False)
-    denominator: int = field(init=False, repr=False, compare=False)
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    norm_sq: Fraction
+    denominator: int = field(repr=False)
+    numerators: tuple[int, ...] = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        keys = list(map(tuple, self.entries))
-        table = _partition_table_of(self.d, self.level, keys)
-        if table is None:
-            for t in keys:  # name the first offender
-                t = check_partition(t, self.d)
-                if level(t) != self.level:
-                    raise ValueError(
-                        f"partition {t} has level {level(t)}, expected {self.level}"
-                    )
-            table = np.array(keys, dtype=np.int64)  # valid keys with int subclass entries
-        values = [v if type(v) is Fraction else Fraction(v) for v in self.entries.values()]
-        nums = [v.numerator for v in values]
-        if nums and min(nums) < 0:
-            t, v = next((t, v) for t, v in zip(keys, values) if v < 0)
-            raise ValueError(f"coefficient for {t} is negative: {v}")
-        # canonical order is lex-descending; zero coefficients drop out
-        order = [i for i in np.lexsort(table.T[::-1])[::-1].tolist() if nums[i]] if keys else []
+    def __init__(self, d: int, level: int, entries: Mapping[tuple[int, ...], Fraction]):
+        values = [v if type(v) is Fraction else Fraction(v) for v in entries.values()]
         scale = math.lcm(*(v.denominator for v in values))
-        numerators = tuple([nums[i] * (scale // values[i].denominator) for i in order])
-        table = table[order]
+        self._set(d, level, _key_table(d, level, list(map(tuple, entries))),
+                  [v.numerator * (scale // v.denominator) for v in values], scale)
+
+    @classmethod
+    def from_table(cls, d: int, level: int, table: np.ndarray, numerators,
+                   denominator: int = 1) -> "WeightVector":
+        """The scheme with coefficient ``numerators[i] / denominator`` on row i of ``table``."""
+        w = cls.__new__(cls)
+        w._set(d, level, table, list(numerators), denominator)
+        return w
+
+    def _set(self, d: int, level: int, table: np.ndarray, numerators: list[int], denominator: int):
+        """Check rows (d entries, sum ``level``, weakly decreasing, nonnegative) and
+        numerators (nonnegative); drop zeros, sort rows canonically, reduce."""
+        bad = np.flatnonzero(
+            (table.sum(axis=1) != level) | np.any(table[:, :-1] < table[:, 1:], axis=1)
+            | (table[:, -1] < 0)
+        ) if table.shape[1] == d > 0 else range(len(table))
+        for i in bad[:1]:  # name the first offender
+            t = check_partition(tuple(table[i].tolist()), d)
+            raise ValueError(f"partition {t} has level {sum(t)}, expected {level}")
+        if min(numerators, default=0) < 0:
+            i = next(i for i, v in enumerate(numerators) if v < 0)
+            raise ValueError(f"coefficient for {tuple(table[i].tolist())} is negative: "
+                             f"{Fraction(numerators[i], denominator)}")
+        if 0 in numerators or not _descending(table):
+            order = [i for i in np.lexsort(table.T[::-1])[::-1].tolist() if numerators[i]]
+            table, numerators = table[order], [numerators[i] for i in order]
+        if not _descending(table):
+            raise ValueError(f"a partition of level {level} appears twice")
+        g = math.gcd(denominator, *numerators)
+        if g > 1:
+            numerators = [v // g for v in numerators]
+        table = np.array(table, dtype=np.int64)
         table.flags.writeable = False
-        # sum of squares over the common denominator: one Fraction, not one per entry
-        object.__setattr__(self, "norm_sq", Fraction(sum([a * a for a in numerators]), scale**2))
-        object.__setattr__(self, "entries", {keys[i]: values[i] for i in order})
-        object.__setattr__(self, "denominator", scale)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "table", table)
+        norm_sq = Fraction(sum(map(operator.mul, numerators, numerators)), (denominator // g)**2)
+        vars(self).update(  # frozen: set the fields directly
+            d=d, level=level, norm_sq=norm_sq, denominator=denominator // g,
+            numerators=tuple(numerators), table=table,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        return (self.d, self.level, self.denominator, self.numerators) == (
+            other.d, other.level, other.denominator, other.numerators
+        ) and np.array_equal(self.table, other.table)
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, ...], Fraction]:
+        return {p: Fraction(v, self.denominator) for p, v in zip(self.support, self.numerators)}
 
     def coefficient(self, parts) -> Fraction:
         return self.entries.get(tuple(parts), Fraction(0))
 
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.entries)
+        return tuple(map(tuple, self.table.tolist()))
 
     def squared_weights(self) -> dict[tuple[int, ...], Fraction]:
         """Exactly normalised squared coefficients; they sum to 1."""
-        if not self.entries:
-            raise EmptySupportError(
-                f"no nonzero coefficient at level {self.level} for d={self.d}"
-            )
+        if not self.numerators:
+            raise EmptySupportError(f"no nonzero coefficient at level {self.level} for d={self.d}")
         return {parts: v * v / self.norm_sq for parts, v in self.entries.items()}
 
     def float_coefficients(self) -> dict[tuple[int, ...], float]:
         """Coefficients scaled to unit Euclidean norm, as floats."""
-        if not self.entries:
-            raise EmptySupportError(
-                f"no nonzero coefficient at level {self.level} for d={self.d}"
-            )
+        if not self.numerators:
+            raise EmptySupportError(f"no nonzero coefficient at level {self.level} for d={self.d}")
         norm = math.sqrt(float(self.norm_sq))
-        return {parts: float(v) / norm for parts, v in self.entries.items()}
+        return {p: v / self.denominator / norm for p, v in zip(self.support, self.numerators)}
 
     def scaled(self, factor) -> "WeightVector":
         f = Fraction(factor)
         if f <= 0:
             raise ValueError(f"scale factor must be positive, got {f}")
-        return WeightVector(self.d, self.level, {p: v * f for p, v in self.entries.items()})
+        return WeightVector.from_table(self.d, self.level, self.table, [
+            v * f.numerator for v in self.numerators], self.denominator * f.denominator)
 
 
-def _partition_table_of(d: int, n: int, keys: list[tuple]) -> np.ndarray | None:
-    """The (k, d) int64 table of ``keys`` if each is a partition of level n into d
-    rows of exact ints, else None.  Each condition is checked over all keys at
-    once: length d, exact int type, row sum n, then the row order on the table.
-    """
+def _key_table(d: int, n: int, keys: list[tuple]) -> np.ndarray:
+    """The (k, d) int64 table of ``keys``.  Length d, exact int entries and row
+    sum n are checked over all keys at once; if that fails, a ValueError names
+    the first key that is no partition of level n into d rows."""
     if not keys:
         return np.zeros((0, d), dtype=np.int64)
     if (d < 1 or set(map(len, keys)) != {d}
             or set(map(type, itertools.chain.from_iterable(keys))) != {int}
             or set(map(sum, keys)) != {n}):
-        return None
+        for t in keys:
+            t = check_partition(t, d)
+            if level(t) != n:
+                raise ValueError(f"partition {t} has level {level(t)}, expected {n}")
     try:
-        table = np.array(keys, dtype=np.int64)
+        return np.array(keys, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"partition rows of level {n} exceed int64") from exc
-    monotone = np.all(table[:, :-1] >= table[:, 1:]) and np.all(table[:, -1] >= 0)
-    return table if monotone else None
+
+
+def _descending(table: np.ndarray) -> bool:
+    """True if the rows of ``table`` are strictly lex-descending."""
+    step = table[:-1] - table[1:]
+    first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)] if step.size else step
+    return bool(np.all(first > 0))
+
+
+def _exact_ratios(values) -> tuple[list[int], int]:
+    """Floats as exact integer numerators over one common (power-of-two) denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def normalize(raw: WeightVector) -> WeightVector:
@@ -160,12 +200,11 @@ def normalize(raw: WeightVector) -> WeightVector:
     ``squared_weights`` which always sums to 1.  Raises
     :class:`EmptySupportError` when every coefficient vanishes.
     """
-    if not raw.entries:
+    if not raw.numerators:
         raise EmptySupportError(
             f"cannot normalise an all-zero weight vector (d={raw.d}, level {raw.level})"
         )
-    top = max(raw.entries.values())
-    return raw.scaled(Fraction(1, 1) / top)
+    return raw.scaled(Fraction(raw.denominator, max(raw.numerators)))
 
 
 def product_gap_weight(parts) -> int:
@@ -180,14 +219,6 @@ def _exponent(alpha) -> Fraction:
     return a
 
 
-def _raised(prod: int, a: Fraction) -> Fraction | float:
-    if prod == 0:
-        return Fraction(0)
-    if a.denominator == 1:
-        return Fraction(prod) ** a.numerator
-    return float(prod) ** float(a)
-
-
 def power_gap_weight(parts, alpha) -> Fraction | float:
     """(product of gaps) ** alpha on strict partitions, zero elsewhere.
 
@@ -195,12 +226,14 @@ def power_gap_weight(parts, alpha) -> Fraction | float:
     point.  alpha = 0 gives the uniform scheme on the strict set, alpha = 1
     the plain gap product.
     """
-    prod = product_gap_weight(parts)
-    return _raised(prod, _exponent(alpha))
+    prod, a = product_gap_weight(parts), _exponent(alpha)
+    if prod and a.denominator != 1:
+        return float(prod) ** float(a)
+    return Fraction(prod) ** a.numerator if prod else Fraction(0)
 
 
-def _gap_products(d: int, n: int) -> dict[tuple[int, ...], int]:
-    """Gap product of every strict partition of level n, in canonical order."""
+def _gap_products(d: int, n: int) -> tuple[np.ndarray, list[int]]:
+    """The strict table of level n and the gap product of each row, in canonical order."""
     table = partition_table(d, n, strict=True)
     if not len(table):
         raise EmptySupportError(
@@ -209,19 +242,26 @@ def _gap_products(d: int, n: int) -> dict[tuple[int, ...], int]:
         )
     gaps = table.copy()
     gaps[:, :-1] -= table[:, 1:]
-    return dict(zip(map(tuple, table.tolist()), map(math.prod, gaps.tolist())))
+    return table, gaps.astype(object).prod(axis=1).tolist()
 
 
 def product_weights(d: int, n: int) -> WeightVector:
     """Gap-product coefficients on the strict partitions of level n."""
-    return WeightVector(d, n, _gap_products(d, n))
+    return WeightVector.from_table(d, n, *_gap_products(d, n))
 
 
 def power_weights(d: int, n: int, alpha) -> WeightVector:
-    """Gap-product-to-the-alpha coefficients on the strict partitions."""
-    products = _gap_products(d, n)
+    """Gap-product-to-the-alpha coefficients on the strict partitions.
+
+    Exact for integer alpha; any other exponent is evaluated in floating
+    point and each float is then taken exactly.
+    """
+    table, products = _gap_products(d, n)
     a = _exponent(alpha)
-    return WeightVector(d, n, {parts: _raised(prod, a) for parts, prod in products.items()})
+    if a.denominator == 1:
+        return WeightVector.from_table(d, n, table, [p**a.numerator for p in products])
+    x = float(a)
+    return WeightVector.from_table(d, n, table, *_exact_ratios([float(p) ** x for p in products]))
 
 
 def uniform_weights(d: int, n: int) -> WeightVector:

@@ -344,6 +344,19 @@ class TestOptimal:
         assert code == EXIT_OK
         assert calls == [(3, 30), (3, 30)]
 
+    def test_coefficients_are_the_eigenvector_floats_exactly(self, capsys):
+        from sud_estimate.spectral import build_incidence, max_eigenpair
+
+        code, payload, _ = run_json(capsys, "optimal", "-d", "3", "-N", "30", "--no-timestamp")
+        assert code == EXIT_OK
+        result = max_eigenpair(build_incidence(3, 30))
+        want = {
+            tuple(parts): Fraction(x)
+            for parts, x in zip(result._columns.tolist(), result._vector.tolist()) if x > 0
+        }
+        got = {tuple(rec["parts"]): Fraction(rec["weight"]) for rec in payload["coefficients"]}
+        assert got == want
+
     def test_csv_lists_coefficients(self, capsys):
         code, out, _ = run(
             capsys, "optimal", "-d", "2", "-N", "5", "--format", "csv"
@@ -446,6 +459,21 @@ class TestParser:
             main(argv)
         assert exc.value.code == EXIT_INFEASIBLE
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "-d", "2", "--n-max", "2", "--points", "0"], "--points: must be >= 1"),
+            (["sweep", "-d", "2", "-N", "3:5", "--workers", "0"], "--workers: must be >= 1"),
+            (["sweep", "-d", "2", "-N", "3:5", "--workers", "-1"], "--workers: must be >= 1"),
+            (["verify", "-d", "2", "--n-max", "-1"], "--n-max: must be >= 0"),
+        ],
+    )
+    def test_count_out_of_range_is_usage_error_naming_the_flag(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INFEASIBLE
+        assert f"argument {message}" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -79,6 +79,12 @@ class TestExactRisk:
         with pytest.raises(EmptySupportError):
             exact_risk(2, 2, WeightVector(2, 2, {}))
 
+    def test_scores_the_integer_form_without_building_entries(self):
+        w = product_weights(3, 600)
+        b = exact_risk(3, 600, w)
+        assert "entries" not in vars(w)
+        assert b.risk == 1 - b.numerator / (9 * w.norm_sq)
+
     def test_level_mismatch_raises(self):
         with pytest.raises(ValueError):
             exact_risk(2, 4, product_weights(2, 5))
@@ -137,6 +143,27 @@ class TestBoxRemoval:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_every_row_has_a_parent(self):
+        # exact_risk sums each CSR row with np.add.reduceat, which returns a
+        # wrong value for an empty segment instead of zero
+        for d in range(1, 7):
+            for n in range(13):
+                assert np.diff(_box_removal(d, n).matrix.indptr).min() >= 1, (d, n)
+
+    @pytest.mark.parametrize(
+        "d, n, scheme", [(2, 400, "power:60"), (3, 30, "product"), (4, 12, "optimal")]
+    )
+    def test_numerator_matches_reference_loop(self, d, n, scheme):
+        # power:60 coefficients reach 200^60, far beyond int64
+        w = scheme_weights(scheme, d, n)
+        b = reference_incidence(d, n)
+        cols = enumerate_partitions(d, n)
+        sums = [
+            sum(w.coefficient(cols[j]) for j in b.indices[b.indptr[r] : b.indptr[r + 1]])
+            for r in range(b.shape[0])
+        ]
+        assert exact_risk(d, n, w).numerator == sum(s * s for s in sums)
 
     def test_tables_and_strict_mask(self):
         s = _box_removal(3, 9)

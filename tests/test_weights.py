@@ -1,10 +1,13 @@
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import weight_vector_st
 from sud_estimate import partitions
@@ -102,6 +105,36 @@ class TestWeightVector:
         exact_risk(3, 600, w)
         assert len(w.entries) == 29701
         assert len(calls) <= 3
+
+    @given(weight_vector_st(), st.integers(1, 12))
+    def test_mapping_and_table_routes_agree(self, data, extra):
+        d, n, entries = data
+        w = WeightVector(d, n, entries)
+        scale = math.lcm(*(Fraction(v).denominator for v in entries.values())) * extra
+        table = np.array(list(entries), dtype=np.int64)
+        numerators = [int(Fraction(v) * scale) for v in entries.values()]
+        v = WeightVector.from_table(d, n, table, numerators, scale)
+        assert v == w
+        assert v.entries == w.entries == {p: Fraction(c) for p, c in entries.items() if c}
+        assert v.norm_sq == w.norm_sq
+        assert v.denominator == w.denominator
+        assert math.gcd(v.denominator, *v.numerators) == 1
+
+    def test_table_route_sorts_rows_and_rejects_a_repeated_row(self):
+        table = np.array([[3, 2], [4, 1]])
+        assert WeightVector.from_table(2, 5, table, [2, 3]) == product_weights(2, 5)
+        with pytest.raises(ValueError, match="appears twice"):
+            WeightVector.from_table(2, 5, np.array([[4, 1], [4, 1]]), [1, 1])
+
+    @pytest.mark.parametrize("alpha", [0, 1, 3])
+    def test_named_schemes_equal_their_mapping(self, alpha):
+        w = power_weights(3, 14, alpha)
+        table = partitions.partition_table(3, 14, strict=True)
+        mapped = {
+            tuple(parts): power_gap_weight(parts, alpha) for parts in table.tolist()
+        }
+        assert w == WeightVector(3, 14, mapped)
+        assert "entries" not in vars(w)
 
     def test_squared_weights_example(self):
         w = WeightVector(2, 5, {(4, 1): Fraction(3), (3, 2): Fraction(2)})
