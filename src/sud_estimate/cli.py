@@ -28,7 +28,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .asymptotics import exact_constant
@@ -49,16 +48,12 @@ from .errors import (
 from .partitions import enumerate_partitions
 from .risk import curve_to_csv, exact_risk, expansion_diagnostics, risk_curve
 from .spectral import optimality_gap
-from .weights import save_weights, scheme_weights, weights_to_json
+from .weights import fraction_text, int_text, save_weights, scheme_weights, weights_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
-
-
-def _fr(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_range(text: str) -> list[int]:
@@ -100,8 +95,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if callable(value):
             continue
-        if isinstance(value, Fraction):
-            value = _fr(value)
         if isinstance(value, collections.abc.Sequence) and not isinstance(value, str):
             value = list(value)
         out[key] = value
@@ -144,16 +137,16 @@ def _cmd_risk(args) -> int:
     w = scheme_weights(args.scheme, args.d, args.n, tol=args.tol)
     breakdown = exact_risk(args.d, args.n, w)
     body = {
-        "risk": _fr(breakdown.risk),
+        "risk": fraction_text(breakdown.risk),
         "risk_float": float(breakdown.risk),
         "n2_risk": args.n * args.n * float(breakdown.risk),
-        "numerator": _fr(breakdown.numerator),
-        "norm_sq": _fr(breakdown.norm_sq),
+        "numerator": fraction_text(breakdown.numerator),
+        "norm_sq": fraction_text(breakdown.norm_sq),
         "support_size": len(w.numerators),
     }
     if args.terms:
         body["numerator_terms"] = [
-            {"parts": list(parts), "value": _fr(value)}
+            {"parts": list(parts), "value": fraction_text(value)}
             for parts, value in breakdown.numerator_terms.items()
         ]
     if args.format == "csv":
@@ -161,7 +154,7 @@ def _cmd_risk(args) -> int:
             _csv_rows(
                 ["d", "N", "scheme", "risk_num", "risk_den", "risk_float"],
                 [[args.d, args.n, args.scheme,
-                  breakdown.risk.numerator, breakdown.risk.denominator,
+                  int_text(breakdown.risk.numerator), int_text(breakdown.risk.denominator),
                   repr(float(breakdown.risk))]],
             ),
             end="",
@@ -192,7 +185,7 @@ def _cmd_sweep(args) -> int:
     for p in curve.points:
         row = {"N": p.n, "risk_float": p.risk_float, "n2_risk": p.n2_risk}
         if p.risk is not None:
-            row["risk"] = _fr(p.risk)
+            row["risk"] = fraction_text(p.risk)
         rows.append(row)
     body = {
         "scheme": curve.scheme,
@@ -220,12 +213,12 @@ def _cmd_constant(args) -> int:
         return EXIT_OK
     body = {
         "d": args.d,
-        "exact": _fr(report.exact),
+        "exact": fraction_text(report.exact),
         "float": float(report.exact),
-        "numerator_integral": _fr(report.numerator_integral),
-        "denominator_integral": _fr(report.denominator_integral),
+        "numerator_integral": fraction_text(report.numerator_integral),
+        "denominator_integral": fraction_text(report.denominator_integral),
         "riemann": [
-            {"N": n, "value": float(v), "exact": _fr(v)}
+            {"N": n, "value": float(v), "exact": fraction_text(v)}
             for n, v in report.riemann_estimates
         ],
     }
@@ -254,7 +247,7 @@ def _cmd_optimal(args) -> int:
         "residual": result.residual,
         "full_optimal_risk": gap.risk_optimal,
         "strict_optimal_risk": gap.risk_optimal_strict,
-        "product_risk": _fr(gap.risk_product) if gap.risk_product is not None else None,
+        "product_risk": fraction_text(gap.risk_product) if gap.risk_product is not None else None,
         "product_gap": gap.gap,
         "coefficients": coeffs,
     }

@@ -14,7 +14,8 @@ achievable deficit is what drives the 1/N^2 estimation rate.
 The inner sums are the entries of B c, where B is the 0/1 box-removal
 incidence matrix between the partitions of level N+1 and level N, so the
 numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
-:class:`IncidenceStructure`, which also serves the spectral optimum.  The
+:class:`IncidenceStructure`, which also serves the spectral optimum; its
+matrix is a :class:`BoxMatrix`, a 0/1 CSR form in plain numpy.  The
 risk is computed in one arithmetic: Python ints on the scheme's integer form
 (numerators over a common denominator), giving an exact rational;
 ``float_risk`` is its nearest float.  Whole-table reductions over object
@@ -26,20 +27,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import EmptySumError, EmptySupportError
 from .partitions import partition_table
-from .weights import Scheme, WeightVector, parse_scheme, scheme_weights
+from .weights import Scheme, WeightVector, int_text, parse_scheme, scheme_weights
 
 __all__ = [
+    "BoxMatrix",
     "IncidenceStructure",
     "RiskBreakdown",
     "exact_risk",
@@ -85,6 +85,52 @@ class RiskBreakdown:
 
 
 @dataclass(frozen=True)
+class BoxMatrix:
+    """A 0/1 matrix in CSR form: row r has its ones in the columns
+    ``indices[indptr[r]:indptr[r + 1]]`` (int64 arrays).
+
+    Both products sum each output entry in CSR order, row by row, which is
+    the order of a compressed-row product and of one on the transposed
+    matrix converted back to rows.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B x."""
+        return np.bincount(self.entry_rows, x[self.indices], self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """B^T y."""
+        return np.bincount(self.indices, y[self.entry_rows], self.shape[1])
+
+    def take_columns(self, keep: np.ndarray) -> BoxMatrix:
+        """The columns ``keep`` (increasing), renumbered from 0; entries keep their order.
+
+        Rows may lose every entry; the row pointer counts the kept entries
+        per row, so such rows stay empty.
+        """
+        renumber = np.full(self.shape[1], -1, dtype=np.int64)
+        renumber[keep] = np.arange(len(keep))
+        columns = renumber[self.indices]
+        kept = columns >= 0
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(self.entry_rows[kept], minlength=self.shape[0]), out=indptr[1:])
+        return BoxMatrix((self.shape[0], len(keep)), indptr, columns[kept])
+
+
+@dataclass(frozen=True)
 class IncidenceStructure:
     """Box-removal incidence B between the partitions of level N+1 and level N.
 
@@ -101,7 +147,7 @@ class IncidenceStructure:
     support: str
     child_table: np.ndarray
     parent_table: np.ndarray
-    matrix: csr_matrix
+    matrix: BoxMatrix
 
     @cached_property
     def strict(self) -> np.ndarray:
@@ -117,10 +163,10 @@ class IncidenceStructure:
         return tuple(map(tuple, self.parent_table.tolist()))
 
     def row_degrees(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel().astype(int)
+        return np.diff(self.matrix.indptr)
 
     def col_degrees(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=0)).ravel().astype(int)
+        return np.bincount(self.matrix.indices, minlength=self.matrix.shape[1])
 
 
 def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -155,10 +201,7 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     parent[np.arange(len(row)), row] -= 1
     indptr = np.zeros(len(children) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(removable, axis=1), out=indptr[1:])
-    matrix = csr_matrix(
-        (np.ones(len(parent)), _locate(parents, parent), indptr),
-        shape=(len(children), len(parents)),
-    )
+    matrix = BoxMatrix((len(children), len(parents)), indptr, _locate(parents, parent))
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 
@@ -371,6 +414,8 @@ def risk_curve(
     label = parse_scheme(scheme).label()
     jobs = [(d, n, label, exact) for n in sorted(set(int(n) for n in n_values))]
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only multi-process sweeps pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_curve_point, jobs))
     else:
@@ -391,7 +436,7 @@ def curve_to_csv(curve: RiskCurve) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "risk_num", "risk_den", "risk_float", "N2_risk"])
     for p in curve.points:
-        num = p.risk.numerator if p.risk is not None else ""
-        den = p.risk.denominator if p.risk is not None else ""
+        num = int_text(p.risk.numerator) if p.risk is not None else ""
+        den = int_text(p.risk.denominator) if p.risk is not None else ""
         writer.writerow([p.n, num, den, repr(p.risk_float), repr(p.n2_risk)])
     return buf.getvalue()

@@ -17,8 +17,9 @@ once each per step, on a basis of fixed size with full
 reorthogonalisation.  It starts from the all-ones vector, which has positive
 overlap with the nonnegative leading eigenvector, and returns only a pair
 that passes a residual certificate ||A v - theta v|| <= tol * theta
-recomputed on the final nonnegative vector.  Plain numpy, so importing the
-package loads no scipy.linalg.
+recomputed on the final nonnegative vector.  Plain numpy throughout: B is
+the :class:`~sud_estimate.risk.BoxMatrix` of the box-removal structure, and
+its two products are bincounts.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-
-from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, EmptySupportError
 from .risk import IncidenceStructure, _box_removal, exact_risk
@@ -58,7 +57,7 @@ def _restrict(structure: IncidenceStructure, support: str) -> IncidenceStructure
         )
     return IncidenceStructure(
         structure.d, structure.level, support, structure.child_table,
-        structure.parent_table[keep], structure.matrix[:, keep],
+        structure.parent_table[keep], structure.matrix.take_columns(keep),
     )
 
 
@@ -103,9 +102,7 @@ _BASIS_SIZE = 20
 _KEPT = 10
 
 
-def _certified(
-    structure: IncidenceStructure, bt: csr_matrix, v: np.ndarray, iterations: int
-) -> SpectralResult:
+def _certified(structure: IncidenceStructure, v: np.ndarray, iterations: int) -> SpectralResult:
     """Nonnegative unit vector from a Ritz vector, with its own residual.
 
     The leading eigenvector is nonnegative up to sign, so ``|v|`` is that
@@ -113,7 +110,8 @@ def _certified(
     """
     v = np.abs(v)
     v /= np.linalg.norm(v)
-    w = bt @ (structure.matrix @ v)
+    b = structure.matrix
+    w = b.rmatvec(b @ v)
     theta = float(v @ w)
     residual = float(np.linalg.norm(w - theta * v))
     return SpectralResult(
@@ -154,7 +152,6 @@ def max_eigenpair(
         raise EmptySupportError(
             f"incidence form is identically zero at level {structure.level}"
         )
-    bt = b.T.tocsr()
     ncols = b.shape[1]
     size = min(_BASIS_SIZE, ncols)
     basis = np.empty((size + 1, ncols))
@@ -165,7 +162,7 @@ def max_eigenpair(
 
     def ritz(k: int) -> SpectralResult:
         _, vectors = np.linalg.eigh(projected[:k, :k])
-        return _certified(structure, bt, vectors[:, -1] @ basis[:k], iterations)
+        return _certified(structure, vectors[:, -1] @ basis[:k], iterations)
 
     while True:
         for j in range(first, size):
@@ -176,7 +173,7 @@ def max_eigenpair(
                     f"{max_iterations} applications (last residual {best.residual:.3e})",
                     best=best,
                 )
-            w = bt @ (b @ basis[j])
+            w = b.rmatvec(b @ basis[j])
             iterations += 1
             h = basis[: j + 1] @ w
             w -= h @ basis[: j + 1]

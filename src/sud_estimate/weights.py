@@ -23,6 +23,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -346,14 +347,29 @@ def scheme_weights(spec: str | Scheme, d: int, n: int, *, tol: float = 1e-12) ->
     raise ValueError(f"unknown scheme kind {scheme.kind!r}")
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def int_text(value: int) -> str:
+    """Decimal digits of an int the package computed, however many there are.
+
+    ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
+    digits (4,300 by default), a guard against slow parsing of untrusted
+    text; the exact conversion through ``Decimal`` has no such limit but
+    is slower on small ints.  Parsing user input keeps the limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def fraction_text(value: Fraction) -> str:
+    """``num/den``, exact at any size."""
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
 def weights_to_json(w: WeightVector) -> list[dict]:
     """Serialisable form: one record per support partition, canonical order."""
     return [
-        {"parts": list(parts), "weight": _fraction_str(value)}
+        {"parts": list(parts), "weight": fraction_text(value)}
         for parts, value in w.entries.items()
     ]
 

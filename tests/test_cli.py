@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from sud_estimate.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from sud_estimate.weights import load_weights
+from sud_estimate.risk import exact_risk, risk_curve
+from sud_estimate.weights import load_weights, scheme_weights
 
 
 def run(capsys, *argv):
@@ -26,6 +28,32 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+# Python's limit on int <-> decimal string conversion (3.11+, and 3.10.7+)
+DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+def big_int(text: str) -> int:
+    """Parse a decimal of any length, lifting the digit limit for this call only."""
+    if not DIGIT_LIMIT:
+        return int(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def big_fraction(text: str) -> tuple[int, int]:
+    num, den = text.split("/")
+    return big_int(num), big_int(den)
+
+
+# power:5000 at d=2 N=5 has an exact risk of 4,772 digits over 4,772, beyond
+# the 4,300 digits that str() of an int allows by default
+HUGE = "power:5000"
 
 
 class TestRisk:
@@ -101,6 +129,33 @@ class TestRisk:
         assert error["type"] == "ValueError"
         assert names in error["error"]
 
+    def test_rational_beyond_the_digit_limit_is_printed_exactly(self, capsys):
+        want = exact_risk(2, 5, scheme_weights(HUGE, 2, 5)).risk
+        assert want.denominator.bit_length() > 4300 * math.log2(10)  # past the limit
+        code, payload, err = run_json(capsys, "risk", "-d", "2", "-N", "5", "--scheme", HUGE,
+                                      "--no-timestamp")
+        assert code == EXIT_OK, err
+        assert big_fraction(payload["risk"]) == (want.numerator, want.denominator)
+        assert payload["risk_float"] == float(want)
+
+    def test_csv_rational_beyond_the_digit_limit_is_printed_exactly(self, capsys):
+        want = exact_risk(2, 5, scheme_weights(HUGE, 2, 5)).risk
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5", "--scheme", HUGE,
+                             "--format", "csv")
+        assert code == EXIT_OK, err
+        row = out.splitlines()[1].split(",")
+        assert row[:3] == ["2", "5", HUGE]
+        assert (big_int(row[3]), big_int(row[4])) == (want.numerator, want.denominator)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python has no int digit limit")
+    def test_exponent_beyond_the_digit_limit_is_refused(self, capsys):
+        # user input keeps Python's parsing limit
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5",
+                             "--scheme", "power:" + "1" * 5000)
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "bad exponent" in json.loads(err)["error"]
+
     def test_timestamp_present_by_default(self, capsys):
         _, payload, _ = run_json(capsys, "risk", "-d", "2", "-N", "5")
         assert "generated_at" in payload
@@ -171,6 +226,20 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert payload["fit"]["window"] == [390, 400]
+
+    def test_rationals_beyond_the_digit_limit_are_printed_exactly(self, capsys):
+        want = {p.n: p.risk for p in risk_curve(2, range(3, 10), HUGE, exact=True).points}
+        code, payload, err = run_json(capsys, "sweep", "-d", "2", "-N", "3:9", "--scheme", HUGE,
+                                      "--exact", "--no-timestamp")
+        assert code == EXIT_OK, err
+        got = {row["N"]: big_fraction(row["risk"]) for row in payload["rows"]}
+        assert got == {n: (r.numerator, r.denominator) for n, r in want.items()}
+        code, out, err = run(capsys, "sweep", "-d", "2", "-N", "3:9", "--scheme", HUGE,
+                             "--exact", "--format", "csv")
+        assert code == EXIT_OK, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        got = {int(row[0]): (big_int(row[1]), big_int(row[2])) for row in rows}
+        assert got == {n: (r.numerator, r.denominator) for n, r in want.items()}
 
     def test_fully_infeasible_range_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "-d", "3", "-N", "1:4")

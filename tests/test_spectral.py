@@ -1,3 +1,5 @@
+import ast
+import json
 import math
 import os
 import subprocess
@@ -6,11 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import block_diag
 
 from sud_estimate.errors import ConvergenceError, EmptySupportError
 from sud_estimate.partitions import enumerate_partitions, partition_table, removable_rows
-from sud_estimate.risk import exact_risk
+from sud_estimate.risk import BoxMatrix, exact_risk
 from sud_estimate.spectral import (
     IncidenceStructure,
     build_incidence,
@@ -19,6 +20,13 @@ from sud_estimate.spectral import (
     optimality_gap,
 )
 from sud_estimate.weights import product_weights
+
+
+def dense(b: BoxMatrix) -> np.ndarray:
+    """The 0/1 matrix as a dense array, read from its CSR arrays."""
+    out = np.zeros(b.shape)
+    out[np.repeat(np.arange(b.shape[0]), np.diff(b.indptr)), b.indices] = 1.0
+    return out
 
 
 class TestIncidence:
@@ -47,6 +55,32 @@ class TestIncidence:
     def test_bad_support_name(self):
         with pytest.raises(ValueError):
             build_incidence(2, 5, "everything")
+
+
+class TestBoxMatrix:
+    @pytest.mark.parametrize(
+        "d, n", [(2, 5), (2, 40), (3, 6), (3, 17), (4, 10), (4, 15), (5, 15), (5, 19)]
+    )
+    def test_products_equal_dense_products(self, d, n):
+        full = build_incidence(d, n, "full")
+        strict = build_incidence(d, n, "strict")
+        rng = np.random.default_rng(1000 * d + n)
+        for s in (full, strict):
+            b = s.matrix
+            want = dense(b)
+            assert b.shape == (len(s.rows), len(s.cols))
+            assert b.nnz == int(want.sum())
+            # integer values: every sum is exact whatever its order
+            x = rng.integers(-50, 50, b.shape[1]).astype(float)
+            y = rng.integers(-50, 50, b.shape[0]).astype(float)
+            assert np.array_equal(b @ x, want @ x)
+            assert np.array_equal(b.rmatvec(y), want.T @ y)
+        assert np.count_nonzero(np.diff(strict.matrix.indptr) == 0) > 0
+        keep = np.flatnonzero(full.strict)
+        assert np.array_equal(dense(strict.matrix), dense(full.matrix)[:, keep])
+        # each row keeps its entries in their order, so sums keep their order
+        kept = np.isin(full.matrix.indices, keep)
+        assert np.array_equal(keep[strict.matrix.indices], full.matrix.indices[kept])
 
 
 class TestMaxEigenpair:
@@ -78,18 +112,23 @@ class TestMaxEigenpair:
     def test_tied_blocks_give_nonnegative_certified_vector(self):
         # two identical components tie for the top eigenvalue
         block = build_incidence(2, 6, "full").matrix
-        parents = partition_table(3, 7)[: 2 * block.shape[1]]
-        children = partition_table(3, 8)[: 2 * block.shape[0]]
-        s = IncidenceStructure(
-            3, 7, "full", children, parents, block_diag([block, block]).tocsr()
+        nrows, ncols = block.shape
+        pair = BoxMatrix(
+            (2 * nrows, 2 * ncols),
+            np.concatenate([block.indptr, block.indptr[1:] + block.nnz]),
+            np.concatenate([block.indices, block.indices + ncols]),
         )
+        parents = partition_table(3, 7)[: 2 * ncols]
+        children = partition_table(3, 8)[: 2 * nrows]
+        s = IncidenceStructure(3, 7, "full", children, parents, pair)
         cols = s.cols
         r = max_eigenpair(s)
         assert r.eigmax == pytest.approx(4 * math.cos(math.pi / 9) ** 2, abs=1e-12)
         assert len(r.eigvec.entries) == len(cols)
         assert all(v > 0 for v in r.eigvec.entries.values())
         v = np.array([float(r.eigvec.coefficient(p)) for p in cols])
-        av = s.matrix.T @ (s.matrix @ v)
+        b = dense(s.matrix)
+        av = b.T @ (b @ v)
         assert np.linalg.norm(av - r.eigmax * v) <= 2e-12 * r.eigmax
         assert r.residual <= 1e-12 * r.eigmax
 
@@ -104,7 +143,8 @@ class TestMaxEigenpair:
         r = max_eigenpair(s, tol=1e-12)
         v = np.array([float(r.eigvec.coefficient(p)) for p in s.cols])
         v /= np.linalg.norm(v)
-        av = s.matrix.T @ (s.matrix @ v)
+        b = dense(s.matrix)
+        av = b.T @ (b @ v)
         assert np.linalg.norm(av - r.eigmax * v) <= 2e-12 * r.eigmax
         assert r.residual <= 1e-12 * r.eigmax
 
@@ -116,8 +156,8 @@ class TestMaxEigenpair:
     def test_matches_dense_eigensolver(self):
         for d, n in [(2, 8), (3, 7)]:
             s = build_incidence(d, n, "full")
-            dense = (s.matrix.T @ s.matrix).toarray()
-            want = max(np.linalg.eigvalsh(dense))
+            b = dense(s.matrix)
+            want = max(np.linalg.eigvalsh(b.T @ b))
             got = max_eigenpair(s).eigmax
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -198,20 +238,34 @@ def test_partition_order_matches_enumeration():
     assert list(s.rows) == enumerate_partitions(3, 6)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def test_import_loads_no_dense_or_sparse_linalg():
-    # scipy.linalg and scipy.sparse.linalg cost several MiB and ~0.1 s per process
-    root = Path(__file__).resolve().parent.parent
+    # scipy.sparse costs about 0.3 s and 20 MiB per process and the process
+    # pool ~36 ms; only a multi-process sweep needs the pool
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     code = (
-        "import sys, sud_estimate.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m in ('scipy.linalg', 'scipy.sparse.linalg')))"
+        "import json, sys, sud_estimate.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    loaded = json.loads(result.stdout)
+    assert [m for m in loaded if m in ("scipy.linalg", "scipy.sparse.linalg")] == []
+    assert [m for m in loaded if m.startswith(("scipy", "concurrent.futures", "multiprocessing"))] == []
+
+
+def test_package_imports_no_scipy():
+    for path in sorted((SRC / "sud_estimate").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in modules), (path.name, ast.dump(node))
