@@ -352,13 +352,10 @@ def int_text(value: int) -> str:
 
     ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
     digits (4,300 by default), a guard against slow parsing of untrusted
-    text; the exact conversion through ``Decimal`` has no such limit but
-    is slower on small ints.  Parsing user input keeps the limit.
+    text; an int converts to ``Decimal`` exactly, with exponent 0, and
+    prints as plain digits at any size.  Parsing user input keeps the limit.
     """
-    try:
-        return str(value)
-    except ValueError:
-        return str(Decimal(value))
+    return str(Decimal(value))
 
 
 def fraction_text(value: Fraction) -> str:

@@ -15,6 +15,7 @@ from sud_estimate.errors import EmptySupportError
 from sud_estimate.risk import exact_risk
 from sud_estimate.weights import (
     WeightVector,
+    int_text,
     load_weights,
     normalize,
     parse_scheme,
@@ -212,6 +213,20 @@ class TestSchemes:
 
 
 class TestSerialization:
+    def test_int_text_prints_plain_digits_at_any_size(self):
+        values = [0, 1, -1, 9, 10, 10**30, -(10**18), 2**63, 10**4299 - 1, -(10**4299)]
+        assert [int_text(v) for v in values] == [str(v) for v in values]
+        big = -(7**6000)  # 5,071 digits, past Python's default limit of 4,300
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = str(big)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert int_text(big) == expected
+
     def test_round_trip(self):
         w = product_weights(2, 7)
         back = weights_from_json(weights_to_json(w))
