@@ -9,7 +9,6 @@ oracle built on Haar-measure quadrature.
 
 from .asymptotics import (
     ConstantReport,
-    constant_vs_risk_consistency,
     exact_constant,
     riemann_constant,
 )
@@ -31,13 +30,8 @@ from .errors import (
 )
 from .partitions import (
     enumerate_partitions,
-    gap_vector,
-    irrep_info,
     partition_table,
     pieri_add,
-    removable_rows,
-    syt_count,
-    weyl_dimension,
 )
 from .risk import (
     ExpansionDiagnostics,
@@ -56,7 +50,6 @@ from .spectral import (
 )
 from .weights import (
     WeightVector,
-    normalize,
     power_weights,
     product_weights,
     scheme_weights,
@@ -80,17 +73,13 @@ __all__ = [
     "TorusPoint",
     "WeightVector",
     "build_incidence",
-    "constant_vs_risk_consistency",
     "enumerate_partitions",
     "exact_constant",
     "exact_risk",
     "expansion_diagnostics",
     "float_risk",
-    "gap_vector",
     "haar_quadrature",
-    "irrep_info",
     "max_eigenpair",
-    "normalize",
     "optimal_weights",
     "optimality_gap",
     "orthogonality_defect",
@@ -100,12 +89,9 @@ __all__ = [
     "power_weights",
     "product_weights",
     "quadrature_risk",
-    "removable_rows",
     "riemann_constant",
     "risk_curve",
     "scheme_weights",
     "schur_eval",
-    "syt_count",
     "uniform_weights",
-    "weyl_dimension",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "TorusPoint",
     "random_torus_points",
     "schur_eval",
-    "su_equivalent",
     "QuadratureRule",
     "haar_quadrature",
     "min_resolution",
@@ -89,14 +88,6 @@ def random_torus_points(d: int, count: int, seed: int = 0) -> list[TorusPoint]:
     rng = np.random.default_rng(seed)
     draws = rng.uniform(0.0, 2.0 * math.pi, size=(count, d - 1))
     return [TorusPoint(tuple(row)) for row in draws]
-
-
-def su_equivalent(a, b) -> bool:
-    """True when two partitions differ by full columns (same SU(d) irrep)."""
-    a = check_partition(a)
-    b = check_partition(b, len(a))
-    diffs = {x - y for x, y in zip(a, b)}
-    return len(diffs) == 1
 
 
 def _eigenvalue_matrix(angles: np.ndarray) -> np.ndarray:
@@ -178,8 +169,7 @@ class QuadratureRule:
     ``eigenvalues``.  Character products need no density: |Delta|^2 cancels
     the denominators, so ``inner_product`` sums alternants times ``cell``.
     Exact for integrands whose per-angle frequency content stays below
-    ``resolution``.  Alternants and character values (Jacobi-Trudi, as in
-    ``schur_eval``) are cached per label.
+    ``resolution``.  Alternants are cached per label.
     """
 
     def __init__(self, d, resolution, angles, eigenvalues):
@@ -189,27 +179,17 @@ class QuadratureRule:
         self.eigenvalues = eigenvalues  # (n, d)
         self.cell = 1.0 / (math.factorial(d) * resolution ** (d - 1))
         self.weights = np.abs(_pair_product(eigenvalues)) ** 2 * self.cell  # (n,)
-        self._cache: dict[tuple, np.ndarray] = {}
-
-    @property
-    def nodes(self) -> tuple[TorusPoint, ...]:
-        return tuple(TorusPoint(tuple(row)) for row in self.angles)
+        self._alternants: dict[tuple[int, ...], np.ndarray] = {}
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
 
-    def _cached(self, parts, evaluate) -> np.ndarray:
-        key = (evaluate, check_partition(parts, self.d))
-        if key not in self._cache:
-            self._cache[key] = evaluate(key[1], self.eigenvalues)
-        return self._cache[key]
-
     def alternant(self, parts) -> np.ndarray:
         """a_(lambda+delta) at every node: chi_lambda times the Weyl denominator."""
-        return self._cached(parts, _alternant)
-
-    def character_values(self, parts) -> np.ndarray:
-        return self._cached(parts, _batch_schur)
+        t = check_partition(parts, self.d)
+        if t not in self._alternants:
+            self._alternants[t] = _alternant(t, self.eigenvalues)
+        return self._alternants[t]
 
     def inner_product(self, a, b) -> complex:
         """Haar inner product <chi_a, chi_b>; 1 on equivalent labels, else 0."""

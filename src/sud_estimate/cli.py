@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--support", choices=("full", "strict"), default="full")
-    p.add_argument("--max-iterations", type=int, default=10**6,
+    p.add_argument("--max-iterations", type=_int_at_least(1), default=10**6,
                    help="cap on applications of B^T B before giving up")
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the optimal coefficients as a weights JSON file")

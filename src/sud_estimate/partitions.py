@@ -5,38 +5,22 @@ zeros kept, so the tuple length always equals d).  Its level is the total
 number of boxes.  Row indices are 1-based throughout, matching the usual
 Young-diagram convention, so ``e_i`` means "add one box to row i".
 
-Two integers are attached to each partition at level N:
-
-* ``weyl_dimension`` -- the dimension of the SU(d) irrep with that highest
-  weight,
-* ``syt_count`` -- the number of standard Young tableaux of the shape, which
-  by Schur-Weyl duality is the multiplicity of the irrep inside the N-fold
-  tensor power of the defining representation.
-
-Both are computed in exact integer arithmetic.
+The partitions of one level form a (k, d) int64 table in the canonical
+lexicographically descending order (``partition_table``); scheme builds, box
+removal and the character oracle read it, and ``enumerate_partitions`` lists
+its rows as tuples.  ``pieri_add`` gives the children of one partition.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "check_partition",
     "level",
-    "gap_vector",
-    "parts_from_gaps",
-    "is_strict",
     "partition_table",
     "enumerate_partitions",
-    "weyl_dimension",
-    "syt_count",
     "pieri_add",
-    "removable_rows",
-    "IrrepInfo",
-    "irrep_info",
 ]
 
 
@@ -66,34 +50,6 @@ def check_partition(parts, d: int | None = None) -> tuple[int, ...]:
 def level(parts) -> int:
     """Number of boxes."""
     return sum(parts)
-
-
-def gap_vector(parts) -> tuple[int, ...]:
-    """Successive row differences p_i = lambda_i - lambda_{i+1}.
-
-    The last row is compared against 0, so the result has the same length d
-    and satisfies sum(i * p_i for i = 1..d) == level(parts).
-    """
-    t = check_partition(parts)
-    return tuple(t[i] - (t[i + 1] if i + 1 < len(t) else 0) for i in range(len(t)))
-
-
-def parts_from_gaps(gaps) -> tuple[int, ...]:
-    """Inverse of :func:`gap_vector`: lambda_i = p_i + p_{i+1} + ... + p_d."""
-    gaps = tuple(gaps)
-    if any(g < 0 for g in gaps):
-        raise ValueError(f"gaps must be nonnegative: {gaps}")
-    tail = 0
-    parts = []
-    for g in reversed(gaps):
-        tail += g
-        parts.append(tail)
-    return tuple(reversed(parts))
-
-
-def is_strict(parts) -> bool:
-    """True if all rows are strictly decreasing and the last row is positive."""
-    return all(g >= 1 for g in gap_vector(parts))
 
 
 def partition_table(d: int, n: int, strict: bool = False) -> np.ndarray:
@@ -144,55 +100,6 @@ def enumerate_partitions(d: int, n: int, strict: bool = False) -> list[tuple[int
     return list(map(tuple, partition_table(d, n, strict).tolist()))
 
 
-def weyl_dimension(parts, d: int | None = None) -> int:
-    """Dimension of the SU(d) irrep labelled by ``parts``.
-
-    Computed from the Weyl dimension formula
-    prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i), which is an exact
-    integer; adding a full column (+1 to every row) does not change it.
-    """
-    t = check_partition(parts, d)
-    m = len(t)
-    num = 1
-    den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= t[i] - t[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
-    if r:  # cannot happen for a valid partition
-        raise ValueError(f"non-integer dimension for {t}")
-    return q
-
-
-def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
-    if not shape:
-        return ()
-    return tuple(sum(1 for row in shape if row > j) for j in range(shape[0]))
-
-
-def syt_count(parts) -> int:
-    """Number of standard Young tableaux of the shape, via hook lengths.
-
-    Equals the multiplicity of the irrep inside the N-fold tensor power of
-    the defining representation (N = level).  The empty shape counts 1.
-    """
-    t = check_partition(parts)
-    shape = tuple(row for row in t if row > 0)
-    n = sum(shape)
-    if n == 0:
-        return 1
-    conj = _conjugate(shape)
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    q, r = divmod(math.factorial(n), hooks)
-    if r:
-        raise ValueError(f"hook product does not divide {n}! for {t}")
-    return q
-
-
 def pieri_add(parts, d: int | None = None) -> list[tuple[int, tuple[int, ...]]]:
     """Rows where one box can be added without leaving the partition lattice.
 
@@ -207,32 +114,3 @@ def pieri_add(parts, d: int | None = None) -> list[tuple[int, tuple[int, ...]]]:
             child = t[: i - 1] + (t[i - 1] + 1,) + t[i:]
             out.append((i, child))
     return out
-
-
-def removable_rows(parts, d: int | None = None) -> set[int]:
-    """Rows where one box can be removed: {i : lambda_i > lambda_{i+1}}.
-
-    1-based, with the convention lambda_{d+1} = 0.  Requires at least one
-    box.  The set has d elements iff the partition is strictly decreasing
-    with positive last row.
-    """
-    t = check_partition(parts, d)
-    if sum(t) < 1:
-        raise ValueError("the zero partition has no removable box")
-    m = len(t)
-    return {i for i in range(1, m + 1) if t[i - 1] > (t[i] if i < m else 0)}
-
-
-@dataclass(frozen=True)
-class IrrepInfo:
-    """Dimension / multiplicity pair of one irrep inside the N-fold tensor power."""
-
-    parts: tuple[int, ...]
-    dimension: int
-    multiplicity: int
-
-
-def irrep_info(parts, d: int | None = None) -> IrrepInfo:
-    t = check_partition(parts, d)
-    return IrrepInfo(t, weyl_dimension(t), syt_count(t))
-

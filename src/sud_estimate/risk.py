@@ -154,20 +154,6 @@ class IncidenceStructure:
         t = self.parent_table
         return np.all(t[:, :-1] > t[:, 1:], axis=1) & (t[:, -1] > 0)
 
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.child_table.tolist()))
-
-    @cached_property
-    def cols(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.parent_table.tolist()))
-
-    def row_degrees(self) -> np.ndarray:
-        return np.diff(self.matrix.indptr)
-
-    def col_degrees(self) -> np.ndarray:
-        return np.bincount(self.matrix.indices, minlength=self.matrix.shape[1])
-
 
 def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Index of each row of ``queries`` in the canonical partition table ``table``.
@@ -268,10 +254,6 @@ class ExpansionDiagnostics:
     u1: Fraction
     t2: Fraction
     u2: Fraction
-
-    @property
-    def u2_minus_t2(self) -> Fraction:
-        return self.u2 - self.t2
 
     def risk_from_expansion(self) -> Fraction:
         """Exact reconstruction 1 - c_t(1+t1+t2) / (c_u(1+u1+u2)).

@@ -34,7 +34,6 @@ from .risk import IncidenceStructure, _box_removal, exact_risk
 from .weights import WeightVector, _exact_ratios, product_weights
 
 __all__ = [
-    "IncidenceStructure",
     "build_incidence",
     "SpectralResult",
     "max_eigenpair",
@@ -217,11 +216,11 @@ def optimal_weights(
 class OptimalityGap:
     """Gap-product risk against the spectral optima at the same level.
 
-    ``full`` and ``strict`` are the eigenpairs on the two supports.  When the
-    strict set is empty, ``strict`` and ``risk_product`` are None (the
-    gap-product scheme does not exist there); the full-support optimum always
-    exists.  ``support_gap`` = strict optimum - full optimum >= 0 measures how
-    much restricting to strict partitions costs.
+    ``full`` and ``strict`` are the eigenpairs on the two supports, the ones
+    the ``optimal`` command reports.  When the strict set is empty,
+    ``strict`` and ``risk_product`` are None (the gap-product scheme does not
+    exist there); the full-support optimum always exists.  ``gap`` is the
+    product risk minus the full-support optimum.
     """
 
     d: int
@@ -241,10 +240,6 @@ class OptimalityGap:
     @property
     def gap(self) -> float | None:
         return None if self.risk_product is None else float(self.risk_product) - self.risk_optimal
-
-    @property
-    def support_gap(self) -> float | None:
-        return None if self.strict is None else self.strict.optimal_risk - self.risk_optimal
 
 
 def optimality_gap(

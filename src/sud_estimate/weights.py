@@ -6,8 +6,9 @@ numerators over one common denominator on the support table (no Fraction per
 partition until one is asked for), and are deliberately left unnormalised:
 every risk expression downstream is a ratio of quadratic forms in c, so
 dividing by the squared norm on the way out is exact, whereas rescaling the
-coefficients themselves to unit Euclidean norm would require square roots.  The squared-weight view ``squared_weights`` is
-the exactly normalised object (it sums to 1 in rational arithmetic).
+coefficients themselves to unit Euclidean norm would require square roots.
+Only the character oracle, which works in floating point anyway, asks for
+unit-norm coefficients (``float_coefficients``).
 
 The scheme of main interest puts c(lambda) proportional to the product of the
 row gaps lambda_i - lambda_{i+1}; it vanishes off the strictly decreasing
@@ -32,16 +33,13 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptySupportError
-from .partitions import check_partition, gap_vector, level, partition_table
+from .partitions import check_partition, level, partition_table
 
 __all__ = [
     "WeightVector",
-    "product_gap_weight",
-    "power_gap_weight",
     "product_weights",
     "power_weights",
     "uniform_weights",
-    "normalize",
     "parse_scheme",
     "scheme_weights",
     "weights_to_json",
@@ -131,18 +129,9 @@ class WeightVector:
     def entries(self) -> dict[tuple[int, ...], Fraction]:
         return {p: Fraction(v, self.denominator) for p, v in zip(self.support, self.numerators)}
 
-    def coefficient(self, parts) -> Fraction:
-        return self.entries.get(tuple(parts), Fraction(0))
-
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.table.tolist()))
-
-    def squared_weights(self) -> dict[tuple[int, ...], Fraction]:
-        """Exactly normalised squared coefficients; they sum to 1."""
-        if not self.numerators:
-            raise EmptySupportError(f"no nonzero coefficient at level {self.level} for d={self.d}")
-        return {parts: v * v / self.norm_sq for parts, v in self.entries.items()}
 
     def float_coefficients(self) -> dict[tuple[int, ...], float]:
         """Coefficients scaled to unit Euclidean norm, as floats."""
@@ -150,13 +139,6 @@ class WeightVector:
             raise EmptySupportError(f"no nonzero coefficient at level {self.level} for d={self.d}")
         norm = math.sqrt(float(self.norm_sq))
         return {p: v / self.denominator / norm for p, v in zip(self.support, self.numerators)}
-
-    def scaled(self, factor) -> "WeightVector":
-        f = Fraction(factor)
-        if f <= 0:
-            raise ValueError(f"scale factor must be positive, got {f}")
-        return WeightVector.from_table(self.d, self.level, self.table, [
-            v * f.numerator for v in self.numerators], self.denominator * f.denominator)
 
 
 def _key_table(d: int, n: int, keys: list[tuple]) -> np.ndarray:
@@ -192,47 +174,6 @@ def _exact_ratios(values) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in ratios], scale
 
 
-def normalize(raw: WeightVector) -> WeightVector:
-    """Canonical rescaling: the largest coefficient becomes exactly 1.
-
-    Proportions are preserved, zeros stay zero, and the result is invariant
-    under positive rescaling of the input, so any two proportional weight
-    vectors normalise to the same object.  The exactly normalised view is
-    ``squared_weights`` which always sums to 1.  Raises
-    :class:`EmptySupportError` when every coefficient vanishes.
-    """
-    if not raw.numerators:
-        raise EmptySupportError(
-            f"cannot normalise an all-zero weight vector (d={raw.d}, level {raw.level})"
-        )
-    return raw.scaled(Fraction(raw.denominator, max(raw.numerators)))
-
-
-def product_gap_weight(parts) -> int:
-    """Product of the row gaps; zero unless the partition is strictly decreasing."""
-    return math.prod(gap_vector(parts))
-
-
-def _exponent(alpha) -> Fraction:
-    a = Fraction(alpha)
-    if a < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return a
-
-
-def power_gap_weight(parts, alpha) -> Fraction | float:
-    """(product of gaps) ** alpha on strict partitions, zero elsewhere.
-
-    Exact for integer alpha >= 0; other exponents fall back to floating
-    point.  alpha = 0 gives the uniform scheme on the strict set, alpha = 1
-    the plain gap product.
-    """
-    prod, a = product_gap_weight(parts), _exponent(alpha)
-    if prod and a.denominator != 1:
-        return float(prod) ** float(a)
-    return Fraction(prod) ** a.numerator if prod else Fraction(0)
-
-
 def _gap_products(d: int, n: int) -> tuple[np.ndarray, list[int]]:
     """The strict table of level n and the gap product of each row, in canonical order."""
     table = partition_table(d, n, strict=True)
@@ -254,15 +195,20 @@ def product_weights(d: int, n: int) -> WeightVector:
 def power_weights(d: int, n: int, alpha) -> WeightVector:
     """Gap-product-to-the-alpha coefficients on the strict partitions.
 
-    Exact for integer alpha; any other exponent is evaluated in floating
-    point and each float is then taken exactly.
+    Exact for integer alpha.  Any other exponent is evaluated in floating
+    point on the products divided by their maximum, each float then taken
+    exactly: a ratio in (0, 1] raised to alpha cannot overflow, and the
+    common factor changes only rounding because schemes are unnormalised.
+    A ratio that underflows to 0 leaves the support.
     """
     table, products = _gap_products(d, n)
-    a = _exponent(alpha)
+    a = Fraction(alpha)
+    if a < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if a.denominator == 1:
         return WeightVector.from_table(d, n, table, [p**a.numerator for p in products])
-    x = float(a)
-    return WeightVector.from_table(d, n, table, *_exact_ratios([float(p) ** x for p in products]))
+    x, top = float(a), max(products)
+    return WeightVector.from_table(d, n, table, *_exact_ratios([(p / top) ** x for p in products]))
 
 
 def uniform_weights(d: int, n: int) -> WeightVector:

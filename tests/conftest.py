@@ -2,12 +2,14 @@
 
 The oracles re-derive quantities from first principles (exhaustive
 enumeration, recursive tableau counting) so the fast implementations are
-checked against something that cannot share their bugs.
+checked against something that cannot share their bugs.  The Weyl dimension
+formula is itself checked against tableau enumeration in test_partitions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -66,6 +68,30 @@ def brute_syt(shape: tuple[int, ...]) -> int:
         if shape[i] and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
             total += brute_syt(shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
     return total
+
+
+def gap_vector(parts) -> tuple[int, ...]:
+    """Row gaps lambda_i - lambda_{i+1}, the last row compared with 0."""
+    return tuple(a - b for a, b in zip(parts, (*parts[1:], 0)))
+
+
+def is_strict(parts) -> bool:
+    """Strictly decreasing rows with a positive last row."""
+    return min(gap_vector(parts)) >= 1
+
+
+def removable_rows(parts) -> set[int]:
+    """1-based rows from which a box can be removed."""
+    return {i for i, g in enumerate(gap_vector(parts), start=1) if g > 0}
+
+
+def weyl_dimension(parts) -> int:
+    """SU(d) irrep dimension by the Weyl formula prod_{i<j} (l_i - l_j + j - i) / (j - i)."""
+    pairs = list(itertools.combinations(range(len(parts)), 2))
+    num = math.prod(parts[i] - parts[j] + j - i for i, j in pairs)
+    dimension, rest = divmod(num, math.prod(j - i for i, j in pairs))
+    assert rest == 0, parts
+    return dimension
 
 
 def brute_ssyt(shape: tuple[int, ...], d: int) -> int:

