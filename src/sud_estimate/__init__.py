@@ -19,7 +19,6 @@ from .characters import (
     orthogonality_defect,
     pieri_residual,
     quadrature_risk,
-    schur_eval,
 )
 from .errors import (
     ConvergenceError,
@@ -92,6 +91,5 @@ __all__ = [
     "riemann_constant",
     "risk_curve",
     "scheme_weights",
-    "schur_eval",
     "uniform_weights",
 ]

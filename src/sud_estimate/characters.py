@@ -1,4 +1,4 @@
-"""Character-theoretic oracle: Schur evaluation and Haar-measure quadrature.
+"""Character-theoretic oracle: alternants and Haar-measure quadrature.
 
 Everything the exact risk engine computes combinatorially can be recomputed
 analytically from SU(d) characters:
@@ -11,29 +11,30 @@ analytically from SU(d) characters:
 * the risk of a scheme has an integral form built from character products
   only, with no reference to box removal.
 
-A character at given points is the Jacobi-Trudi determinant
-det(h_(lambda_i - i + j)) of complete homogeneous polynomials, which divides
-by nothing and needs no special case where eigenvalues collide.
+The one evaluation primitive is the alternant
+a_(lambda+delta)(z) = det(z_i^(lambda_j + d - j)), batched over the rows of
+an eigenvalue matrix.  By the bialternant formula chi_lambda =
+a_(lambda+delta) / a_delta, and a_delta is the Weyl denominator, so every
+character identity checked here is multiplied through by a_delta and
+divides by nothing, even where eigenvalues collide.
 
-The quadrature is a tensor trapezoid rule on the torus.  By the bialternant
-formula chi_lambda = a_(lambda+delta) / a_delta, and the Weyl density is
-|a_delta|^2, so every Haar integral of character products is a plain sum of
-alternant products, with no character evaluated at all.  Every such
-integrand is a trigonometric polynomial, so the rule is exact (up to
-rounding) once the per-angle resolution exceeds the largest frequency;
-2(N + d + 1) + 1 points per angle cover every integrand this package
-produces at level N.  One rule at the highest level of a run serves every
-check and level below it.
+The quadrature is a tensor trapezoid rule on the torus.  The Weyl density
+is |a_delta|^2, so every Haar integral of character products is a plain sum
+of alternant products.  Every such integrand is a trigonometric polynomial,
+so the rule is exact (up to rounding) once the per-angle resolution exceeds
+the largest frequency; 2(N + d + 1) + 1 points per angle cover every
+integrand this package produces at level N.  One rule at the highest level
+of a run serves every check and level below it.
 
-Partitions differing by full columns label the same SU(d) irrep; characters
-evaluated here agree on such pairs because the eigenvalue product is 1.
+Partitions differing by full columns label the same SU(d) irrep; their
+alternants agree because the eigenvalue product is 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .weights import WeightVector
 __all__ = [
     "TorusPoint",
     "random_torus_points",
-    "schur_eval",
     "QuadratureRule",
     "haar_quadrature",
     "min_resolution",
@@ -71,10 +71,6 @@ class TorusPoint:
         object.__setattr__(self, "angles", angles)
 
     @property
-    def d(self) -> int:
-        return len(self.angles) + 1
-
-    @property
     def eigenphases(self) -> tuple[float, ...]:
         return self.angles + (-math.fsum(self.angles),)
 
@@ -96,90 +92,31 @@ def _eigenvalue_matrix(angles: np.ndarray) -> np.ndarray:
     return np.exp(1j * full)
 
 
-def _pair_product(z: np.ndarray) -> np.ndarray:
-    """Weyl denominator prod_{i<j} (z_i - z_j) per row."""
-    n, d = z.shape
-    out = np.ones(n, dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out *= z[:, i] - z[:, j]
-    return out
-
-
-def _staircase_exponents(parts: tuple[int, ...]) -> np.ndarray:
-    d = len(parts)
-    return np.array([parts[j] + d - 1 - j for j in range(d)], dtype=np.int64)
-
-
 def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     """a_(lambda+delta) = det(z_i^(lambda_j + d - j)) at every row of ``z``."""
-    return np.linalg.det(z[:, :, None] ** _staircase_exponents(parts)[None, None, :])
-
-
-def _h_table(z: np.ndarray, kmax: int) -> np.ndarray:
-    """h[k] = complete homogeneous polynomial h_k of each row of ``z``, k <= kmax.
-
-    Built one variable at a time by h_k(z_1..z_m) = h_k(z_1..z_{m-1})
-    + z_m * h_{k-1}(z_1..z_m), which never subtracts like terms; h_1 is the
-    row sum taken left to right.
-    """
-    h = np.zeros((kmax + 1, z.shape[0]), dtype=complex)
-    h[0] = 1.0
-    for column in z.T:
-        for k in range(1, kmax + 1):
-            h[k] += column * h[k - 1]
-    return h
-
-
-def _jacobi_trudi(parts: tuple[int, ...], h: np.ndarray) -> np.ndarray:
-    """chi_lambda = det(h_(lambda_i - i + j)) at every column of the h table."""
-    d = len(parts)
-    index = np.array(parts)[:, None] - np.arange(d)[:, None] + np.arange(d)[None, :]
-    entries = np.where(index[..., None] >= 0, h[np.maximum(index, 0)], 0.0)
-    return np.linalg.det(np.moveaxis(entries, -1, 0))
-
-
-def _batch_schur(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
-    """Schur values at every row of ``z`` (shape (n, d)), by Jacobi-Trudi."""
-    return _jacobi_trudi(parts, _h_table(z, parts[0] + len(parts) - 1))
-
-
-def schur_eval(parts, point: TorusPoint | Sequence[float]) -> complex:
-    """chi_lambda at a torus point: the Schur polynomial of the eigenvalues.
-
-    Evaluated as the Jacobi-Trudi determinant det(h_(lambda_i - i + j)), which
-    divides by nothing, so colliding eigenvalues need no special case; at the
-    identity it gives the Weyl dimension.
-    """
-    t = check_partition(parts)
-    if not isinstance(point, TorusPoint):
-        point = TorusPoint(tuple(point))
-    if point.d != len(t):
-        raise ValueError(f"point is on SU({point.d}), partition has {len(t)} rows")
-    z = np.array([point.eigenvalues])
-    return complex(_batch_schur(t, z)[0])
+    exponents = np.array(parts, dtype=np.int64) + np.arange(len(parts) - 1, -1, -1)
+    return np.linalg.det(z[:, :, None] ** exponents)
 
 
 class QuadratureRule:
     """Tensor trapezoid rule for class functions against Haar measure.
 
     Every node has the cell weight ``cell`` = 1 / (d! resolution^(d-1)).
-    ``weights`` fold in the Weyl density, |Delta(z)|^2 * cell per node, so
+    ``weights`` fold in the Weyl density, |a_delta|^2 * cell per node, so
     integrating a class function is a dot product with its values at
-    ``eigenvalues``.  Character products need no density: |Delta|^2 cancels
-    the denominators, so ``inner_product`` sums alternants times ``cell``.
-    Exact for integrands whose per-angle frequency content stays below
-    ``resolution``.  Alternants are cached per label.
+    ``eigenvalues``.  Character products need no density: |a_delta|^2
+    cancels the denominators, so ``inner_product`` sums alternants times
+    ``cell``.  Exact for integrands whose per-angle frequency content stays
+    below ``resolution``.  Alternants are cached per label.
     """
 
-    def __init__(self, d, resolution, angles, eigenvalues):
+    def __init__(self, d, resolution, eigenvalues):
         self.d = d
         self.resolution = resolution
-        self.angles = angles  # (n, d-1)
         self.eigenvalues = eigenvalues  # (n, d)
         self.cell = 1.0 / (math.factorial(d) * resolution ** (d - 1))
-        self.weights = np.abs(_pair_product(eigenvalues)) ** 2 * self.cell  # (n,)
         self._alternants: dict[tuple[int, ...], np.ndarray] = {}
+        self.weights = np.abs(self.alternant((0,) * d)) ** 2 * self.cell  # (n,)
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
@@ -222,27 +159,29 @@ def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
     ticks = 2.0 * math.pi * np.arange(resolution) / resolution
     grids = np.meshgrid(*([ticks] * (d - 1)), indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
-    return QuadratureRule(d, resolution, angles, _eigenvalue_matrix(angles))
+    return QuadratureRule(d, resolution, _eigenvalue_matrix(angles))
 
 
 def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
-    """Pointwise defect of the branching identity chi_lambda * chi_box.
+    """Pointwise defect of the branching rule, multiplied through by a_delta.
 
     Tensoring with the defining representation adds one box in every
-    admissible row, so chi_lambda(z) * (z_1 + ... + z_d) must equal the sum
-    of the children characters at every point.  Returns the maximum absolute
-    deviation over the sample.  One h table serves every character, and
-    z_1 + ... + z_d is its h_1.
+    admissible row, so chi_lambda * (z_1 + ... + z_d) is the sum of the
+    children's characters.  Times the Weyl denominator this is the
+    polynomial identity a_(lambda+delta) * (z_1 + ... + z_d) = sum over
+    children mu of a_(mu+delta), which divides by nothing.  Returns its
+    maximum absolute deviation over the sample, evaluated on one eigenvalue
+    matrix built from the points' angles.
     """
     t = check_partition(parts)
-    z = np.array([point.eigenvalues for point in points], dtype=complex)
-    if z.size == 0:
+    angles = np.array([point.angles for point in points], dtype=float)
+    if not len(angles):
         return 0.0
-    if z.shape[1] != len(t):
-        raise ValueError(f"points are on SU({z.shape[1]}), partition has {len(t)} rows")
-    h = _h_table(z, t[0] + len(t))
-    lhs = _jacobi_trudi(t, h) * h[1]
-    rhs = sum(_jacobi_trudi(child, h) for _, child in pieri_add(t))
+    if angles.shape[1] + 1 != len(t):
+        raise ValueError(f"points are on SU({angles.shape[1] + 1}), partition has {len(t)} rows")
+    z = _eigenvalue_matrix(angles)
+    lhs = _alternant(t, z) * z.sum(axis=1)
+    rhs = sum(_alternant(child, z) for _, child in pieri_add(t))
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -26,6 +26,7 @@ import collections.abc
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -86,6 +87,17 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0; the usage error names the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"  # a non-number still reads "invalid float value"
+
+
 def _config_echo(args: argparse.Namespace) -> dict:
     skip = {"func", "format", "no_timestamp", "command"}
     out = {}
@@ -93,8 +105,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
         if key in skip:
             continue
         value = getattr(args, key)
-        if callable(value):
-            continue
         if isinstance(value, collections.abc.Sequence) and not isinstance(value, str):
             value = list(value)
         out[key] = value
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated_at field for byte-identical reports")
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--tol", type=float, default=1e-12,
+    solver.add_argument("--tol", type=_positive_float, default=1e-12,
                         help="relative residual tolerance of the eigensolve")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -250,5 +250,5 @@ def test_criterion_8_branching_consistency(check):
         "branching rules consistent, combinatorially and pointwise",
         ok,
         f"{total_checked} partitions checked algebraically; "
-        f"max character residual {worst:.1e} at 100 torus points",
+        f"max alternant residual {worst:.1e} at 100 torus points",
     )

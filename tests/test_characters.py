@@ -5,18 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import weyl_dimension
 from sud_estimate import characters
 from sud_estimate.characters import (
     QuadratureRule,
     TorusPoint,
+    _alternant,
     haar_quadrature,
     min_resolution,
     orthogonality_defect,
     pieri_residual,
     quadrature_risk,
     random_torus_points,
-    schur_eval,
 )
 from sud_estimate.errors import EmptySupportError, ResolutionError
 from sud_estimate.partitions import enumerate_partitions, pieri_add
@@ -31,10 +30,16 @@ def su2_character(k: int, theta: float) -> float:
     return math.sin((k + 1) * theta) / math.sin(theta)
 
 
+def character(parts, points):
+    """chi_lambda = a_(lambda+delta) / a_delta at points where no eigenvalues collide."""
+    z = np.array([p.eigenvalues for p in points])
+    return _alternant(parts, z) / _alternant((0,) * len(parts), z)
+
+
 class TestTorusPoint:
     def test_eigenphases_sum_to_zero(self):
         p = TorusPoint((0.3, -1.2, 2.5))
-        assert p.d == 4
+        assert len(p.eigenvalues) == 4
         assert math.fsum(p.eigenphases) == pytest.approx(0.0, abs=1e-15)
 
     def test_eigenvalue_product_is_one(self):
@@ -53,8 +58,6 @@ class TestTorusPoint:
     def test_non_finite_angle_rejected_where_it_enters(self, bad):
         with pytest.raises(ValueError, match="angle 1"):
             TorusPoint((0.3, bad))
-        with pytest.raises(ValueError, match="angle 1"):
-            schur_eval((2, 1, 0), (0.3, bad))
         # a lazy sample meets the bad angle inside the residual computation
         sample = (TorusPoint(angles) for angles in [(0.1, 0.2), (0.3, bad)])
         with pytest.raises(ValueError, match="angle 1"):
@@ -64,41 +67,26 @@ class TestTorusPoint:
 class TestSchurEval:
     def test_su2_closed_form(self):
         for theta in (0.17, 1.3, 2.9):
-            point = TorusPoint((theta,))
             for k in range(7):
-                got = schur_eval((k, 0), point)
+                got = character((k, 0), [TorusPoint((theta,))])[0]
                 assert got.imag == pytest.approx(0.0, abs=1e-10)
                 assert got.real == pytest.approx(su2_character(k, theta), abs=1e-10)
 
     def test_box_character_is_eigenvalue_sum(self):
-        for point in random_torus_points(3, 10, seed=3):
-            got = schur_eval((1, 0, 0), point)
-            assert got == pytest.approx(sum(point.eigenvalues), abs=1e-10)
-
-    def test_identity_gives_weyl_dimension(self):
-        # all eigenvalues collide at 1, where the alternant ratio would be 0/0
-        labels = [(2, (4, 0)), (3, (3, 1, 0)), (4, (2, 2, 1, 0))]
-        labels += [(4, p) for n in range(11) for p in enumerate_partitions(4, n)]
-        labels += [(5, p) for n in range(7) for p in enumerate_partitions(5, n)]
-        for d, parts in labels:
-            point = TorusPoint((0.0,) * (d - 1))
-            got = schur_eval(parts, point)
-            assert got == pytest.approx(weyl_dimension(parts), rel=1e-12)
-
-    def test_confluent_path_matches_closed_form(self):
-        theta = 1e-5  # two eigenvalues 2e-5 apart
-        got = schur_eval((5, 0), TorusPoint((theta,)))
-        assert got.real == pytest.approx(su2_character(5, theta), abs=1e-8)
+        points = random_torus_points(3, 10, seed=3)
+        got = character((1, 0, 0), points)
+        want = [sum(point.eigenvalues) for point in points]
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_equivalent_labels_agree_pointwise(self):
-        for point in random_torus_points(3, 10, seed=5):
-            a = schur_eval((2, 1, 0), point)
-            b = schur_eval((3, 2, 1), point)
-            assert a == pytest.approx(b, abs=1e-9)
+        points = random_torus_points(3, 10, seed=5)
+        assert character((2, 1, 0), points) == pytest.approx(
+            character((3, 2, 1), points), abs=1e-9
+        )
 
     def test_rejects_rank_mismatch(self):
         with pytest.raises(ValueError):
-            schur_eval((2, 1, 0), TorusPoint((0.4,)))
+            haar_quadrature(2, 8).alternant((2, 1, 0))
 
 
 class TestQuadrature:
@@ -133,26 +121,10 @@ class TestQuadrature:
         with pytest.raises(ResolutionError):
             quadrature_risk(d, n, w, rule=haar_quadrature(d, min_resolution(d, n) - 1))
 
-    def test_grids_never_use_divided_differences(self, monkeypatch):
-        # integrals of character products read alternants only: no character
-        # is evaluated on a grid, not even at the identity node
-        def refuse(parts, z):
-            raise AssertionError(f"character evaluated for {parts}")
-
-        monkeypatch.setattr(characters, "_batch_schur", refuse)
-        assert quadrature_risk(4, 10, product_weights(4, 10)) == pytest.approx(
-            float(exact_risk(4, 10, product_weights(4, 10)).risk), abs=1e-12
-        )
-        assert orthogonality_defect(4, 4) < 1e-14
-        rule = haar_quadrature(3, 25)
-        assert rule.inner_product((3, 1, 0), (3, 1, 0)) == pytest.approx(1.0, abs=1e-14)
-
     def test_identity_node_survives_with_zero_weight(self):
-        # first grid node is the identity; its character value comes from
-        # Jacobi-Trudi and its quadrature weight vanishes
+        # the first grid node is the identity, where every alternant vanishes
         rule = haar_quadrature(2, 12)
-        value = schur_eval((3, 0), TorusPoint(tuple(rule.angles[0])))
-        assert value == pytest.approx(4.0, abs=1e-9)
+        assert rule.alternant((3, 0))[0] == pytest.approx(0.0, abs=1e-15)
         assert rule.weights[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_alternants_cached(self):
@@ -206,13 +178,12 @@ class TestPieriResidual:
         for n in range(5):
             for parts in enumerate_partitions(4, n):
                 children = [child for _, child in pieri_add(parts)]
-                pointwise = max(
-                    abs(
-                        schur_eval(parts, p) * sum(p.eigenvalues)
-                        - sum(schur_eval(c, p) for c in children)
-                    )
-                    for p in points
-                )
+                pointwise = 0.0
+                for p in points:
+                    z = np.array([p.eigenvalues])
+                    lhs = _alternant(parts, z)[0] * sum(p.eigenvalues)
+                    rhs = sum(_alternant(c, z)[0] for c in children)
+                    pointwise = max(pointwise, abs(lhs - rhs))
                 assert pieri_residual(parts, points) == pytest.approx(
                     pointwise, abs=1e-14
                 )

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,15 @@ class TestRisk:
         assert code == EXIT_INFEASIBLE
         assert out == ""
         assert "bad exponent" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("alpha", ["1000000", "1e400"])
+    def test_huge_integer_exponent_is_refused_at_once(self, capsys, alpha):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5", "--scheme", "power:" + alpha)
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "cap of 262144 bits" in json.loads(err)["error"]
 
     def test_timestamp_present_by_default(self, capsys):
         _, payload, _ = run_json(capsys, "risk", "-d", "2", "-N", "5")
@@ -471,6 +481,15 @@ class TestVerify:
         assert code == EXIT_OK and payload["pass"] is True
         assert built == [(d, min_resolution(d, n_max))]
 
+    def test_branching_check_can_fail(self, capsys, monkeypatch):
+        pieri_add = characters.pieri_add
+        monkeypatch.setattr(characters, "pieri_add", lambda parts: pieri_add(parts)[:-1])
+        points = characters.random_torus_points(3, 10, seed=1)
+        assert characters.pieri_residual((2, 1, 0), points) > 1e-3
+        code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "4", "--no-timestamp")
+        assert code == EXIT_VERIFY_FAILED and payload["pass"] is False
+        assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["branching-pointwise"]
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "-d", "2", "--n-max", "4",
@@ -545,6 +564,19 @@ class TestParser:
             main(argv)
         assert exc.value.code == EXIT_INFEASIBLE
         assert f"argument {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["risk", "-d", "2", "-N", "5"], ["optimal", "-d", "2", "-N", "5"],
+         ["verify", "-d", "2", "--n-max", "2"]],
+        ids=["risk", "optimal", "verify"],
+    )
+    def test_tol_out_of_range_is_usage_error_naming_the_flag(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", value])
+        assert exc.value.code == EXIT_INFEASIBLE
+        assert "argument --tol: must be finite and > 0" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -109,6 +109,13 @@ class TestMaxEigenpair:
                 math.sin(math.pi / (n + 3)) ** 2, abs=1e-10
             )
 
+    @pytest.mark.parametrize("n", [*range(41), 60, 200])
+    def test_d3_closed_form(self, n):
+        # full-support d=3 optimum: eigmax = |1 + e^(2ia) + e^(3ia)|^2, a = 2 pi / (N+6)
+        a = 2 * math.pi / (n + 6)
+        want = abs(1 + np.exp(2j * a) + np.exp(3j * a)) ** 2
+        assert max_eigenpair(build_incidence(3, n)).eigmax == pytest.approx(want, rel=1e-13)
+
     @pytest.mark.parametrize("n", [101, 102, 401, 402, 1001, 1002, 1999, 2000])
     def test_d2_chain_closed_form_at_large_levels(self, n):
         # one solve at the default cap, odd and even N alike
