@@ -15,8 +15,12 @@ The one evaluation primitive is the alternant
 a_(lambda+delta)(z) = det(z_i^(lambda_j + d - j)), batched over the rows of
 an eigenvalue matrix.  By the bialternant formula chi_lambda =
 a_(lambda+delta) / a_delta, and a_delta is the Weyl denominator, so every
-character identity checked here is multiplied through by a_delta and
-divides by nothing, even where eigenvalues collide.
+character identity checked here is multiplied through by a_delta.  The
+alternant itself is a Laplace expansion that shares its minors: column by
+column, smallest exponent first, every minor on k of the variables is built
+from the minors on k-1 of them.  It adds and multiplies only, with no
+division and no pivoting, so the whole oracle divides by nothing and a node
+where eigenvalues collide still gives a zero.
 
 The quadrature is a tensor trapezoid rule on the torus.  The Weyl density
 is |a_delta|^2, so every Haar integral of character products is a plain sum
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -93,9 +98,43 @@ def _eigenvalue_matrix(angles: np.ndarray) -> np.ndarray:
 
 
 def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
-    """a_(lambda+delta) = det(z_i^(lambda_j + d - j)) at every row of ``z``."""
-    exponents = np.array(parts, dtype=np.int64) + np.arange(len(parts) - 1, -1, -1)
-    return np.linalg.det(z[:, :, None] ** exponents)
+    """a_(lambda+delta) = det(z_i^(lambda_j + d - j)) at every row of ``z``.
+
+    The determinant is expanded along its exponent columns taken in
+    ascending order, e_1 < ... < e_d.  Stage k holds, for every k-subset
+    S = {s_0 < ... < s_(k-1)} of the variables, the minor on S and the k
+    smallest exponents,
+
+        M(S) = sum_p (-1)^(k-1-p) z_(s_p)^(e_k) M(S minus s_p),
+
+    so stage d is the alternant up to the column-reversal sign
+    (-1)^(d(d-1)/2).  The powers come from one multiplication ladder that
+    advances with the stages, the variables are laid out as a contiguous
+    (d, n) array, and each stage is dropped once the next is built.
+    """
+    d = len(parts)
+    zt = np.ascontiguousarray(z.T)
+    power = np.ones_like(zt)  # z^reached, row by variable
+    term = np.empty(len(z), dtype=zt.dtype)
+    reached = 0
+    minors = {(): 1.0}
+    for k, exponent in enumerate(p + i for i, p in enumerate(reversed(parts))):
+        for _ in range(exponent - reached):
+            power *= zt
+        reached = exponent
+        stage = {}
+        for subset in combinations(range(d), k + 1):
+            total = power[subset[k]] * minors[subset[:k]]
+            for p in range(k):
+                np.multiply(power[subset[p]], minors[subset[:p] + subset[p + 1:]], out=term)
+                if (k - p) % 2:
+                    total -= term
+                else:
+                    total += term
+            stage[subset] = total
+        minors = stage
+    alternant = minors[tuple(range(d))]
+    return -alternant if d * (d - 1) // 2 % 2 else alternant
 
 
 class QuadratureRule:

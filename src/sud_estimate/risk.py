@@ -202,7 +202,12 @@ def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
     if not w.numerators:
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
-    structure = _box_removal(d, n)
+    return _scored(_box_removal(d, n), w)
+
+
+def _scored(structure: IncidenceStructure, w: WeightVector) -> RiskBreakdown:
+    """:func:`exact_risk` of ``w`` on the full-support ``structure`` of its own level."""
+    d, n = structure.d, structure.level
     c = np.zeros(structure.matrix.shape[1], dtype=object)
     c[_locate(structure.parent_table, w.table)] = np.array(w.numerators, dtype=object)
     sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConvergenceError, EmptySupportError
-from .risk import IncidenceStructure, _box_removal, exact_risk
+from .risk import IncidenceStructure, _box_removal, _scored
 from .weights import WeightVector, _exact_ratios, product_weights
 
 __all__ = [
@@ -247,10 +247,10 @@ def optimality_gap(
 ) -> OptimalityGap:
     """Compare the gap-product scheme with the spectral optima at level n.
 
-    Both supports are solved on one box-removal structure, full first.  The
-    product scheme can never beat the full-support optimum; the returned
-    ``gap`` (product risk - optimal risk) is nonnegative up to the solver
-    tolerance.
+    One box-removal structure serves both solves, full first, and the
+    product scheme's exact risk.  The product scheme can never beat the
+    full-support optimum; the returned ``gap`` (product risk - optimal risk)
+    is nonnegative up to the solver tolerance.
     """
     structure = _box_removal(d, n)
     full = max_eigenpair(structure, tol=tol, max_iterations=max_iterations)
@@ -259,5 +259,5 @@ def optimality_gap(
     except EmptySupportError:
         return OptimalityGap(d, n, None, full, None)
     strict = max_eigenpair(strict_structure, tol=tol, max_iterations=max_iterations)
-    product = exact_risk(d, n, product_weights(d, n)).risk
+    product = _scored(structure, product_weights(d, n)).risk
     return OptimalityGap(d, n, product, full, strict)

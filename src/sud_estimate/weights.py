@@ -194,9 +194,10 @@ def product_weights(d: int, n: int) -> WeightVector:
 
 # Exact numerators of power:<alpha> are (gap product)^alpha, and the exact risk
 # squares and sums them, so the cost grows without bound in alpha: power:1000000
-# at d=2 N=5 ran 95 s on a 2-core host.  At this cap on alpha times the bit
-# length of the largest gap product, a request takes 2 s (d=2 N=5) to 8 s
-# (d=2 N=400) there, and the exponents the tests and scripts use stay far below.
+# at d=2 N=5 ran 95 s on a 2-core host.  The cap is on alpha times log2 of the
+# largest gap product, so a level whose products are all 1 takes any alpha.  At
+# the boundary a request takes 3 s (d=2 N=5, alpha 165,394) to 8 s (d=2 N=400,
+# alpha 18,347) there, and the exponents the tests and scripts use stay far below.
 MAX_POWER_BITS = 2**18
 
 
@@ -207,18 +208,20 @@ def power_weights(d: int, n: int, alpha) -> WeightVector:
     point on the products divided by their maximum, each float then taken
     exactly: a ratio in (0, 1] raised to alpha cannot overflow, and the
     common factor changes only rounding because schemes are unnormalised.
-    A ratio that underflows to 0 leaves the support.  An integer alpha whose
-    numerators would exceed ``MAX_POWER_BITS`` bits is refused.
+    A ratio that underflows to 0 leaves the support.  An integer alpha is
+    refused when alpha * log2(largest gap product), the bits of the largest
+    numerator, exceeds ``MAX_POWER_BITS``.
     """
     table, products = _gap_products(d, n)
     a = Fraction(alpha)
     if a < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if a.denominator == 1:
-        bits = max(products).bit_length()
-        if a.numerator * bits > MAX_POWER_BITS:
-            raise ValueError(f"exponent too large at d={d}, level {n}: the gap products ({bits} "
-                             f"bits) to that power exceed the cap of {MAX_POWER_BITS} bits")
+        bits = math.log2(max(products))  # 0 when every product is 1: its powers stay 1
+        if bits and a.numerator > MAX_POWER_BITS / bits:
+            raise ValueError(f"exponent too large at d={d}, level {n}: the gap products "
+                             f"({bits:.3g} bits) to that power exceed the cap of "
+                             f"{MAX_POWER_BITS} bits")
         return WeightVector.from_table(d, n, table, [p**a.numerator for p in products])
     x, top = float(a), max(products)
     return WeightVector.from_table(d, n, table, *_exact_ratios([(p / top) ** x for p in products]))

@@ -166,6 +166,14 @@ class TestRisk:
         assert out == ""
         assert "cap of 262144 bits" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("d, n, risk", [(2, 3, "1/2"), (3, 6, "2/3"), (4, 10, "3/4")])
+    def test_huge_exponent_of_unit_gap_products_is_accepted(self, capsys, d, n, risk):
+        # the only gap product is 1, so every numerator stays 1 at any exponent
+        code, payload, err = run_json(capsys, "risk", "-d", str(d), "-N", str(n),
+                                      "--scheme", "power:300000", "--no-timestamp")
+        assert code == EXIT_OK, err
+        assert payload["risk"] == risk
+
     def test_timestamp_present_by_default(self, capsys):
         _, payload, _ = run_json(capsys, "risk", "-d", "2", "-N", "5")
         assert "generated_at" in payload
@@ -407,7 +415,7 @@ class TestOptimal:
         assert calls == [("full", options), ("strict", options)]
 
     def test_builds_the_incidence_once_for_both_solves(self, capsys, monkeypatch):
-        # one structure for the full and strict solves, one for the product's risk
+        # one structure for the full and strict solves and the product's risk
         import sud_estimate.risk as risk
 
         calls = []
@@ -421,7 +429,7 @@ class TestOptimal:
         monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
         code, _, _ = run(capsys, "optimal", "-d", "3", "-N", "30", "--no-timestamp")
         assert code == EXIT_OK
-        assert calls == [(3, 30), (3, 30)]
+        assert calls == [(3, 30)]
 
     def test_coefficients_are_the_eigenvector_floats_exactly(self, capsys):
         from sud_estimate.spectral import build_incidence, max_eigenpair
