@@ -146,7 +146,9 @@ class QuadratureRule:
     ``eigenvalues``.  Character products need no density: |a_delta|^2
     cancels the denominators, so ``inner_product`` sums alternants times
     ``cell``.  Exact for integrands whose per-angle frequency content stays
-    below ``resolution``.  Alternants are cached per label.
+    below ``resolution``.  Alternants are cached per label until
+    :func:`quadrature_risk` integrates a higher level, which drops every
+    label below its own.
     """
 
     def __init__(self, d, resolution, eigenvalues):
@@ -257,6 +259,8 @@ def quadrature_risk(d: int, n: int, w: WeightVector, rule: QuadratureRule | None
     defaults to ``haar_quadrature(d, min_resolution(d, n))``, bandwidth + 1,
     which is exact for this integrand; one rule at the resolution of the
     highest level serves every lower level, and its alternants are reused.
+    The rule's cache is dropped below level n first, so a run that takes its
+    levels in increasing order holds one level's labels at a time.
     A rule whose resolution is inside the integrand bandwidth is refused
     outright (passing the top-degree self-test would not rule out aliasing of
     lower frequencies); one that fails the self-test is refused as well.
@@ -280,6 +284,7 @@ def quadrature_risk(d: int, n: int, w: WeightVector, rule: QuadratureRule | None
             f"self-test (defect {self_test:.3e})",
             suggested_resolution=min_resolution(d, n),
         )
+    rule._alternants = {t: a for t, a in rule._alternants.items() if sum(t) >= n}
     coeff = w.float_coefficients()
     total = np.zeros(rule.eigenvalues.shape[0], dtype=complex)
     for parts, c in coeff.items():

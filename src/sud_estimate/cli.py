@@ -298,8 +298,8 @@ def _verify_checks(args) -> list[dict]:
 
     worst = 0.0
     compared = 0
-    for scheme in ("product", "uniform", "optimal"):
-        for n in range(1, args.n_max + 1):
+    for n in range(1, args.n_max + 1):  # level by level: the rule drops the levels passed
+        for scheme in ("product", "uniform", "optimal"):
             try:
                 w = scheme_weights(scheme, args.d, n, tol=args.tol)
             except EmptySupportError:

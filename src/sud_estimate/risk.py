@@ -156,7 +156,8 @@ class IncidenceStructure:
 
 
 def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of each row of ``queries`` in the canonical partition table ``table``.
+    """The column of B for each row of a scheme's support ``queries``: its index
+    in the canonical partition table ``table`` of the same level.
 
     Every query must occur in the table, so its level is the table's and its
     first d-1 entries fix it.  Column by column, each table row is keyed by
@@ -177,17 +178,33 @@ def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _box_removal(d: int, n: int) -> IncidenceStructure:
+    """The full-support incidence B between the partitions of level n+1 and n.
+
+    Row i of a child mu is removable when mu_i > mu_(i+1) (or mu_d > 0 for
+    the last row); row i of a parent lambda is addable when i = 1 or
+    lambda_(i-1) > lambda_i.  Removing the box, mu -> mu - e_i, maps the
+    children whose row i is removable one to one onto the parents whose row
+    i is addable, with lambda + e_i as the inverse.  A translation by a fixed
+    vector keeps the lexicographic order, so it keeps the canonical order of
+    both tables: the k-th such child's parent is the k-th such parent.  So
+    the columns for box row i are the positions of the parents addable in
+    row i, found with no search, and read child by child, then box row by
+    box row, they are in the CSR order of B.
+    """
     parents = partition_table(d, n)
     children = partition_table(d, n + 1)
-    below = np.zeros_like(children)
-    below[:, :-1] = children[:, 1:]
-    removable = children > below  # entry [r, i]: row i+1 of child r has a removable box
-    child, row = np.nonzero(removable)  # by child, then by row: the CSR order
-    parent = children[child]
-    parent[np.arange(len(row)), row] -= 1
+    # masks and columns are (d, k), so the entries of one box row are contiguous
+    removable = np.empty(children.shape[::-1], dtype=bool)
+    np.greater(children[:, :-1].T, children[:, 1:].T, out=removable[:-1])
+    np.greater(children[:, -1], 0, out=removable[-1])
+    addable = np.ones(parents.shape[::-1], dtype=bool)
+    np.greater(parents[:, :-1].T, parents[:, 1:].T, out=addable[1:])
+    column = np.empty(removable.shape, dtype=np.int64)
+    for i in range(d):
+        column[i, removable[i]] = np.flatnonzero(addable[i])
     indptr = np.zeros(len(children) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(removable, axis=1), out=indptr[1:])
-    matrix = BoxMatrix((len(children), len(parents)), indptr, _locate(parents, parent))
+    np.cumsum(np.count_nonzero(removable, axis=0), out=indptr[1:])
+    matrix = BoxMatrix((len(children), len(parents)), indptr, column.T[removable.T])
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 

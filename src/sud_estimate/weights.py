@@ -98,15 +98,18 @@ class WeightVector:
         for i in bad[:1]:  # name the first offender
             t = check_partition(tuple(table[i].tolist()), d)
             raise ValueError(f"partition {t} has level {sum(t)}, expected {level}")
-        if min(numerators, default=0) < 0:
+        low = min(numerators, default=1)  # with none negative, 0 is present iff low == 0
+        if low < 0:
             i = next(i for i, v in enumerate(numerators) if v < 0)
             raise ValueError(f"coefficient for {tuple(table[i].tolist())} is negative: "
                              f"{Fraction(numerators[i], denominator)}")
-        if 0 in numerators or not _descending(table):
+        ordered = _descending(table)
+        if low == 0 or not ordered:
             order = [i for i in np.lexsort(table.T[::-1])[::-1].tolist() if numerators[i]]
             table, numerators = table[order], [numerators[i] for i in order]
-        if not _descending(table):
-            raise ValueError(f"a partition of level {level} appears twice")
+            # dropping zeros from a canonical table leaves it canonical
+            if not (ordered or _descending(table)):
+                raise ValueError(f"a partition of level {level} appears twice")
         g = math.gcd(denominator, *numerators)
         if g > 1:
             numerators = [v // g for v in numerators]

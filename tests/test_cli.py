@@ -489,6 +489,29 @@ class TestVerify:
         assert code == EXIT_OK and payload["pass"] is True
         assert built == [(d, min_resolution(d, n_max))]
 
+    def test_alternant_cache_keeps_no_level_passed(self, capsys, monkeypatch):
+        # the risk check integrates level by level; once it is at level n the
+        # rule holds no label below n, and every label is still evaluated once
+        evaluated = []
+        alternant = characters._alternant
+        monkeypatch.setattr(
+            characters, "_alternant", lambda parts, z: evaluated.append(parts) or alternant(parts, z)
+        )
+        quadrature_risk = characters.quadrature_risk
+        lowest = []
+
+        def checked(d, n, w, rule):
+            risk = quadrature_risk(d, n, w, rule=rule)
+            lowest.append((n, min(map(sum, rule._alternants))))
+            return risk
+
+        monkeypatch.setattr(cli, "quadrature_risk", checked)
+        code, payload, _ = run_json(capsys, "verify", "-d", "4", "--n-max", "10", "--no-timestamp")
+        assert code == EXIT_OK and payload["pass"] is True
+        assert [n for n, _ in lowest] == sorted(n for n, _ in lowest)
+        assert all(low >= n for n, low in lowest), lowest
+        assert len(evaluated) == 186  # the rule's labels once each, plus the branching check's
+
     def test_branching_check_can_fail(self, capsys, monkeypatch):
         pieri_add = characters.pieri_add
         monkeypatch.setattr(characters, "pieri_add", lambda parts: pieri_add(parts)[:-1])

@@ -133,7 +133,8 @@ def reference_incidence(d: int, n: int) -> BoxMatrix:
 class TestBoxRemoval:
     @pytest.mark.parametrize(
         "d, n",
-        [(2, 1), (2, 5), (2, 401), (3, 0), (3, 30), (3, 602), (4, 12), (4, 82), (5, 9), (6, 14)],
+        [(1, 0), (1, 9), (2, 1), (2, 5), (2, 401), (3, 0), (3, 30), (3, 602), (4, 0), (4, 12),
+         (4, 82), (5, 9), (6, 14), (7, 10)],
     )
     def test_matches_reference_loop_bit_for_bit(self, d, n):
         got = _box_removal(d, n).matrix
