@@ -22,13 +22,17 @@ from the minors on k-1 of them.  It adds and multiplies only, with no
 division and no pivoting, so the whole oracle divides by nothing and a node
 where eigenvalues collide still gives a zero.
 
-The quadrature is a tensor trapezoid rule on the torus.  The Weyl density
-is |a_delta|^2, so every Haar integral of character products is a plain sum
-of alternant products.  Every such integrand is a trigonometric polynomial,
-so the rule is exact (up to rounding) once the per-angle resolution exceeds
-the largest frequency; 2(N + d + 1) + 1 points per angle cover every
-integrand this package produces at level N.  One rule at the highest level
-of a run serves every check and level below it.
+The quadrature is the trapezoid rule on the torus grid of M points per
+angle, with one node per Weyl orbit.  The Weyl density is |a_delta|^2, so
+every Haar integral of character products is a plain sum of alternant
+products.  Every such integrand is symmetric in the eigenphases and vanishes
+where two of them coincide, so the sum over the M^(d-1) grid nodes is d!
+times the sum over one node per orbit of d distinct phases: about C(M, d)/M
+nodes (the Weyl integration formula on a finite grid).  Every integrand is
+a trigonometric polynomial, so the rule is exact (up to rounding) once the
+per-angle resolution exceeds the largest frequency; 2(N + d + 1) + 1 points
+per angle cover every integrand this package produces at level N.  One rule
+at the highest level of a run serves every check and level below it.
 
 Partitions differing by full columns label the same SU(d) irrep; their
 alternants agree because the eigenvalue product is 1.
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -138,9 +142,10 @@ def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
 
 
 class QuadratureRule:
-    """Tensor trapezoid rule for class functions against Haar measure.
+    """Trapezoid rule for class functions against Haar measure, one node per orbit.
 
-    Every node has the cell weight ``cell`` = 1 / (d! resolution^(d-1)).
+    Every node stands for the d! grid nodes of its orbit and has the cell
+    weight ``cell`` = 1 / resolution^(d-1).
     ``weights`` fold in the Weyl density, |a_delta|^2 * cell per node, so
     integrating a class function is a dot product with its values at
     ``eigenvalues``.  Character products need no density: |a_delta|^2
@@ -155,7 +160,7 @@ class QuadratureRule:
         self.d = d
         self.resolution = resolution
         self.eigenvalues = eigenvalues  # (n, d)
-        self.cell = 1.0 / (math.factorial(d) * resolution ** (d - 1))
+        self.cell = 1.0 / resolution ** (d - 1)
         self._alternants: dict[tuple[int, ...], np.ndarray] = {}
         self.weights = np.abs(self.alternant((0,) * d)) ** 2 * self.cell  # (n,)
 
@@ -184,11 +189,15 @@ def min_resolution(d: int, n: int) -> int:
 
 
 def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
-    """Uniform tensor grid with the Weyl density folded into the weights.
+    """One grid node per regular Weyl orbit, the Weyl density in the weights.
 
-    The grid has ``resolution`` points per free angle, resolution**(d-1)
-    nodes total.  Nodes where eigenvalues collide stay on the grid with
-    weight zero; their alternants vanish, so they add nothing to an integral.
+    With M = ``resolution`` the grid phases are 2 pi k / M with k in Z_M^d
+    and sum(k) = 0 mod M.  A node is an index tuple k_1 < ... < k_d, the
+    sorted representative of an orbit of d! grid nodes; the grid nodes where
+    two phases coincide are left out, as every integrand vanishes there.
+    The nodes are the (d-1)-subsets of Z_M whose completing index
+    k_d = -sum(k) mod M exceeds k_(d-1): C(M, d)/M of them when
+    gcd(d, M) = 1.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -197,10 +206,11 @@ def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
             f"resolution {resolution} cannot even normalise the measure for d={d}",
             suggested_resolution=2 * d - 1,
         )
-    ticks = 2.0 * math.pi * np.arange(resolution) / resolution
-    grids = np.meshgrid(*([ticks] * (d - 1)), indexing="ij")
-    angles = np.stack([g.ravel() for g in grids], axis=1)
-    return QuadratureRule(d, resolution, _eigenvalue_matrix(angles))
+    free = np.fromiter(
+        chain.from_iterable(combinations(range(resolution), d - 1)), dtype=np.int64
+    ).reshape(-1, d - 1)
+    free = free[-free.sum(axis=1) % resolution > free[:, -1]]
+    return QuadratureRule(d, resolution, _eigenvalue_matrix(2.0 * math.pi * free / resolution))
 
 
 def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
@@ -230,17 +240,22 @@ def orthogonality_defect(d: int, max_level: int, rule: QuadratureRule | None = N
     """Largest deviation of the character Gram matrix from its exact value.
 
     Runs over every pair of partitions up to ``max_level``; the exact inner
-    product is 1 when the labels are SU(d)-equivalent (all row differences
-    equal) and 0 otherwise.  The rule defaults to
-    ``haar_quadrature(d, min_resolution(d, max_level))``.
+    product is 1 when the labels are SU(d)-equivalent (equal parts after
+    removing full columns) and 0 otherwise.  The rule defaults to
+    ``haar_quadrature(d, min_resolution(d, max_level))``.  Beside the rule's
+    cache it holds one conjugated copy of the labels' alternants; row a of
+    the Gram matrix is that block times the cached alternant of a.
     """
     if rule is None:
         rule = haar_quadrature(d, min_resolution(d, max_level))
     labels = np.concatenate([partition_table(d, n) for n in range(max_level + 1)])
-    values = np.stack([rule.alternant(tuple(p)) for p in labels.tolist()])
-    gram = rule.cell * (values @ np.conj(values.T))
-    diffs = labels[:, None, :] - labels[None, :, :]
-    expected = np.all(diffs == diffs[..., :1], axis=-1)
+    values = [rule.alternant(tuple(p)) for p in labels.tolist()]
+    conj = np.stack(values)
+    np.conjugate(conj, out=conj)
+    gram = rule.cell * np.stack([conj @ a for a in values])
+    classes: dict[tuple[int, ...], int] = {}
+    ids = np.array([classes.setdefault(tuple(p - p[-1]), len(classes)) for p in labels])
+    expected = ids[:, None] == ids[None, :]
     return float(np.max(np.abs(gram - expected)))
 
 

@@ -1,5 +1,7 @@
 import ast
 import math
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from sud_estimate.characters import (
     QuadratureRule,
     TorusPoint,
     _alternant,
+    _eigenvalue_matrix,
     haar_quadrature,
     min_resolution,
     orthogonality_defect,
@@ -156,11 +159,67 @@ class TestQuadrature:
         with pytest.raises(ResolutionError):
             quadrature_risk(d, n, w, rule=haar_quadrature(d, min_resolution(d, n) - 1))
 
-    def test_identity_node_survives_with_zero_weight(self):
-        # the first grid node is the identity, where every alternant vanishes
-        rule = haar_quadrature(2, 12)
-        assert rule.alternant((3, 0))[0] == pytest.approx(0.0, abs=1e-15)
-        assert rule.weights[0] == pytest.approx(0.0, abs=1e-15)
+    @pytest.mark.parametrize("d, resolution", [(2, 12), (3, 13), (4, 11)])
+    def test_one_regular_node_per_orbit(self, d, resolution):
+        # the nodes are the increasing d-subsets of Z_M summing to 0 mod M,
+        # counted here by brute force over all of Z_M^d
+        rule = haar_quadrature(d, resolution)
+        subsets = {
+            k for k in product(range(resolution), repeat=d)
+            if sum(k) % resolution == 0 and all(a < b for a, b in zip(k, k[1:]))
+        }
+        phases = np.angle(rule.eigenvalues) * resolution / (2.0 * math.pi)
+        indices = np.rint(phases).astype(int) % resolution
+        assert np.max(np.abs(phases - np.rint(phases))) < 1e-9
+        assert len(rule.weights) == len(subsets)
+        assert {tuple(sorted(k)) for k in indices.tolist()} == subsets
+        # regular: no two eigenvalues closer than one grid step, so
+        # |a_delta| = prod |z_i - z_j| is at least that step to the d(d-1)/2
+        step = 2.0 * math.sin(math.pi / resolution)
+        gaps = np.abs(rule.eigenvalues[:, :, None] - rule.eigenvalues[:, None, :])
+        assert np.min(gaps + 4.0 * np.eye(d)) > step * (1.0 - 1e-12)
+        floor = step ** (d * (d - 1) // 2) * (1.0 - 1e-9)
+        assert np.min(np.abs(rule.alternant((0,) * d))) > floor
+        assert np.min(rule.weights) > floor**2 * rule.cell * (1.0 - 1e-9)
+
+    def test_node_counts_at_the_old_memory_wall(self):
+        # C(M, d) / M nodes, as gcd(d, M) = 1; d=5 first, so a tensor grid
+        # (29^4 nodes) fails here before d=6 would build 31^5 of them
+        for d, resolution, nodes in [(5, 29, 4_095), (6, 31, 23_751)]:
+            rule = haar_quadrature(d, resolution)
+            assert len(rule.weights) == nodes == math.comb(resolution, d) // resolution
+            assert math.fsum(rule.weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d, resolution", [(3, 13), (4, 11)])
+    def test_orbit_rule_regroups_the_tensor_grid(self, d, resolution):
+        # d! times every orbit-rule sum is the sum over the tensor grid of
+        # resolution^(d-1) nodes; compared at the scale of the integrals
+        ticks = 2.0 * math.pi * np.arange(resolution) / resolution
+        grids = np.meshgrid(*([ticks] * (d - 1)), indexing="ij")
+        grid = _eigenvalue_matrix(np.stack([g.ravel() for g in grids], axis=1))
+        rule = haar_quadrature(d, resolution)
+        fold = math.factorial(d)
+        scale = fold * resolution ** (d - 1)
+
+        def same_sum(on_orbits, on_grid):
+            assert abs(fold * on_orbits - on_grid) <= 1e-13 * scale
+
+        delta = (0,) * d
+        same_sum(np.sum(np.abs(rule.alternant(delta)) ** 2),
+                 np.sum(np.abs(_alternant(delta, grid)) ** 2))
+        labels = [p for n in range(4) for p in enumerate_partitions(d, n)]
+        for a in labels:
+            for b in labels:
+                same_sum(np.vdot(rule.alternant(b), rule.alternant(a)),
+                         np.vdot(_alternant(b, grid), _alternant(a, grid)))
+        # the product scheme's first level with two labels, (5,2,1) and
+        # (4,3,1) at d=3; the regrouping needs no bandwidth margin
+        coeff = product_weights(d, d * (d + 1) // 2 + 2).float_coefficients()
+        assert len(coeff) == 2
+        orbit_total = sum(c * rule.alternant(p) for p, c in coeff.items())
+        grid_total = sum(c * _alternant(p, grid) for p, c in coeff.items())
+        same_sum(np.sum(np.abs(orbit_total * rule.eigenvalues.sum(axis=1)) ** 2),
+                 np.sum(np.abs(grid_total * grid.sum(axis=1)) ** 2))
 
     def test_alternants_cached(self):
         rule = haar_quadrature(2, 16)
@@ -178,6 +237,21 @@ class TestQuadrature:
     def test_orthogonality_defect_small(self):
         assert orthogonality_defect(2, 8) < 1e-8
         assert orthogonality_defect(3, 4) < 1e-8
+
+    def test_orthogonality_defect_holds_one_stacked_copy(self):
+        # with the rule's cache warm, the labels' alternants are stacked once
+        # (conjugated in place) and nothing of that size is allocated again
+        rule = haar_quadrature(4, min_resolution(4, 8))
+        orthogonality_defect(4, 8, rule=rule)
+        block = sum(a.nbytes for a in rule._alternants.values())
+        tracemalloc.start()
+        try:
+            defect = orthogonality_defect(4, 8, rule=rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect < 1e-12
+        assert peak < 1.25 * block + 2**18, (peak, block)
 
     def test_aliasing_at_divisor_resolution(self):
         # |chi_(6,0)|^2 |Delta|^2 / 2 = 2 - 2 cos(14 theta): the rule errs
@@ -274,6 +348,11 @@ class TestQuadratureRisk:
                 assert quadrature_risk(d, n, w) == pytest.approx(want, abs=1e-12)
                 compared += 1
         assert compared == pairs
+
+    def test_matches_exact_risk_optimal_at_production_size(self):
+        w = scheme_weights("optimal", 3, 40)
+        want = float(exact_risk(3, 40, w).risk)
+        assert quadrature_risk(3, 40, w) == pytest.approx(want, abs=1e-13)
 
     def test_weight_metadata_must_match(self):
         w = product_weights(2, 5)
