@@ -15,6 +15,7 @@ from .asymptotics import (
 from .characters import (
     QuadratureRule,
     TorusPoint,
+    branching_defect,
     haar_quadrature,
     orthogonality_defect,
     pieri_residual,
@@ -71,6 +72,7 @@ __all__ = [
     "SpectralResult",
     "TorusPoint",
     "WeightVector",
+    "branching_defect",
     "build_incidence",
     "enumerate_partitions",
     "exact_constant",

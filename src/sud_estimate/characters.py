@@ -48,7 +48,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ResolutionError
-from .partitions import check_partition, partition_table, pieri_add
+from .partitions import check_partition, enumerate_partitions, partition_table, pieri_add
 from .weights import WeightVector
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "haar_quadrature",
     "min_resolution",
     "pieri_residual",
+    "branching_defect",
     "orthogonality_defect",
     "quadrature_risk",
 ]
@@ -225,14 +226,51 @@ def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
     matrix built from the points' angles.
     """
     t = check_partition(parts)
+    z = _sample_eigenvalues(points, len(t))
+    return 0.0 if z is None else _branching_deviation(t, z, {})
+
+
+def branching_defect(d: int, max_level: int, points: Iterable[TorusPoint]) -> float:
+    """The largest :func:`pieri_residual` over every label up to ``max_level``.
+
+    Labels are taken level by level in enumeration order, on one eigenvalue
+    matrix, and each label's alternant is evaluated once, from level 0 to
+    ``max_level`` + 1: a child's alternant is kept for its own identity one
+    level up, and a level's alternants are dropped once it is passed.
+    """
+    z = _sample_eigenvalues(points, d)
+    if z is None:
+        return 0.0
+    worst = 0.0
+    alternants: dict[tuple[int, ...], np.ndarray] = {}
+    for n in range(max_level + 1):
+        alternants = {t: a for t, a in alternants.items() if sum(t) >= n}
+        for t in enumerate_partitions(d, n):
+            worst = max(worst, _branching_deviation(t, z, alternants))
+    return worst
+
+
+def _sample_eigenvalues(points: Iterable[TorusPoint], d: int) -> np.ndarray | None:
+    """The eigenvalue matrix of a sample on SU(d); None for an empty sample."""
     angles = np.array([point.angles for point in points], dtype=float)
     if not len(angles):
-        return 0.0
-    if angles.shape[1] + 1 != len(t):
-        raise ValueError(f"points are on SU({angles.shape[1] + 1}), partition has {len(t)} rows")
-    z = _eigenvalue_matrix(angles)
-    lhs = _alternant(t, z) * z.sum(axis=1)
-    rhs = sum(_alternant(child, z) for _, child in pieri_add(t))
+        return None
+    if angles.shape[1] + 1 != d:
+        raise ValueError(f"points are on SU({angles.shape[1] + 1}), partition has {d} rows")
+    return _eigenvalue_matrix(angles)
+
+
+def _branching_deviation(t: tuple[int, ...], z: np.ndarray, alternants: dict) -> float:
+    """max |a_(t+delta) * p_1 - sum over children a_(mu+delta)| over the rows of ``z``;
+    alternants missing from ``alternants`` are evaluated and added to it."""
+
+    def alternant(parts):
+        if parts not in alternants:
+            alternants[parts] = _alternant(parts, z)
+        return alternants[parts]
+
+    lhs = alternant(t) * z.sum(axis=1)
+    rhs = sum(alternant(child) for _, child in pieri_add(t))
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -33,10 +33,10 @@ import time
 from . import __version__
 from .asymptotics import exact_constant
 from .characters import (
+    branching_defect,
     haar_quadrature,
     min_resolution,
     orthogonality_defect,
-    pieri_residual,
     quadrature_risk,
     random_torus_points,
 )
@@ -46,10 +46,16 @@ from .errors import (
     NumericalInstabilityError,
     ResolutionError,
 )
-from .partitions import enumerate_partitions
 from .risk import curve_to_csv, exact_risk, expansion_diagnostics, risk_curve
 from .spectral import optimality_gap
-from .weights import fraction_text, int_text, save_weights, scheme_weights, weights_to_json
+from .weights import (
+    fraction_text,
+    int_text,
+    records_text,
+    save_weights,
+    scheme_weights,
+    weights_to_json,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -119,14 +125,20 @@ def _payload(args: argparse.Namespace, command: str, body: dict) -> dict:
     return out
 
 
-def _print_json(payload: dict) -> None:
-    """Print the report, or refuse it whole if it holds a NaN or an infinity."""
+def _print_json(payload: dict, coefficients: list[dict] | None = None) -> None:
+    """Print the report, or refuse it whole if it holds a NaN or an infinity.
+
+    ``coefficients``, weight records (ints and strings only), become the
+    report's last key, written by ``records_text`` as ``json.dumps`` would.
+    """
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalInstabilityError(
             f"{payload['command']}: non-finite number in the report ({exc})"
         ) from exc
+    if coefficients is not None:  # text ends in "\n}"
+        text = f'{text[:-2]},\n  "coefficients": {records_text(coefficients, 1)}\n}}'
     print(text)
 
 
@@ -259,9 +271,8 @@ def _cmd_optimal(args) -> int:
         "strict_optimal_risk": gap.risk_optimal_strict,
         "product_risk": fraction_text(gap.risk_product) if gap.risk_product is not None else None,
         "product_gap": gap.gap,
-        "coefficients": coeffs,
     }
-    _print_json(_payload(args, "optimal", body))
+    _print_json(_payload(args, "optimal", body), coeffs)
     return EXIT_OK
 
 
@@ -290,11 +301,7 @@ def _verify_checks(args) -> list[dict]:
     )
 
     points = random_torus_points(args.d, args.points, seed=args.seed)
-    worst = 0.0
-    for n in range(min(args.n_max, 6) + 1):
-        for parts in enumerate_partitions(args.d, n):
-            worst = max(worst, pieri_residual(parts, points))
-    record("branching-pointwise", worst, 1e-9)
+    record("branching-pointwise", branching_defect(args.d, min(args.n_max, 6), points), 1e-9)
 
     worst = 0.0
     compared = 0

@@ -69,8 +69,9 @@ class SpectralResult:
     """Leading eigenpair of B^T B with its convergence certificate.
 
     ``eigvec`` is the unit eigenvector as a scheme on the columns of B, built
-    from the vector and the column table the first time it is read; each
-    float is taken exactly (``float.as_integer_ratio``).
+    from the vector and the column table the first time it is read; every
+    positive float is taken exactly, over one power-of-two denominator
+    (``weights._exact_ratios``).
     """
 
     d: int
@@ -91,7 +92,7 @@ class SpectralResult:
         positive = self._vector > 0.0
         return WeightVector.from_table(
             self.d, self.level, self._columns[positive],
-            *_exact_ratios(self._vector[positive].tolist()),
+            *_exact_ratios(self._vector[positive]),
         )
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "parse_scheme",
     "scheme_weights",
     "weights_to_json",
+    "records_text",
     "weights_from_json",
     "save_weights",
     "load_weights",
@@ -171,10 +172,22 @@ def _descending(table: np.ndarray) -> bool:
 
 
 def _exact_ratios(values) -> tuple[list[int], int]:
-    """Floats as exact integer numerators over one common (power-of-two) denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*(q for _, q in ratios))
-    return [p * (scale // q) for p, q in ratios], scale
+    """Finite floats as exact integer numerators over one common power-of-two denominator.
+
+    One ``np.frexp`` splits every float into a mantissa in [0.5, 1), which
+    times 2^53 is an exact int64, and an exponent e, so the float is that
+    integer times 2^(e - 53).  With s the smallest e - 53 of a nonzero float,
+    or 0 if that is larger, each numerator is its mantissa integer shifted
+    left by e - 53 - s, and the denominator is 2^-s.  The form is not
+    reduced; :class:`WeightVector` reduces it.
+    """
+    mantissa, exponent = np.frexp(np.asarray(values, dtype=float))
+    exponent -= 53
+    nonzero = mantissa != 0
+    low = int(exponent.min(initial=0, where=nonzero))
+    shifts = np.where(nonzero, exponent - low, 0).tolist()
+    digits = (mantissa * 2.0**53).astype(np.int64).tolist()
+    return list(map(operator.lshift, digits, shifts)), 1 << -low
 
 
 def _gap_products(d: int, n: int) -> tuple[np.ndarray, list[int]]:
@@ -329,11 +342,37 @@ def fraction_text(value: Fraction) -> str:
 
 
 def weights_to_json(w: WeightVector) -> list[dict]:
-    """Serialisable form: one record per support partition, canonical order."""
-    return [
-        {"parts": list(parts), "weight": fraction_text(value)}
-        for parts, value in w.entries.items()
-    ]
+    """Serialisable form: one record per support partition, canonical order.
+
+    A record is ``{"parts": [ints], "weight": "num/den"}``, the coefficient
+    in lowest terms, read from the integer form (one gcd per record, no
+    ``Fraction``) and printed by :func:`int_text`.
+    """
+    den = w.denominator
+    records = []
+    for parts, v in zip(w.table.tolist(), w.numerators):
+        g = math.gcd(v, den)
+        records.append({"parts": parts, "weight": f"{int_text(v // g)}/{int_text(den // g)}"})
+    return records
+
+
+def records_text(records: list[dict], depth: int = 0) -> str:
+    """``json.dumps(records, indent=2)`` of :func:`weights_to_json` records, byte for byte.
+
+    ``depth`` is the nesting level the list sits at in an enclosing
+    ``indent=2`` document: its lines are indented by 2 * depth more spaces,
+    and the text can follow ``"key": `` in it.  With an indent ``json.dumps``
+    walks the records in its pure-Python encoder; here each record is one
+    format of its parts and its weight, quoted by the encoder's own string
+    escaper.
+    """
+    if not records:
+        return "[]"
+    item, key, part = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    quote = json.encoder.encode_basestring_ascii
+    body = (f'{{{key}"parts": [{part}{("," + part).join(map(str, rec["parts"]))}{key}],'
+            f'{key}"weight": {quote(rec["weight"])}{item}}}' for rec in records)
+    return f"[{item}" + f",{item}".join(body) + "\n" + "  " * depth + "]"
 
 
 def weights_from_json(records) -> WeightVector:
@@ -353,7 +392,9 @@ def weights_from_json(records) -> WeightVector:
 
 
 def save_weights(w: WeightVector, path) -> None:
-    Path(path).write_text(json.dumps(weights_to_json(w), indent=2) + "\n")
+    """Write ``w`` as the JSON list of :func:`weights_to_json` records, as
+    ``json.dumps(records, indent=2)`` prints it, and a final newline."""
+    Path(path).write_text(records_text(weights_to_json(w)) + "\n")
 
 
 def load_weights(path) -> WeightVector:

@@ -13,6 +13,7 @@ from sud_estimate.characters import (
     TorusPoint,
     _alternant,
     _eigenvalue_matrix,
+    branching_defect,
     haar_quadrature,
     min_resolution,
     orthogonality_defect,
@@ -301,6 +302,18 @@ class TestPieriResidual:
         with pytest.raises(ValueError):
             pieri_residual((2, 1, 0), random_torus_points(4, 3))
         assert pieri_residual((2, 1, 0), []) == 0.0
+
+    @pytest.mark.parametrize("d, max_level", [(2, 6), (3, 6), (4, 6), (5, 3)])
+    def test_branching_defect_is_the_largest_residual(self, d, max_level):
+        points = random_torus_points(d, 30, seed=5)
+        assert branching_defect(d, max_level, points) == max(
+            pieri_residual(parts, points)
+            for n in range(max_level + 1)
+            for parts in enumerate_partitions(d, n)
+        )
+        assert branching_defect(d, max_level, []) == 0.0
+        with pytest.raises(ValueError):
+            branching_defect(d + 1, max_level, points)
 
 
 class TestQuadratureRisk:

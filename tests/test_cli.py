@@ -16,8 +16,17 @@ from sud_estimate.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from sud_estimate.partitions import enumerate_partitions
 from sud_estimate.risk import exact_risk, risk_curve
-from sud_estimate.weights import load_weights, scheme_weights
+from sud_estimate.spectral import optimality_gap
+from sud_estimate.weights import (
+    fraction_text,
+    load_weights,
+    power_weights,
+    save_weights,
+    scheme_weights,
+    weights_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -454,6 +463,45 @@ class TestOptimal:
         assert len(lines) == 4  # all three level-5 partitions carry weight
 
 
+def fraction_records(w):
+    """The coefficient records built through one Fraction per partition."""
+    return [{"parts": list(p), "weight": fraction_text(v)} for p, v in w.entries.items()]
+
+
+class TestReportBytes:
+    """The optimal report and the exported file are the plain ``json.dumps`` texts."""
+
+    @pytest.mark.parametrize(
+        "d, n, support",
+        [(1, 5, "full"), (2, 0, "full"), (2, 403, "full"), (3, 7, "full"),
+         (3, 7, "strict"), (3, 122, "full"), (4, 12, "full")],
+    )
+    def test_report_is_the_json_dumps_of_its_payload(self, capsys, tmp_path, d, n, support):
+        path = tmp_path / "coefficients.json"
+        code, out, _ = run(capsys, "optimal", "-d", str(d), "-N", str(n), "--support", support,
+                           "--export", str(path), "--no-timestamp")
+        assert code == EXIT_OK
+        w = getattr(optimality_gap(d, n), support).eigvec
+        records = weights_to_json(w)
+        assert records == fraction_records(w)
+        payload = json.loads(out)
+        assert list(payload)[-1] == "coefficients"
+        payload["coefficients"] = records
+        assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        assert path.read_text() == json.dumps(records, indent=2) + "\n"
+
+    def test_export_beyond_the_digit_limit(self, tmp_path):
+        # power:10000 at d=2 N=5 has 3^10000 (4,772 digits) as a numerator;
+        # power:5000 stays below the 4,300 digits str() allows (2,386)
+        w = power_weights(2, 5, 10000)
+        records = weights_to_json(w)
+        assert records == fraction_records(w)
+        assert max(len(rec["weight"]) for rec in records) > 4300
+        path = tmp_path / "huge.json"
+        save_weights(w, path)
+        assert path.read_text() == json.dumps(records, indent=2) + "\n"
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         code, payload, _ = run_json(
@@ -510,7 +558,35 @@ class TestVerify:
         assert code == EXIT_OK and payload["pass"] is True
         assert [n for n, _ in lowest] == sorted(n for n, _ in lowest)
         assert all(low >= n for n, low in lowest), lowest
-        assert len(evaluated) == 186  # the rule's labels once each, plus the branching check's
+        # the rule's 95 labels once each, plus the branching check's 38 (levels 0..7) once each
+        assert len(evaluated) == 133
+
+    @pytest.mark.parametrize("d, n_max", [(4, 10), (3, 4), (2, 3)])
+    def test_branching_check_evaluates_each_label_once(self, capsys, monkeypatch, d, n_max):
+        evaluated, inside = [], []
+        alternant = characters._alternant
+        branching_defect = cli.branching_defect
+
+        def counting(parts, z):
+            if inside:
+                evaluated.append(parts)
+            return alternant(parts, z)
+
+        def tracked(*args):
+            inside.append(True)
+            try:
+                return branching_defect(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(characters, "_alternant", counting)
+        monkeypatch.setattr(cli, "branching_defect", tracked)
+        code, payload, _ = run_json(capsys, "verify", "-d", str(d), "--n-max", str(n_max),
+                                    "--points", "7", "--no-timestamp")
+        assert code == EXIT_OK and payload["pass"] is True
+        top = min(n_max, 6) + 1
+        labels = [p for n in range(top + 1) for p in enumerate_partitions(d, n)]
+        assert sorted(evaluated) == sorted(labels)  # one call per distinct label
 
     def test_branching_check_can_fail(self, capsys, monkeypatch):
         pieri_add = characters.pieri_add

@@ -13,13 +13,17 @@ from conftest import weight_vector_st
 from sud_estimate import partitions
 from sud_estimate.errors import EmptySupportError
 from sud_estimate.risk import exact_risk
+from sud_estimate.spectral import build_incidence, max_eigenpair
 from sud_estimate.weights import (
     WeightVector,
+    _exact_ratios,
+    fraction_text,
     int_text,
     load_weights,
     parse_scheme,
     power_weights,
     product_weights,
+    records_text,
     save_weights,
     scheme_weights,
     uniform_weights,
@@ -140,6 +144,41 @@ class TestWeightVector:
         assert sum(c * c for c in coeffs.values()) == pytest.approx(1.0, abs=1e-14)
 
 
+class TestExactRatios:
+    SPECIAL = [0.0, 5e-324, 2.2250738585072014e-308, 0.1, 0.5, 1.0, 1.5, 2.0**60]
+
+    @staticmethod
+    def assert_exact(values):
+        numerators, denominator = _exact_ratios(values)
+        assert denominator > 0 and denominator & (denominator - 1) == 0  # a power of two
+        assert [Fraction(v, denominator) for v in numerators] == [Fraction(x) for x in values]
+
+    @pytest.mark.parametrize("x", SPECIAL)
+    def test_each_float_is_taken_exactly(self, x):
+        self.assert_exact([x])
+
+    def test_one_denominator_serves_every_float(self):
+        self.assert_exact(self.SPECIAL)
+        self.assert_exact(max_eigenpair(build_incidence(3, 40))._vector.tolist())
+
+    def test_fractional_power_risk_is_unchanged(self):
+        risk = exact_risk(3, 20, power_weights(3, 20, Fraction(1, 2))).risk
+        assert fraction_text(risk) == (
+            "126835403950688110269745528897690/745111679123624544998754831318057"
+        )
+
+    def test_eigvec_has_the_form_of_its_floats_taken_one_by_one(self):
+        result = max_eigenpair(build_incidence(3, 40))
+        vector = result._vector
+        ratios = [x.as_integer_ratio() for x in vector[vector > 0].tolist()]
+        scale = math.lcm(*(q for _, q in ratios))
+        want = WeightVector.from_table(3, 40, result._columns[vector > 0],
+                                       [p * (scale // q) for p, q in ratios], scale)
+        w = result.eigvec
+        assert (w.denominator, w.numerators) == (want.denominator, want.numerators)
+        assert np.array_equal(w.table, want.table)
+
+
 class TestSchemes:
     def test_product_scheme_support(self):
         w = product_weights(2, 5)
@@ -210,6 +249,22 @@ class TestSerialization:
             {"parts": [4, 1], "weight": "3/1"},
             {"parts": [3, 2], "weight": "2/1"},
         ]
+
+    @pytest.mark.parametrize(
+        "w",
+        [None, product_weights(2, 5), WeightVector(1, 3, {(3,): Fraction(1, 3)}),
+         power_weights(3, 9, Fraction(1, 2)), power_weights(2, 5, 10000)],
+        ids=["empty", "product", "d=1", "power:1/2", "beyond-the-digit-limit"],
+    )
+    def test_records_text_is_the_json_dumps_text(self, w):
+        records = [] if w is None else weights_to_json(w)
+        assert records_text(records) == json.dumps(records, indent=2)
+        assert json.dumps({"a": 1, "c": records}, indent=2) == (
+            '{\n  "a": 1,\n  "c": ' + records_text(records, 1) + "\n}"
+        )
+        assert json.dumps({"a": {"c": records}}, indent=2) == (
+            '{\n  "a": {\n    "c": ' + records_text(records, 2) + "\n  }\n}"
+        )
 
     def test_file_round_trip_and_scheme(self, tmp_path):
         w = power_weights(2, 8, 2)
