@@ -41,6 +41,7 @@ alternants agree because the eigenvalue product is 1.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
@@ -90,10 +91,21 @@ class TorusPoint:
 
 
 def random_torus_points(d: int, count: int, seed: int = 0) -> list[TorusPoint]:
-    """Deterministic sample of torus points, uniform in the free angles."""
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(0.0, 2.0 * math.pi, size=(count, d - 1))
-    return [TorusPoint(tuple(row)) for row in draws]
+    """Sample of torus points, uniform in the free angles on [0, 2 pi).
+
+    The angles come from the standard library's ``random.Random(seed)``,
+    ``uniform(0, 2 pi)`` drawn point by point, so one seed always gives the
+    same sample; it is not numpy's stream for that seed, and no numpy
+    generator is loaded.  A negative seed is refused: ``random.Random``
+    would seed with its absolute value.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
+    return [
+        TorusPoint(tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(d - 1)))
+        for _ in range(count)
+    ]
 
 
 def _eigenvalue_matrix(angles: np.ndarray) -> np.ndarray:
@@ -113,9 +125,11 @@ def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
         M(S) = sum_p (-1)^(k-1-p) z_(s_p)^(e_k) M(S minus s_p),
 
     so stage d is the alternant up to the column-reversal sign
-    (-1)^(d(d-1)/2).  The powers come from one multiplication ladder that
-    advances with the stages, the variables are laid out as a contiguous
-    (d, n) array, and each stage is dropped once the next is built.
+    (-1)^(d(d-1)/2).  The powers come from one ladder array that advances
+    with the stages: by one multiplication per unit step, or, when that
+    takes more products, by square-and-multiply from z in place.  The
+    variables are laid out as a contiguous (d, n) array, and each stage is
+    dropped once the next is built.
     """
     d = len(parts)
     zt = np.ascontiguousarray(z.T)
@@ -124,8 +138,16 @@ def _alternant(parts: tuple[int, ...], z: np.ndarray) -> np.ndarray:
     reached = 0
     minors = {(): 1.0}
     for k, exponent in enumerate(p + i for i, p in enumerate(reversed(parts))):
-        for _ in range(exponent - reached):
-            power *= zt
+        if exponent - reached > exponent.bit_length() + exponent.bit_count():
+            # square-and-multiply from z in place: fewer products than the step
+            np.copyto(power, zt)
+            for bit in f"{exponent:b}"[1:]:
+                power *= power
+                if bit == "1":
+                    power *= zt
+        else:
+            for _ in range(exponent - reached):
+                power *= zt
         reached = exponent
         stage = {}
         for subset in combinations(range(d), k + 1):

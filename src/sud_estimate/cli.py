@@ -47,7 +47,7 @@ from .errors import (
     ResolutionError,
 )
 from .risk import curve_to_csv, exact_risk, expansion_diagnostics, risk_curve
-from .spectral import optimality_gap
+from .spectral import build_incidence, max_eigenpair, optimality_gap
 from .weights import (
     fraction_text,
     int_text,
@@ -253,9 +253,9 @@ def _cmd_optimal(args) -> int:
     result = getattr(gap, args.support)
     if result is None:
         raise EmptySupportError(f"no {args.support} partition at level {args.n} for d={args.d}")
-    if args.export:
-        save_weights(result.eigvec, args.export)
     coeffs = weights_to_json(result.eigvec)
+    if args.export:
+        save_weights(coeffs, args.export)
     if args.format == "csv":
         rows = [[ " ".join(str(x) for x in rec["parts"]), rec["weight"]] for rec in coeffs]
         print(_csv_rows(["parts", "weight"], rows), end="")
@@ -304,18 +304,21 @@ def _verify_checks(args) -> list[dict]:
     record("branching-pointwise", branching_defect(args.d, min(args.n_max, 6), points), 1e-9)
 
     worst = 0.0
-    compared = 0
     for n in range(1, args.n_max + 1):  # level by level: the rule drops the levels passed
-        for scheme in ("product", "uniform", "optimal"):
+        # one box-removal structure serves the optimal solve and every exact risk
+        structure = build_incidence(args.d, n)
+        schemes = []
+        for scheme in ("product", "uniform"):
             try:
-                w = scheme_weights(scheme, args.d, n, tol=args.tol)
+                schemes.append(scheme_weights(scheme, args.d, n))
             except EmptySupportError:
-                continue
-            exact = float(exact_risk(args.d, n, w).risk)
+                pass
+        schemes.append(max_eigenpair(structure, tol=args.tol).eigvec)
+        for w in schemes:
+            exact = float(exact_risk(args.d, n, w, structure).risk)
             quad = quadrature_risk(args.d, n, w, rule=rule)
             worst = max(worst, abs(exact - quad))
-            compared += 1
-    if compared == 0:
+    if args.n_max == 0:
         raise EmptySupportError(
             f"no feasible (scheme, N) pair up to N={args.n_max} for d={args.d}"
         )

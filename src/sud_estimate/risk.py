@@ -208,23 +208,25 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 
-def exact_risk(d: int, n: int, w: WeightVector) -> RiskBreakdown:
+def exact_risk(
+    d: int, n: int, w: WeightVector, structure: IncidenceStructure | None = None
+) -> RiskBreakdown:
     """Exact risk of the scheme ``w`` at level ``n``.
 
     B c is one sum per CSR row of B (none is empty) over ``w.denominator * c``
-    in Python ints.  Raises :class:`EmptySupportError` if ``w`` has no
-    nonzero coefficient.
+    in Python ints.  ``structure`` is the full-support box-removal structure
+    of level n when the caller already holds one; by default it is built.
+    Raises :class:`EmptySupportError` if ``w`` has no nonzero coefficient.
     """
     if w.d != d or w.level != n:
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
     if not w.numerators:
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
-    return _scored(_box_removal(d, n), w)
-
-
-def _scored(structure: IncidenceStructure, w: WeightVector) -> RiskBreakdown:
-    """:func:`exact_risk` of ``w`` on the full-support ``structure`` of its own level."""
-    d, n = structure.d, structure.level
+    if structure is None:
+        structure = _box_removal(d, n)
+    elif (structure.d, structure.level, structure.support) != (d, n, "full"):
+        raise ValueError(f"structure is the {structure.support} one of d={structure.d}, "
+                         f"level {structure.level}, not the full one of ({d}, {n})")
     c = np.zeros(structure.matrix.shape[1], dtype=object)
     c[_locate(structure.parent_table, w.table)] = np.array(w.numerators, dtype=object)
     sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConvergenceError, EmptySupportError
-from .risk import IncidenceStructure, _box_removal, _scored
+from .risk import IncidenceStructure, _box_removal, exact_risk
 from .weights import WeightVector, _exact_ratios, product_weights
 
 __all__ = [
@@ -260,5 +260,5 @@ def optimality_gap(
     except EmptySupportError:
         return OptimalityGap(d, n, None, full, None)
     strict = max_eigenpair(strict_structure, tol=tol, max_iterations=max_iterations)
-    product = _scored(structure, product_weights(d, n)).risk
+    product = exact_risk(d, n, product_weights(d, n), structure).risk
     return OptimalityGap(d, n, product, full, strict)

@@ -391,10 +391,10 @@ def weights_from_json(records) -> WeightVector:
     return WeightVector(len(first), level(first), entries)
 
 
-def save_weights(w: WeightVector, path) -> None:
-    """Write ``w`` as the JSON list of :func:`weights_to_json` records, as
-    ``json.dumps(records, indent=2)`` prints it, and a final newline."""
-    Path(path).write_text(records_text(weights_to_json(w)) + "\n")
+def save_weights(records: list[dict], path) -> None:
+    """Write the :func:`weights_to_json` records of a scheme as
+    ``json.dumps(records, indent=2)`` prints them, and a final newline."""
+    Path(path).write_text(records_text(records) + "\n")
 
 
 def load_weights(path) -> WeightVector:

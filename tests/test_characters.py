@@ -1,7 +1,7 @@
 import ast
 import math
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,9 @@ class TestTorusPoint:
         c = random_torus_points(3, 5, seed=12)
         assert [p.angles for p in a] == [p.angles for p in b]
         assert [p.angles for p in a] != [p.angles for p in c]
+        assert all(0.0 <= t < 2.0 * math.pi for p in a for t in p.angles)
+        with pytest.raises(ValueError, match="seed"):
+            random_torus_points(3, 5, seed=-11)  # would repeat seed 11
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected_where_it_enters(self, bad):
@@ -263,6 +266,15 @@ class TestQuadrature:
         assert abs(aliased.inner_product((6, 0), (6, 0)) - 1.0) > 0.5
 
 
+# eigenphases 0.9 and 0.9 + 1.25e-5: a pair of eigenvalues 1.25e-5 apart
+NEAR_CONFLUENT = TorusPoint((0.9, 0.9 + 1.25e-5, 2.3))
+
+
+def min_pair_gap(point: TorusPoint) -> float:
+    """The smallest distance between two eigenvalues of ``point``."""
+    return min(abs(a - b) for a, b in combinations(point.eigenvalues, 2))
+
+
 class TestPieriResidual:
     @pytest.mark.parametrize(
         "parts", [(3, 0), (4, 2), (2, 1, 0), (3, 3, 1), (2, 1, 1, 0)]
@@ -272,9 +284,10 @@ class TestPieriResidual:
         assert pieri_residual(parts, points) < 1e-9
 
     def test_branching_identity_near_confluence(self):
-        # point 74 of this sample has two eigenvalues 1.25e-5 apart, where an
-        # alternant ratio would lose about four digits
-        point = random_torus_points(4, 100, seed=290127639)[74]
+        # two eigenvalues 1.25e-5 apart, where an alternant ratio would lose
+        # about four digits
+        point = NEAR_CONFLUENT
+        assert min_pair_gap(point) == pytest.approx(1.25e-5, rel=1e-6)
         worst = max(
             pieri_residual(parts, [point])
             for n in range(5)
@@ -283,8 +296,9 @@ class TestPieriResidual:
         assert worst < 1e-11
 
     def test_batched_residual_matches_pointwise_evaluation(self):
-        # the sample includes the near-confluent point 74
-        points = random_torus_points(4, 100, seed=290127639)
+        # the sample includes a point with two eigenvalues 1.25e-5 apart
+        points = random_torus_points(4, 99, seed=290127639) + [NEAR_CONFLUENT]
+        assert min_pair_gap(points[-1]) == pytest.approx(1.25e-5, rel=1e-6)
         for n in range(5):
             for parts in enumerate_partitions(4, n):
                 children = [child for _, child in pieri_add(parts)]

@@ -440,6 +440,26 @@ class TestOptimal:
         assert code == EXIT_OK
         assert calls == [(3, 30)]
 
+    def test_export_builds_the_records_once(self, capsys, monkeypatch, tmp_path):
+        # the exported file is written from the records the report prints
+        import sud_estimate.weights as weights
+
+        calls = []
+        to_json = weights.weights_to_json
+
+        def counting(w):
+            calls.append(w)
+            return to_json(w)
+
+        monkeypatch.setattr(weights, "weights_to_json", counting)
+        monkeypatch.setattr(cli, "weights_to_json", counting)
+        path = tmp_path / "opt.json"
+        code, out, _ = run(capsys, "optimal", "-d", "3", "-N", "12",
+                           "--export", str(path), "--no-timestamp")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert path.read_text() == json.dumps(json.loads(out)["coefficients"], indent=2) + "\n"
+
     def test_coefficients_are_the_eigenvector_floats_exactly(self, capsys):
         from sud_estimate.spectral import build_incidence, max_eigenpair
 
@@ -498,7 +518,7 @@ class TestReportBytes:
         assert records == fraction_records(w)
         assert max(len(rec["weight"]) for rec in records) > 4300
         path = tmp_path / "huge.json"
-        save_weights(w, path)
+        save_weights(weights_to_json(w), path)
         assert path.read_text() == json.dumps(records, indent=2) + "\n"
 
 
@@ -520,6 +540,23 @@ class TestVerify:
         ]
         assert all(c["pass"] for c in payload["checks"])
         assert EXIT_VERIFY_FAILED == 1
+
+    def test_builds_each_level_once(self, capsys, monkeypatch):
+        # one structure per level serves the optimal solve and every scheme's exact risk
+        import sud_estimate.risk as risk
+
+        calls = []
+        build = risk._box_removal
+
+        def counting(d, n):
+            calls.append((d, n))
+            return build(d, n)
+
+        monkeypatch.setattr("sud_estimate.risk._box_removal", counting)
+        monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
+        code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")
+        assert code == EXIT_OK and payload["pass"] is True
+        assert calls == [(3, n) for n in range(1, 11)]
 
     @pytest.mark.parametrize("d, n_max", [(4, 4), (3, 10)])
     def test_one_quadrature_rule_per_run(self, capsys, monkeypatch, d, n_max):
@@ -596,6 +633,12 @@ class TestVerify:
         code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "4", "--no-timestamp")
         assert code == EXIT_VERIFY_FAILED and payload["pass"] is False
         assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["branching-pointwise"]
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "-d", "3", "--n-max", "3", "--seed", "-1")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert json.loads(err) == {"error": "seed must be >= 0, got -1", "type": "ValueError"}
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

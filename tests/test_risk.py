@@ -89,6 +89,17 @@ class TestExactRisk:
         with pytest.raises(ValueError):
             exact_risk(2, 4, product_weights(2, 5))
 
+    def test_scores_on_a_structure_the_caller_holds(self):
+        from sud_estimate.spectral import build_incidence
+
+        structure = _box_removal(3, 9)
+        for w in (product_weights(3, 9), uniform_weights(3, 9), power_weights(3, 9, 2)):
+            assert exact_risk(3, 9, w, structure) == exact_risk(3, 9, w)
+        w = product_weights(3, 9)
+        for other in (build_incidence(3, 9, "strict"), _box_removal(3, 8), _box_removal(4, 9)):
+            with pytest.raises(ValueError, match="structure"):
+                exact_risk(3, 9, w, other)
+
     @given(weight_vector_st(max_level=8))
     @settings(max_examples=60)
     def test_risk_in_unit_interval_and_identity(self, data):

@@ -273,6 +273,26 @@ def test_import_loads_no_dense_or_sparse_linalg():
     assert [m for m in loaded if m.startswith(("scipy", "concurrent.futures", "multiprocessing"))] == []
 
 
+def test_verify_loads_no_numpy_random():
+    # numpy.random costs about 5.5 MiB and 16 ms per process; the torus
+    # sample of the branching check is drawn by the standard library
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (
+        "import contextlib, io, json, sys; from sud_estimate import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exit_code = cli.main(['verify', '-d', '3', '--n-max', '4', '--no-timestamp'])\n"
+        "print(json.dumps([exit_code, sorted(sys.modules)]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    exit_code, loaded = json.loads(result.stdout)
+    assert exit_code == 0
+    assert [m for m in loaded if m.startswith("numpy.random")] == []
+
+
 def test_package_imports_no_scipy():
     for path in sorted((SRC / "sud_estimate").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

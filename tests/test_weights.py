@@ -269,7 +269,7 @@ class TestSerialization:
     def test_file_round_trip_and_scheme(self, tmp_path):
         w = power_weights(2, 8, 2)
         path = tmp_path / "w.json"
-        save_weights(w, path)
+        save_weights(weights_to_json(w), path)
         assert load_weights(path) == w
         again = scheme_weights(f"file:{path}", 2, 8)
         assert again == w
