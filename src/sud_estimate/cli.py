@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import collections.abc
 import csv
+import functools
 import io
 import json
 import math
@@ -46,7 +47,13 @@ from .errors import (
     NumericalInstabilityError,
     ResolutionError,
 )
-from .risk import curve_to_csv, exact_risk, expansion_diagnostics, risk_curve
+from .risk import (
+    _scheme_and_structure,
+    curve_to_csv,
+    exact_risk,
+    expansion_diagnostics,
+    risk_curve,
+)
 from .spectral import build_incidence, max_eigenpair, optimality_gap
 from .weights import (
     fraction_text,
@@ -156,8 +163,8 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
 
 
 def _cmd_risk(args) -> int:
-    w = scheme_weights(args.scheme, args.d, args.n, tol=args.tol)
-    breakdown = exact_risk(args.d, args.n, w)
+    w, structure = _scheme_and_structure(args.scheme, args.d, args.n, tol=args.tol)
+    breakdown = exact_risk(args.d, args.n, w, structure)
     body = {
         "risk": fraction_text(breakdown.risk),
         "risk_float": float(breakdown.risk),
@@ -318,10 +325,6 @@ def _verify_checks(args) -> list[dict]:
             exact = float(exact_risk(args.d, n, w, structure).risk)
             quad = quadrature_risk(args.d, n, w, rule=rule)
             worst = max(worst, abs(exact - quad))
-    if args.n_max == 0:
-        raise EmptySupportError(
-            f"no feasible (scheme, N) pair up to N={args.n_max} for d={args.d}"
-        )
     record("risk-oracle", worst, 1e-7)
 
     exact_identities = True
@@ -351,6 +354,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built by the first request, not at import, and reused by later ones
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sud-estimate",
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common, solver],
                        help="cross-check combinatorics against the character oracle")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--n-max", type=_int_at_least(0), default=8)
+    p.add_argument("--n-max", type=_int_at_least(1), default=8)
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--points", type=_int_at_least(1), default=100,
                    help="random torus points for the pointwise branching check")

@@ -18,8 +18,11 @@ numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
 matrix is a :class:`BoxMatrix`, a 0/1 CSR form in plain numpy.  The
 risk is computed in one arithmetic: Python ints on the scheme's integer form
 (numerators over a common denominator), giving an exact rational;
-``float_risk`` is its nearest float.  Whole-table reductions over object
-arrays of those ints keep every value exact, whatever its size.
+``float_risk`` is its nearest float.  B c is a reduction over an object array
+of those ints, exact whatever their size.  The expansion diagnostics take
+their per-row gap-product terms in int64, which holds them exactly at every
+level that ``weights._check_gap_bound`` admits, and form their sums of
+products in Python ints.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +40,14 @@ import numpy as np
 
 from .errors import EmptySumError, EmptySupportError
 from .partitions import partition_table
-from .weights import Scheme, WeightVector, int_text, parse_scheme, scheme_weights
+from .weights import (
+    Scheme,
+    WeightVector,
+    _check_gap_bound,
+    int_text,
+    parse_scheme,
+    scheme_weights,
+)
 
 __all__ = [
     "BoxMatrix",
@@ -208,6 +219,16 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 
+def _full_structure(d: int, n: int, structure: IncidenceStructure | None) -> IncidenceStructure:
+    """``structure``, checked to be the full-support one of (d, n); built when None."""
+    if structure is None:
+        return _box_removal(d, n)
+    if (structure.d, structure.level, structure.support) != (d, n, "full"):
+        raise ValueError(f"structure is the {structure.support} one of d={structure.d}, "
+                         f"level {structure.level}, not the full one of ({d}, {n})")
+    return structure
+
+
 def exact_risk(
     d: int, n: int, w: WeightVector, structure: IncidenceStructure | None = None
 ) -> RiskBreakdown:
@@ -222,13 +243,9 @@ def exact_risk(
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
     if not w.numerators:
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
-    if structure is None:
-        structure = _box_removal(d, n)
-    elif (structure.d, structure.level, structure.support) != (d, n, "full"):
-        raise ValueError(f"structure is the {structure.support} one of d={structure.d}, "
-                         f"level {structure.level}, not the full one of ({d}, {n})")
+    structure = _full_structure(d, n, structure)
     c = np.zeros(structure.matrix.shape[1], dtype=object)
-    c[_locate(structure.parent_table, w.table)] = np.array(w.numerators, dtype=object)
+    c[_locate(structure.parent_table, w.table)] = w.numerators  # the same int objects
     sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])
     scale_sq = w.denominator * w.denominator
     numerator = Fraction(int(np.dot(sums, sums)), scale_sq)
@@ -238,9 +255,11 @@ def exact_risk(
     return RiskBreakdown(d, n, risk, numerator, w.norm_sq, structure.child_table, sums, scale_sq)
 
 
-def float_risk(d: int, n: int, w: WeightVector) -> float:
+def float_risk(
+    d: int, n: int, w: WeightVector, structure: IncidenceStructure | None = None
+) -> float:
     """The exact risk of :func:`exact_risk`, rounded once to the nearest float."""
-    return float(exact_risk(d, n, w).risk)
+    return float(exact_risk(d, n, w, structure).risk)
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +309,55 @@ class ExpansionDiagnostics:
         )
 
 
+def _dot(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """sum(a * b) of two int64 arrays in Python ints; b defaults to a."""
+    x = a.tolist()
+    return sum(map(operator.mul, x, x if b is None else b.tolist()))
+
+
 def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     """Exact expansion pieces at level ``n`` for the gap-product scheme.
 
-    Each sum runs over the rows of the level-(n+1) gap table at once, in
-    Python ints; r(i) comes from the prefix products prod_{j<i} p_j and the
-    suffix products prod_{j>i} p_j of each row.  Needs n >= d(d+1)/2 - 1 so
-    that level n+1 contains a strict partition; otherwise every term
-    vanishes and :class:`EmptySumError` is raised.
+    The per-row terms of the level-(n+1) gap table are int64 arrays: the
+    gaps p, the prefix products prod_{j<i} p_j and suffix products
+    prod_{j>i} p_j that give r(i), r's row sums, prod(p) and the count k of
+    removable rows.  Each is a product of at most d gaps of a partition of
+    level n+1, at most d times one, or a sum of at most 2d of them, so it is
+    at most 2d times max over k <= d of ((n+1)/k)^k / k!
+    (see ``weights._check_gap_bound``);
+    a level where that reaches 2^62 is refused with a ValueError before any
+    table is built.  Their products, which can exceed int64, are summed in
+    Python ints.  Needs n >= d(d+1)/2 - 1 so that level n+1 contains a
+    strict partition; otherwise every term vanishes and
+    :class:`EmptySumError` is raised.
     """
+    _check_gap_bound(d, n + 1)
     children = partition_table(d, n + 1)
-    gaps = children.copy()
-    gaps[:, :-1] -= children[:, 1:]
-    p = gaps.astype(object)
+    p = children.copy()
+    p[:, :-1] -= children[:, 1:]
     before = np.ones_like(p)  # before[:, i] = prod_{j<i} p_j
     before[:, 1:] = np.cumprod(p[:, :-1], axis=1)
     after = np.ones_like(p)  # after[:, i] = prod_{j>i} p_j
     after[:, :-1] = np.cumprod(p[:, :0:-1], axis=1)[:, ::-1]
     r = -before * after
     r[:, 1:] += (p[:, 1:] - 1) * before[:, :-1] * after[:, 1:]
-    r[gaps == 0] = 0  # r(i) exists only for a removable row
+    r[p == 0] = 0  # r(i) exists only for a removable row
     r_sum = r.sum(axis=1)
     prod = before[:, -1] * p[:, -1]
-    k = np.count_nonzero(gaps, axis=1).astype(object)  # removable rows
-    kp = k * prod * prod
-    c_t = int(np.dot(k, kp))
+    k_prod = np.count_nonzero(p, axis=1) * prod  # times the removable rows
+    c_t = _dot(k_prod)
     if c_t == 0:
         raise EmptySumError(
             f"every gap product vanishes at level {n + 1} for d={d} "
             f"(need N >= {d * (d + 1) // 2 - 1})"
         )
-    c_u = d * int(kp.sum())
+    c_u = d * _dot(k_prod, prod)
     return ExpansionDiagnostics(
         d, n, Fraction(c_t), Fraction(c_u),
-        Fraction(2 * int(np.dot(k * prod, r_sum)), c_t),
-        Fraction(2 * d * int(np.dot(prod, r_sum)), c_u),
-        Fraction(int(np.dot(r_sum, r_sum)), c_t),
-        Fraction(d * int((r * r).sum()), c_u),
+        Fraction(2 * _dot(k_prod, r_sum), c_t),
+        Fraction(2 * d * _dot(prod, r_sum), c_u),
+        Fraction(_dot(r_sum), c_t),
+        Fraction(d * _dot(r.ravel()), c_u),
     )
 
 
@@ -386,18 +417,35 @@ def fit_constant(points: Sequence[RiskPoint]) -> FitResult:
     return FitResult(constant, slope, (window[0].n, window[-1].n), resid)
 
 
+def _scheme_and_structure(
+    spec: str | Scheme, d: int, n: int, tol: float = 1e-12
+) -> tuple[WeightVector, IncidenceStructure | None]:
+    """The scheme ``spec`` at level n, with the structure that scores it.
+
+    An optimal scheme is solved on the full box-removal structure of level n,
+    built here once and returned, so that its risk reuses it; any other
+    scheme comes with None and its risk builds the structure.
+    """
+    structure = None
+    if parse_scheme(spec).kind == "optimal":
+        from .spectral import build_incidence  # deferred: spectral imports risk
+
+        structure = build_incidence(d, n)
+    return scheme_weights(spec, d, n, tol=tol, structure=structure), structure
+
+
 def _curve_point(args) -> RiskPoint | tuple[int, str]:
     """One level of a sweep, or (n, reason) when the scheme has no support there."""
     d, n, label, exact = args
     try:
-        w = scheme_weights(label, d, n)
+        w, structure = _scheme_and_structure(label, d, n)
     except EmptySupportError as exc:
         return n, str(exc)
     if exact:
-        r = exact_risk(d, n, w).risk
+        r = exact_risk(d, n, w, structure).risk
         rf = float(r)
         return RiskPoint(n, r, rf, n * n * rf)
-    rf = float_risk(d, n, w)
+    rf = float_risk(d, n, w, structure)
     return RiskPoint(n, None, rf, n * n * rf)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConvergenceError, EmptySupportError
-from .risk import IncidenceStructure, _box_removal, exact_risk
+from .risk import IncidenceStructure, _box_removal, _full_structure, exact_risk
 from .weights import WeightVector, _exact_ratios, product_weights
 
 __all__ = [
@@ -207,10 +207,15 @@ def max_eigenpair(
 
 
 def optimal_weights(
-    d: int, n: int, support: str = "full", tol: float = 1e-12
+    d: int, n: int, support: str = "full", tol: float = 1e-12,
+    structure: IncidenceStructure | None = None,
 ) -> WeightVector:
-    """Leading-eigenvector scheme at level n."""
-    return max_eigenpair(build_incidence(d, n, support), tol=tol).eigvec
+    """Leading-eigenvector scheme at level n.
+
+    It is solved on ``structure``, the full-support box-removal structure of
+    level n, restricted to ``support``; by default the structure is built.
+    """
+    return max_eigenpair(_restrict(_full_structure(d, n, structure), support), tol=tol).eigvec
 
 
 @dataclass(frozen=True)

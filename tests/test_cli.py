@@ -40,6 +40,23 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+@pytest.fixture
+def box_removals(monkeypatch):
+    """The (d, n) of every box-removal structure built while the test runs."""
+    import sud_estimate.risk as risk
+
+    calls = []
+    build = risk._box_removal
+
+    def counting(d, n):
+        calls.append((d, n))
+        return build(d, n)
+
+    monkeypatch.setattr("sud_estimate.risk._box_removal", counting)
+    monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
+    return calls
+
+
 # Python's limit on int <-> decimal string conversion (3.11+, and 3.10.7+)
 DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
@@ -187,8 +204,23 @@ class TestRisk:
         _, payload, _ = run_json(capsys, "risk", "-d", "2", "-N", "5")
         assert "generated_at" in payload
 
+    def test_level_beyond_the_int64_bound_exits_2(self, capsys):
+        # refused before any table is built: the strict table would have 5e9 rows
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "10000000000")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        error = json.loads(err)
+        assert error["type"] == "ValueError" and "int64" in error["error"]
+
+    def test_optimal_scheme_builds_the_structure_once(self, capsys, box_removals):
+        # the structure the optimum is solved on also scores it
+        code, _, _ = run(capsys, "risk", "-d", "3", "-N", "30", "--scheme", "optimal",
+                         "--no-timestamp")
+        assert code == EXIT_OK
+        assert box_removals == [(3, 30)]
+
     def test_arithmetic_error_exits_3(self, capsys, monkeypatch):
-        def escaped(d, n, w):
+        def escaped(d, n, w, structure=None):
             raise ArithmeticError("risk 2 escaped [0, 1]; this is a bug")
 
         monkeypatch.setattr("sud_estimate.cli.exact_risk", escaped)
@@ -301,10 +333,18 @@ class TestSweep:
         want = [float(Fraction(row["risk"])) for row in exact["rows"]]
         assert got == want
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_optimal_scheme_builds_each_level_once(self, capsys, box_removals, exact):
+        code, _, _ = run(capsys, "sweep", "-d", "3", "-N", "30:120:30", "--scheme", "optimal",
+                         *(["--exact"] if exact else []), "--no-timestamp")
+        assert code == EXIT_OK
+        assert box_removals == [(3, n) for n in (30, 60, 90, 120)]
+
     def test_non_finite_value_exits_3_with_nothing_on_stdout(self, capsys, monkeypatch):
         import sud_estimate.risk
 
-        monkeypatch.setattr(sud_estimate.risk, "float_risk", lambda d, n, w: math.nan)
+        monkeypatch.setattr(sud_estimate.risk, "float_risk",
+                            lambda d, n, w, structure=None: math.nan)
         code, out, err = run(capsys, "sweep", "-d", "2", "-N", "5:9", "--no-timestamp")
         assert code == EXIT_NUMERICAL
         assert out == ""
@@ -423,22 +463,11 @@ class TestOptimal:
         options = {"tol": 1e-11, "max_iterations": 500}
         assert calls == [("full", options), ("strict", options)]
 
-    def test_builds_the_incidence_once_for_both_solves(self, capsys, monkeypatch):
+    def test_builds_the_incidence_once_for_both_solves(self, capsys, box_removals):
         # one structure for the full and strict solves and the product's risk
-        import sud_estimate.risk as risk
-
-        calls = []
-        build = risk._box_removal
-
-        def counting(d, n):
-            calls.append((d, n))
-            return build(d, n)
-
-        monkeypatch.setattr("sud_estimate.risk._box_removal", counting)
-        monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
         code, _, _ = run(capsys, "optimal", "-d", "3", "-N", "30", "--no-timestamp")
         assert code == EXIT_OK
-        assert calls == [(3, 30)]
+        assert box_removals == [(3, 30)]
 
     def test_export_builds_the_records_once(self, capsys, monkeypatch, tmp_path):
         # the exported file is written from the records the report prints
@@ -541,22 +570,11 @@ class TestVerify:
         assert all(c["pass"] for c in payload["checks"])
         assert EXIT_VERIFY_FAILED == 1
 
-    def test_builds_each_level_once(self, capsys, monkeypatch):
+    def test_builds_each_level_once(self, capsys, box_removals):
         # one structure per level serves the optimal solve and every scheme's exact risk
-        import sud_estimate.risk as risk
-
-        calls = []
-        build = risk._box_removal
-
-        def counting(d, n):
-            calls.append((d, n))
-            return build(d, n)
-
-        monkeypatch.setattr("sud_estimate.risk._box_removal", counting)
-        monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
         code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")
         assert code == EXIT_OK and payload["pass"] is True
-        assert calls == [(3, n) for n in range(1, 11)]
+        assert box_removals == [(3, n) for n in range(1, 11)]
 
     @pytest.mark.parametrize("d, n_max", [(4, 4), (3, 10)])
     def test_one_quadrature_rule_per_run(self, capsys, monkeypatch, d, n_max):
@@ -634,6 +652,15 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED and payload["pass"] is False
         assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["branching-pointwise"]
 
+    def test_n_max_below_1_is_refused_before_any_check(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "haar_quadrature", lambda *args: built.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-d", "3", "--n-max", "0"])
+        assert exc.value.code == EXIT_INFEASIBLE
+        assert "argument --n-max: must be >= 1" in capsys.readouterr().err
+        assert built == []
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "-d", "3", "--n-max", "3", "--seed", "-1")
         assert code == EXIT_INFEASIBLE
@@ -704,7 +731,7 @@ class TestParser:
             (["verify", "-d", "2", "--n-max", "2", "--points", "0"], "--points: must be >= 1"),
             (["sweep", "-d", "2", "-N", "3:5", "--workers", "0"], "--workers: must be >= 1"),
             (["sweep", "-d", "2", "-N", "3:5", "--workers", "-1"], "--workers: must be >= 1"),
-            (["verify", "-d", "2", "--n-max", "-1"], "--n-max: must be >= 0"),
+            (["verify", "-d", "2", "--n-max", "-1"], "--n-max: must be >= 1"),
             (["optimal", "-d", "2", "-N", "5", "--max-iterations", "0"],
              "--max-iterations: must be >= 1"),
         ],
@@ -727,6 +754,22 @@ class TestParser:
             main([*argv, "--tol", value])
         assert exc.value.code == EXIT_INFEASIBLE
         assert "argument --tol: must be finite and > 0" in capsys.readouterr().err
+
+    def test_one_parser_serves_every_request(self, capsys):
+        # a reused parser starts each request from its defaults, not from the last request's flags
+        requests = [
+            ("sweep", "-d", "3", "-N", "10:40:10", "--no-fit", "--exact", "--no-timestamp"),
+            ("risk", "-d", "3", "-N", "12", "--no-timestamp"),
+            ("sweep", "-d", "3", "-N", "10:40:10", "--no-timestamp"),
+        ]
+        fresh = []
+        for argv in requests:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli.build_parser.cache_clear()
+        assert [run(capsys, *argv) for argv in requests] == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        assert json.loads(fresh[2][1])["config"]["exact"] is False
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

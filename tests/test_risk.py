@@ -7,8 +7,10 @@ from hypothesis import given, settings
 
 from conftest import gap_vector, removable_rows, weight_vector_st
 from sud_estimate.errors import EmptySumError, EmptySupportError
+from sud_estimate.partitions import partition_table
 from sud_estimate.risk import (
     BoxMatrix,
+    ExpansionDiagnostics,
     RiskPoint,
     _box_removal,
     curve_to_csv,
@@ -210,6 +212,34 @@ class TestFloatPath:
         assert float_risk(2, 40, w) == pytest.approx(0.49996, abs=1e-5)
 
 
+def object_expansion(d: int, n: int) -> ExpansionDiagnostics:
+    """The expansion pieces computed on whole-table object arrays of Python ints."""
+    children = partition_table(d, n + 1)
+    gaps = children.copy()
+    gaps[:, :-1] -= children[:, 1:]
+    p = gaps.astype(object)
+    before = np.ones_like(p)
+    before[:, 1:] = np.cumprod(p[:, :-1], axis=1)
+    after = np.ones_like(p)
+    after[:, :-1] = np.cumprod(p[:, :0:-1], axis=1)[:, ::-1]
+    r = -before * after
+    r[:, 1:] += (p[:, 1:] - 1) * before[:, :-1] * after[:, 1:]
+    r[gaps == 0] = 0
+    r_sum = r.sum(axis=1)
+    prod = before[:, -1] * p[:, -1]
+    k = np.count_nonzero(gaps, axis=1).astype(object)
+    kp = k * prod * prod
+    c_t = int(np.dot(k, kp))
+    c_u = d * int(kp.sum())
+    return ExpansionDiagnostics(
+        d, n, Fraction(c_t), Fraction(c_u),
+        Fraction(2 * int(np.dot(k * prod, r_sum)), c_t),
+        Fraction(2 * d * int(np.dot(prod, r_sum)), c_u),
+        Fraction(int(np.dot(r_sum, r_sum)), c_t),
+        Fraction(d * int((r * r).sum()), c_u),
+    )
+
+
 class TestExpansionDiagnostics:
     def test_frozen_small_case(self):
         # d=2, N=5: four level-6 partitions; gap products 0, 4, 4, 0
@@ -276,6 +306,35 @@ class TestExpansionDiagnostics:
                 diag = expansion_diagnostics(d, n)
                 want = exact_risk(d, n, product_weights(d, n)).risk
                 assert diag.risk_from_expansion() == want
+
+    @pytest.mark.parametrize("d, n", [
+        (2, 2), (2, 57), (2, 1200), (3, 5), (3, 121), (3, 600), (4, 9), (4, 70),
+        (5, 14), (5, 33), (6, 20), (6, 29),
+    ])
+    def test_matches_the_object_array_reference(self, d, n):
+        diag = expansion_diagnostics(d, n)
+        assert diag == object_expansion(d, n)
+        for value in (diag.c_t, diag.c_u, diag.t1, diag.u1, diag.t2, diag.u2):
+            assert type(value.numerator) is int and type(value.denominator) is int
+
+    def test_largest_level_inside_the_bound_is_exact(self):
+        # at d=1 the one child of level n+1 has gap n+1; the bound 2(n+1) reaches 2^62 at n = 2^61 - 1
+        n = 2**61 - 2
+        assert expansion_diagnostics(1, n) == ExpansionDiagnostics(
+            1, n, Fraction((n + 1) ** 2), Fraction((n + 1) ** 2),
+            Fraction(-2, n + 1), Fraction(-2, n + 1), Fraction(1, (n + 1) ** 2),
+            Fraction(1, (n + 1) ** 2),
+        )
+        with pytest.raises(ValueError, match="int64"):
+            expansion_diagnostics(1, n + 1)
+
+    def test_level_beyond_the_bound_is_refused_before_any_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a partition table was built")
+
+        monkeypatch.setattr("sud_estimate.risk.partition_table", refuse)
+        with pytest.raises(ValueError, match="int64"):
+            expansion_diagnostics(2, 10**10)
 
     def test_degenerate_levels_raise(self):
         with pytest.raises(EmptySumError):

@@ -17,6 +17,7 @@ from sud_estimate.spectral import build_incidence, max_eigenpair
 from sud_estimate.weights import (
     WeightVector,
     _exact_ratios,
+    _gap_products,
     fraction_text,
     int_text,
     load_weights,
@@ -48,6 +49,34 @@ class TestGapWeights:
         assert half[(4, 1)] / half[(3, 2)] == pytest.approx((3 / 2) ** 0.5)
         with pytest.raises(ValueError):
             power_weights(2, 5, -1)
+
+
+class TestGapProducts:
+    @pytest.mark.parametrize("d, n", [
+        (1, 1), (1, 40), (2, 3), (2, 41), (2, 5000), (3, 6), (3, 77), (3, 1000),
+        (4, 10), (4, 93), (5, 15), (5, 44), (6, 21), (6, 38),
+    ])
+    def test_products_are_the_object_array_products_as_python_ints(self, d, n):
+        # int64 products wrap silently; these must be exact and plain ints
+        table, products = _gap_products(d, n)
+        gaps = table.copy()
+        gaps[:, :-1] -= table[:, 1:]
+        assert products == gaps.astype(object).prod(axis=1).tolist()
+        assert {type(p) for p in products} == {int}
+
+    def test_largest_level_inside_the_bound_is_exact(self):
+        # d=1 has one row, whose gap is the level n; the bound 2 * d * n reaches 2^62 at 2^61
+        assert _gap_products(1, 2**61 - 1)[1] == [2**61 - 1]
+        with pytest.raises(ValueError, match="int64"):
+            _gap_products(1, 2**61)
+
+    def test_level_beyond_the_bound_is_refused_before_any_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a partition table was built")
+
+        monkeypatch.setattr("sud_estimate.weights.partition_table", refuse)
+        with pytest.raises(ValueError, match="int64"):
+            _gap_products(2, 10**10)
 
 
 class TestWeightVector:
