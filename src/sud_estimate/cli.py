@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import collections.abc
 import csv
-import functools
 import io
 import json
 import math
@@ -354,7 +353,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # built by the first request, not at import, and reused by later ones
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sud-estimate",

@@ -21,8 +21,8 @@ risk is computed in one arithmetic: Python ints on the scheme's integer form
 ``float_risk`` is its nearest float.  B c is a reduction over an object array
 of those ints, exact whatever their size.  The expansion diagnostics take
 their per-row gap-product terms in int64, which holds them exactly at every
-level that ``weights._check_gap_bound`` admits, and form their sums of
-products in Python ints.
+level that ``_check_gap_bound`` admits, and form their sums of products in
+Python ints.
 """
 
 from __future__ import annotations
@@ -40,14 +40,7 @@ import numpy as np
 
 from .errors import EmptySumError, EmptySupportError
 from .partitions import partition_table
-from .weights import (
-    Scheme,
-    WeightVector,
-    _check_gap_bound,
-    int_text,
-    parse_scheme,
-    scheme_weights,
-)
+from .weights import Scheme, WeightVector, int_text, parse_scheme, scheme_weights
 
 __all__ = [
     "BoxMatrix",
@@ -309,6 +302,30 @@ class ExpansionDiagnostics:
         )
 
 
+def _check_gap_bound(d: int, m: int) -> None:
+    """Refuse a level m whose gap-product terms might leave int64.
+
+    A partition of level m into d rows has gaps p_j = lambda_j - lambda_(j+1)
+    (lambda_(d+1) = 0) with sum_j j * p_j = m.  A product of k <= d of them,
+    over distinct rows j, is prod (j p_j) / prod j, where prod (j p_j) <=
+    (m/k)^k by AM-GM and prod j >= k!, so it is at most
+    B = max over k <= d of (m/k)^k / k!; so is a product with p_i - 1 in
+    place of a gap p_i >= 1.  The per-row terms built from them (a product,
+    a sum of at most 2d of them, a product times a count of at most d) are
+    at most 2d * B in magnitude.  A level where 2d * B reaches 2^62 is
+    refused with a ValueError, so below it every such term is exact in
+    int64.  The terms (m/k)^k / k! rise to their maximum and then fall (the
+    ratio of consecutive ones, m k^k / (k+1)^(k+2), decreases in k), so the
+    scan stops at the first one no smaller than the next.
+    """
+    for k in range(1, d + 1):
+        if 2 * d * m**k >= 2**62 * k**k * math.factorial(k):
+            raise ValueError(f"level {m} is too large for d={d}: its gap products "
+                             f"may not fit in int64")
+        if m * k**k <= (k + 1) ** (k + 2):
+            return
+
+
 def _dot(a: np.ndarray, b: np.ndarray | None = None) -> int:
     """sum(a * b) of two int64 arrays in Python ints; b defaults to a."""
     x = a.tolist()
@@ -323,13 +340,12 @@ def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     prod_{j>i} p_j that give r(i), r's row sums, prod(p) and the count k of
     removable rows.  Each is a product of at most d gaps of a partition of
     level n+1, at most d times one, or a sum of at most 2d of them, so it is
-    at most 2d times max over k <= d of ((n+1)/k)^k / k!
-    (see ``weights._check_gap_bound``);
-    a level where that reaches 2^62 is refused with a ValueError before any
-    table is built.  Their products, which can exceed int64, are summed in
-    Python ints.  Needs n >= d(d+1)/2 - 1 so that level n+1 contains a
-    strict partition; otherwise every term vanishes and
-    :class:`EmptySumError` is raised.
+    at most 2d times max over k <= d of ((n+1)/k)^k / k! (see
+    :func:`_check_gap_bound`); a level where that reaches 2^62 is refused
+    with a ValueError before any table is built.  Their products, which can
+    exceed int64, are summed in Python ints.  Needs n >= d(d+1)/2 - 1 so
+    that level n+1 contains a strict partition; otherwise every term
+    vanishes and :class:`EmptySumError` is raised.
     """
     _check_gap_bound(d, n + 1)
     children = partition_table(d, n + 1)
@@ -426,12 +442,13 @@ def _scheme_and_structure(
     built here once and returned, so that its risk reuses it; any other
     scheme comes with None and its risk builds the structure.
     """
-    structure = None
-    if parse_scheme(spec).kind == "optimal":
-        from .spectral import build_incidence  # deferred: spectral imports risk
+    scheme = parse_scheme(spec)
+    if scheme.kind != "optimal":
+        return scheme_weights(scheme, d, n, tol=tol), None
+    from .spectral import build_incidence, optimal_weights  # deferred: spectral imports risk
 
-        structure = build_incidence(d, n)
-    return scheme_weights(spec, d, n, tol=tol, structure=structure), structure
+    structure = build_incidence(d, n)
+    return optimal_weights(d, n, support=scheme.support, tol=tol, structure=structure), structure
 
 
 def _curve_point(args) -> RiskPoint | tuple[int, str]:

@@ -190,40 +190,19 @@ def _exact_ratios(values) -> tuple[list[int], int]:
     return list(map(operator.lshift, digits, shifts)), 1 << -low
 
 
-def _check_gap_bound(d: int, m: int) -> None:
-    """Refuse a level m whose gap-product terms might leave int64.
-
-    A partition of level m into d rows has gaps p_j = lambda_j - lambda_(j+1)
-    (lambda_(d+1) = 0) with sum_j j * p_j = m.  A product of k <= d of them,
-    over distinct rows j, is prod (j p_j) / prod j, where prod (j p_j) <=
-    (m/k)^k by AM-GM and prod j >= k!, so it is at most
-    B = max over k <= d of (m/k)^k / k!; so is a product with p_i - 1 in
-    place of a gap p_i >= 1.  The per-row terms built from them (a product,
-    a sum of at most 2d of them, a product times a count of at most d) are
-    at most 2d * B in magnitude.  A level where 2d * B reaches 2^62 is
-    refused with a ValueError, so below it every such term is exact in
-    int64.  The terms (m/k)^k / k! rise to their maximum and then fall (the
-    ratio of consecutive ones, m k^k / (k+1)^(k+2), decreases in k), so the
-    scan stops at the first one no smaller than the next.
-    """
-    for k in range(1, d + 1):
-        if 2 * d * m**k >= 2**62 * k**k * math.factorial(k):
-            raise ValueError(f"level {m} is too large for d={d}: its gap products "
-                             f"may not fit in int64")
-        if m * k**k <= (k + 1) ** (k + 2):
-            return
-
-
 def _gap_products(d: int, n: int) -> tuple[np.ndarray, list[int]]:
     """The strict table of level n and the gap product of each row, in canonical order.
 
     Each product is taken in int64 on the table and handed on as a Python
-    int.  It is a product of d gaps of a partition of level n, at most
-    max over k <= d of (n/k)^k / k! (see :func:`_check_gap_bound`), and a
-    level where 2d times that reaches 2^62 is refused with a ValueError
-    before any table is built.
+    int.  A strict row has every gap p_j >= 1, so each partial product that
+    ``prod`` forms is at most the full one, and with sum_j j * p_j = n the
+    full one is prod (j p_j) / d! <= (n/d)^d / d! by AM-GM.  A level where
+    that bound reaches 2^63 is refused with a ValueError before any table is
+    built, so below it every product is exact in int64.
     """
-    _check_gap_bound(d, n)
+    if d >= 1 and n**d >= 2**63 * d**d * math.factorial(d):
+        raise ValueError(f"level {n} is too large for d={d}: its gap products "
+                         f"may not fit in int64")
     table = partition_table(d, n, strict=True)
     if not len(table):
         raise EmptySupportError(
@@ -333,14 +312,8 @@ def parse_scheme(spec: str | Scheme) -> Scheme:
     raise ValueError(f"unknown scheme {spec!r}")
 
 
-def scheme_weights(
-    spec: str | Scheme, d: int, n: int, *, tol: float = 1e-12, structure=None
-) -> WeightVector:
-    """Materialise a scheme specification as a weight vector at level n.
-
-    ``structure``, the full box-removal structure of level n when the caller
-    holds one, is what an optimal scheme is solved on; other schemes ignore it.
-    """
+def scheme_weights(spec: str | Scheme, d: int, n: int, *, tol: float = 1e-12) -> WeightVector:
+    """Materialise a scheme specification as a weight vector at level n."""
     scheme = parse_scheme(spec)
     if scheme.kind == "product":
         return product_weights(d, n)
@@ -351,7 +324,7 @@ def scheme_weights(
     if scheme.kind == "optimal":
         from .spectral import optimal_weights  # deferred: spectral imports weights
 
-        return optimal_weights(d, n, support=scheme.support, tol=tol, structure=structure)
+        return optimal_weights(d, n, support=scheme.support, tol=tol)
     if scheme.kind == "file":
         w = load_weights(scheme.path)
         if w.d != d or w.level != n:

@@ -755,22 +755,6 @@ class TestParser:
         assert exc.value.code == EXIT_INFEASIBLE
         assert "argument --tol: must be finite and > 0" in capsys.readouterr().err
 
-    def test_one_parser_serves_every_request(self, capsys):
-        # a reused parser starts each request from its defaults, not from the last request's flags
-        requests = [
-            ("sweep", "-d", "3", "-N", "10:40:10", "--no-fit", "--exact", "--no-timestamp"),
-            ("risk", "-d", "3", "-N", "12", "--no-timestamp"),
-            ("sweep", "-d", "3", "-N", "10:40:10", "--no-timestamp"),
-        ]
-        fresh = []
-        for argv in requests:
-            cli.build_parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        cli.build_parser.cache_clear()
-        assert [run(capsys, *argv) for argv in requests] == fresh
-        assert cli.build_parser.cache_info().misses == 1
-        assert json.loads(fresh[2][1])["config"]["exact"] is False
-
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["--version"])

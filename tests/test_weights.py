@@ -65,10 +65,14 @@ class TestGapProducts:
         assert {type(p) for p in products} == {int}
 
     def test_largest_level_inside_the_bound_is_exact(self):
-        # d=1 has one row, whose gap is the level n; the bound 2 * d * n reaches 2^62 at 2^61
-        assert _gap_products(1, 2**61 - 1)[1] == [2**61 - 1]
+        # d=1 has one row, whose gap is the level n; the bound (n/d)^d / d! reaches 2^63 at 2^63
+        assert _gap_products(1, 2**63 - 1)[1] == [2**63 - 1]
         with pytest.raises(ValueError, match="int64"):
-            _gap_products(1, 2**61)
+            _gap_products(1, 2**63)
+
+    def test_smallest_strict_level_is_accepted_at_any_d(self):
+        # its one row has every gap 1, so its product is 1 however large d is
+        assert product_weights(48, 1176).entries == {tuple(range(48, 0, -1)): 1}
 
     def test_level_beyond_the_bound_is_refused_before_any_table(self, monkeypatch):
         def refuse(*args, **kwargs):
