@@ -13,9 +13,10 @@ Subcommands:
 Reports are JSON by default (stable key order, exact rationals as
 "num/den" strings) or CSV via ``--format csv``.  Exit codes: 0 success,
 1 failed verification, 2 infeasible parameters (empty support or sum, a bad
-scheme or weight file), 3 numerical failure (non-convergence, refused
-resolution, an exact value outside its mathematical range or a NaN or
-infinity in a report).  Errors are one JSON object on stderr.
+scheme or weight file, a level whose tables do not fit in memory), 3
+numerical failure (non-convergence, refused resolution, an exact value
+outside its mathematical range or a NaN or infinity in a report).  Errors
+are one JSON object on stderr.
 ``parse_range`` is shared with the experiment scripts.
 """
 
@@ -429,6 +430,11 @@ def main(argv=None) -> int:
         # EmptySupportError / EmptySumError and bad scheme or parameter
         # strings all mean the request itself cannot be satisfied
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        # a level whose tables do not fit in memory cannot be satisfied either
+        print(json.dumps({"error": str(exc) or "out of memory", "type": "MemoryError"}),
+              file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConvergenceError, ResolutionError, NumericalInstabilityError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)

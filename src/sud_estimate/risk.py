@@ -16,13 +16,15 @@ incidence matrix between the partitions of level N+1 and level N, so the
 numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
 :class:`IncidenceStructure`, which also serves the spectral optimum; its
 matrix is a :class:`BoxMatrix`, a 0/1 CSR form in plain numpy.  The
-risk is computed in one arithmetic: Python ints on the scheme's integer form
-(numerators over a common denominator), giving an exact rational;
-``float_risk`` is its nearest float.  B c is a reduction over an object array
-of those ints, exact whatever their size.  The expansion diagnostics take
-their per-row gap-product terms in int64, which holds them exactly at every
-level that ``_check_gap_bound`` admits, and form their sums of products in
-Python ints.
+risk is computed in one arithmetic: exact integers on the scheme's integer
+form (numerators over a common denominator), giving an exact rational;
+``float_risk`` is its nearest float.  B c is one reduction over the CSR rows,
+in int64 when a bound on the numerators keeps every row sum exact and over an
+object array of Python ints otherwise, and ||B c||^2 is an int64 dot only
+under the same kind of bound (``weights._sum_of_products``).  The expansion
+diagnostics take their per-row gap-product terms in int64, which holds them
+exactly at every level that ``_check_gap_bound`` admits, and form their sums
+of products the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +41,15 @@ import numpy as np
 
 from .errors import EmptySumError, EmptySupportError
 from .partitions import partition_table
-from .weights import Scheme, WeightVector, int_text, parse_scheme, scheme_weights
+from .weights import (
+    _INT64_MAX,
+    Scheme,
+    WeightVector,
+    _sum_of_products,
+    int_text,
+    parse_scheme,
+    scheme_weights,
+)
 
 __all__ = [
     "BoxMatrix",
@@ -77,14 +86,14 @@ class RiskBreakdown:
     numerator: Fraction
     norm_sq: Fraction
     _children: np.ndarray = field(repr=False, compare=False)
-    _parent_sums: np.ndarray = field(repr=False, compare=False)  # Python ints
+    _parent_sums: np.ndarray = field(repr=False, compare=False)  # int64 or Python ints
     _scale_sq: int = field(repr=False, compare=False)
 
     @cached_property
     def numerator_terms(self) -> dict[tuple[int, ...], Fraction]:
-        return {
+        return {  # squared as Python ints: the square of an int64 sum can overflow
             child: Fraction(s * s, self._scale_sq)
-            for child, s in zip(map(tuple, self._children.tolist()), self._parent_sums)
+            for child, s in zip(map(tuple, self._children.tolist()), self._parent_sums.tolist())
         }
 
 
@@ -156,7 +165,10 @@ class IncidenceStructure:
     @cached_property
     def strict(self) -> np.ndarray:
         t = self.parent_table
-        return np.all(t[:, :-1] > t[:, 1:], axis=1) & (t[:, -1] > 0)
+        strict = t[:, -1] > 0
+        for j in range(self.d - 1):
+            strict &= t[:, j] > t[:, j + 1]
+        return strict
 
 
 def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -227,21 +239,25 @@ def exact_risk(
 ) -> RiskBreakdown:
     """Exact risk of the scheme ``w`` at level ``n``.
 
-    B c is one sum per CSR row of B (none is empty) over ``w.denominator * c``
-    in Python ints.  ``structure`` is the full-support box-removal structure
-    of level n when the caller already holds one; by default it is built.
-    Raises :class:`EmptySupportError` if ``w`` has no nonzero coefficient.
+    B c is one sum per CSR row of B (none is empty) over ``w.denominator * c``.
+    A row has at most d ones, so the sums are taken in int64 when the
+    numerators are int64 and d times the largest is at most 2^63 - 1, and in
+    Python ints otherwise; ||B c||^2 is :func:`~sud_estimate.weights._sum_of_products`
+    of them.  ``structure`` is the full-support box-removal structure of level
+    n when the caller already holds one; by default it is built.  Raises
+    :class:`EmptySupportError` if ``w`` has no nonzero coefficient.
     """
     if w.d != d or w.level != n:
         raise ValueError(f"weights are for d={w.d}, level {w.level}, not ({d}, {n})")
-    if not w.numerators:
+    if not len(w.numerators):
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
     structure = _full_structure(d, n, structure)
-    c = np.zeros(structure.matrix.shape[1], dtype=object)
-    c[_locate(structure.parent_table, w.table)] = w.numerators  # the same int objects
+    fits = w.numerators.dtype == np.int64 and d * int(w.numerators.max()) <= _INT64_MAX
+    c = np.zeros(structure.matrix.shape[1], dtype=np.int64 if fits else object)
+    c[_locate(structure.parent_table, w.table)] = w.numerators
     sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])
     scale_sq = w.denominator * w.denominator
-    numerator = Fraction(int(np.dot(sums, sums)), scale_sq)
+    numerator = Fraction(_sum_of_products(sums), scale_sq)
     risk = 1 - numerator / (d * d * w.norm_sq)
     if not 0 <= risk <= 1:
         raise ArithmeticError(f"risk {risk} escaped [0, 1]; this is a bug")
@@ -326,54 +342,58 @@ def _check_gap_bound(d: int, m: int) -> None:
             return
 
 
-def _dot(a: np.ndarray, b: np.ndarray | None = None) -> int:
-    """sum(a * b) of two int64 arrays in Python ints; b defaults to a."""
-    x = a.tolist()
-    return sum(map(operator.mul, x, x if b is None else b.tolist()))
-
-
 def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     """Exact expansion pieces at level ``n`` for the gap-product scheme.
 
-    The per-row terms of the level-(n+1) gap table are int64 arrays: the
-    gaps p, the prefix products prod_{j<i} p_j and suffix products
-    prod_{j>i} p_j that give r(i), r's row sums, prod(p) and the count k of
-    removable rows.  Each is a product of at most d gaps of a partition of
-    level n+1, at most d times one, or a sum of at most 2d of them, so it is
-    at most 2d times max over k <= d of ((n+1)/k)^k / k! (see
-    :func:`_check_gap_bound`); a level where that reaches 2^62 is refused
-    with a ValueError before any table is built.  Their products, which can
-    exceed int64, are summed in Python ints.  Needs n >= d(d+1)/2 - 1 so
-    that level n+1 contains a strict partition; otherwise every term
-    vanishes and :class:`EmptySumError` is raised.
+    The per-row terms of the level-(n+1) gap table are int64 columns, one
+    per row index i: the gaps p_i, the prefix products prod_{j<i} p_j and
+    suffix products prod_{j>i} p_j that give r(i), r's row sums, prod(p)
+    and the count k of removable rows.  Each is a product of at most d gaps
+    of a partition of level n+1, at most d times one, or a sum of at most 2d
+    of them, so it is at most 2d times max over k <= d of ((n+1)/k)^k / k!
+    (see :func:`_check_gap_bound`); a level where that reaches 2^62 is
+    refused with a ValueError before any table is built.  Their sums of
+    products are :func:`~sud_estimate.weights._sum_of_products`: int64 dots
+    where a bound keeps them exact, Python ints otherwise.  Needs
+    n >= d(d+1)/2 - 1 so that level n+1 contains a strict partition;
+    otherwise every term vanishes and :class:`EmptySumError` is raised.
     """
     _check_gap_bound(d, n + 1)
     children = partition_table(d, n + 1)
-    p = children.copy()
-    p[:, :-1] -= children[:, 1:]
-    before = np.ones_like(p)  # before[:, i] = prod_{j<i} p_j
-    before[:, 1:] = np.cumprod(p[:, :-1], axis=1)
-    after = np.ones_like(p)  # after[:, i] = prod_{j>i} p_j
-    after[:, :-1] = np.cumprod(p[:, :0:-1], axis=1)[:, ::-1]
-    r = -before * after
-    r[:, 1:] += (p[:, 1:] - 1) * before[:, :-1] * after[:, 1:]
-    r[p == 0] = 0  # r(i) exists only for a removable row
-    r_sum = r.sum(axis=1)
-    prod = before[:, -1] * p[:, -1]
-    k_prod = np.count_nonzero(p, axis=1) * prod  # times the removable rows
-    c_t = _dot(k_prod)
+    p = [children[:, i] - children[:, i + 1] for i in range(d - 1)] + [children[:, -1]]
+    before = [np.ones(len(children), dtype=np.int64)]  # before[i] = prod_{j<i} p_j
+    for i in range(1, d):
+        before.append(before[-1] * p[i - 1])
+    after = [before[0]]  # built from the last row: after[i] = prod_{j>i} p_j
+    for i in range(d - 1, 0, -1):
+        after.append(after[-1] * p[i])
+    after.reverse()
+    r = np.empty((d, len(children)), dtype=np.int64)
+    r_sum = np.zeros(len(children), dtype=np.int64)
+    k = np.zeros(len(children), dtype=np.int64)  # the removable rows
+    for i in range(d):
+        np.negative(before[i] * after[i], out=r[i])
+        if i:
+            r[i] += (p[i] - 1) * before[i - 1] * after[i]
+        removable = p[i] != 0
+        r[i] *= removable  # r(i) exists only for a removable row
+        r_sum += r[i]
+        k += removable
+    prod = before[-1] * p[-1]
+    k_prod = k * prod
+    c_t = _sum_of_products(k_prod)
     if c_t == 0:
         raise EmptySumError(
             f"every gap product vanishes at level {n + 1} for d={d} "
             f"(need N >= {d * (d + 1) // 2 - 1})"
         )
-    c_u = d * _dot(k_prod, prod)
+    c_u = d * _sum_of_products(k_prod, prod)
     return ExpansionDiagnostics(
         d, n, Fraction(c_t), Fraction(c_u),
-        Fraction(2 * _dot(k_prod, r_sum), c_t),
-        Fraction(2 * d * _dot(prod, r_sum), c_u),
-        Fraction(_dot(r_sum), c_t),
-        Fraction(d * _dot(r.ravel()), c_u),
+        Fraction(2 * _sum_of_products(k_prod, r_sum), c_t),
+        Fraction(2 * d * _sum_of_products(prod, r_sum), c_u),
+        Fraction(_sum_of_products(r_sum), c_t),
+        Fraction(d * _sum_of_products(r.ravel()), c_u),
     )
 
 

@@ -3,7 +3,11 @@
 A scheme assigns a nonnegative coefficient c(lambda) to every partition of N
 into at most d parts.  Coefficients are exact rationals, held as integer
 numerators over one common denominator on the support table (no Fraction per
-partition until one is asked for), and are deliberately left unnormalised:
+partition until one is asked for).  The numerators are one array: int64 when
+every one fits, which is the case for the gap products and their small powers,
+and an object array of Python ints otherwise, as for eigenvector floats taken
+exactly; sums of their products are int64 dots only under a bound that keeps
+them exact.  Coefficients are deliberately left unnormalised:
 every risk expression downstream is a ratio of quadratic forms in c, so
 dividing by the squared norm on the way out is exact, whereas rescaling the
 coefficients themselves to unit Euclidean norm would require square roots.
@@ -58,9 +62,10 @@ class WeightVector:
     read-only (k, d) int64 support table and ``numerators[i] / denominator``
     is the coefficient of ``table[i]``, with positive numerators and the form
     reduced by their gcd with the denominator, so equal schemes have equal
-    forms.  ``norm_sq`` is the exact sum of squared coefficients; the map
-    ``entries`` of Fractions is built the first time it is read.  Instances
-    are immutable.
+    forms.  ``numerators`` is a read-only 1-D array, int64 when every
+    numerator fits and object (Python ints) otherwise.  ``norm_sq`` is the
+    exact sum of squared coefficients; the map ``entries`` of Fractions is
+    built the first time it is read.  Instances are immutable.
 
     ``WeightVector(d, level, entries)`` takes a map partition -> coefficient
     (absent or zero: off the support); the named schemes use
@@ -72,7 +77,7 @@ class WeightVector:
     level: int
     norm_sq: Fraction
     denominator: int = field(repr=False)
-    numerators: tuple[int, ...] = field(repr=False)
+    numerators: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
 
     def __init__(self, d: int, level: int, entries: Mapping[tuple[int, ...], Fraction]):
@@ -84,54 +89,86 @@ class WeightVector:
     @classmethod
     def from_table(cls, d: int, level: int, table: np.ndarray, numerators,
                    denominator: int = 1) -> "WeightVector":
-        """The scheme with coefficient ``numerators[i] / denominator`` on row i of ``table``."""
+        """The scheme with coefficient ``numerators[i] / denominator`` on row i of
+        ``table``; it keeps copies of both."""
+        if isinstance(numerators, np.ndarray) and numerators.dtype.kind == "i":
+            numerators = numerators.astype(np.int64)
+        else:
+            numerators = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
         w = cls.__new__(cls)
-        w._set(d, level, table, list(numerators), denominator)
+        w._set(d, level, np.array(table, dtype=np.int64), numerators, denominator)
         return w
 
-    def _set(self, d: int, level: int, table: np.ndarray, numerators: list[int], denominator: int):
+    def _set(self, d: int, level: int, table: np.ndarray, numerators, denominator: int):
         """Check rows (d entries, sum ``level``, weakly decreasing, nonnegative) and
-        numerators (nonnegative); drop zeros, sort rows canonically, reduce."""
-        bad = np.flatnonzero(
-            (table.sum(axis=1) != level) | np.any(table[:, :-1] < table[:, 1:], axis=1)
-            | (table[:, -1] < 0)
-        ) if table.shape[1] == d > 0 else range(len(table))
+        numerators (nonnegative); drop zeros, sort rows canonically, reduce.
+
+        ``table`` is an int64 array and ``numerators`` an int64 array, checked
+        and reduced by array passes, or a list of Python ints, checked and
+        reduced by list operations; the scheme keeps both and makes them
+        read-only.
+        """
+        if table.shape[1] == d > 0:  # one pass per column
+            bad = table[:, -1] < 0
+            total = table[:, -1].copy()
+            for j in range(d - 1):
+                bad |= table[:, j] < table[:, j + 1]
+                total += table[:, j]
+            bad = np.flatnonzero(bad | (total != level))
+        else:
+            bad = range(len(table))
         for i in bad[:1]:  # name the first offender
             t = check_partition(tuple(table[i].tolist()), d)
             raise ValueError(f"partition {t} has level {sum(t)}, expected {level}")
-        low = min(numerators, default=1)  # with none negative, 0 is present iff low == 0
+        array = isinstance(numerators, np.ndarray)
+        # with none negative, 0 is present iff low == 0
+        low = int(numerators.min(initial=1)) if array else min(numerators, default=1)
         if low < 0:
-            i = next(i for i, v in enumerate(numerators) if v < 0)
+            i = (int(np.argmax(numerators < 0)) if array
+                 else next(i for i, v in enumerate(numerators) if v < 0))
             raise ValueError(f"coefficient for {tuple(table[i].tolist())} is negative: "
-                             f"{Fraction(numerators[i], denominator)}")
+                             f"{Fraction(int(numerators[i]), denominator)}")
         ordered = _descending(table)
         if low == 0 or not ordered:
-            order = [i for i in np.lexsort(table.T[::-1])[::-1].tolist() if numerators[i]]
-            table, numerators = table[order], [numerators[i] for i in order]
+            order = np.lexsort(table.T[::-1])[::-1]
+            if array:
+                order = order[numerators[order] != 0]
+                numerators = numerators[order]
+            else:
+                order = [i for i in order.tolist() if numerators[i]]
+                numerators = [numerators[i] for i in order]
+            table = table[order]
             # dropping zeros from a canonical table leaves it canonical
             if not (ordered or _descending(table)):
                 raise ValueError(f"a partition of level {level} appears twice")
-        g = math.gcd(denominator, *numerators)
+        if not array:
+            g = math.gcd(denominator, *numerators)  # a TypeError for a non-integer
+        elif denominator > 1:
+            g = math.gcd(denominator, int(np.gcd.reduce(numerators)))
+        else:
+            g = 1
         if g > 1:
-            numerators = [v // g for v in numerators]
-        table = np.array(table, dtype=np.int64)
+            numerators = numerators // g if array else [v // g for v in numerators]
+        numerators = _int_array(numerators)
         table.flags.writeable = False
-        norm_sq = Fraction(sum(map(operator.mul, numerators, numerators)), (denominator // g)**2)
+        norm_sq = Fraction(_sum_of_products(numerators), (denominator // g)**2)
         vars(self).update(  # frozen: set the fields directly
             d=d, level=level, norm_sq=norm_sq, denominator=denominator // g,
-            numerators=tuple(numerators), table=table,
+            numerators=numerators, table=table,
         )
 
     def __eq__(self, other):
         if not isinstance(other, WeightVector):
             return NotImplemented
-        return (self.d, self.level, self.denominator, self.numerators) == (
-            other.d, other.level, other.denominator, other.numerators
-        ) and np.array_equal(self.table, other.table)
+        return (self.d, self.level, self.denominator) == (
+            other.d, other.level, other.denominator
+        ) and np.array_equal(self.numerators, other.numerators) and np.array_equal(
+            self.table, other.table)
 
     @cached_property
     def entries(self) -> dict[tuple[int, ...], Fraction]:
-        return {p: Fraction(v, self.denominator) for p, v in zip(self.support, self.numerators)}
+        return {p: Fraction(v, self.denominator)
+                for p, v in zip(self.support, self.numerators.tolist())}
 
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
@@ -139,10 +176,11 @@ class WeightVector:
 
     def float_coefficients(self) -> dict[tuple[int, ...], float]:
         """Coefficients scaled to unit Euclidean norm, as floats."""
-        if not self.numerators:
+        if not len(self.numerators):
             raise EmptySupportError(f"no nonzero coefficient at level {self.level} for d={self.d}")
         norm = math.sqrt(float(self.norm_sq))
-        return {p: v / self.denominator / norm for p, v in zip(self.support, self.numerators)}
+        return {p: v / self.denominator / norm
+                for p, v in zip(self.support, self.numerators.tolist())}
 
 
 def _key_table(d: int, n: int, keys: list[tuple]) -> np.ndarray:
@@ -165,10 +203,60 @@ def _key_table(d: int, n: int, keys: list[tuple]) -> np.ndarray:
 
 
 def _descending(table: np.ndarray) -> bool:
-    """True if the rows of ``table`` are strictly lex-descending."""
-    step = table[:-1] - table[1:]
-    first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)] if step.size else step
+    """True if the rows of ``table`` are strictly lex-descending.
+
+    The step between consecutive rows is read column by column from the
+    last: its first nonzero entry, which decides the order, must be positive.
+    """
+    if len(table) < 2:
+        return True
+    first = table[:-1, -1] - table[1:, -1]
+    for j in range(table.shape[1] - 2, -1, -1):
+        step = table[:-1, j] - table[1:, j]
+        np.copyto(first, step, where=step != 0)
     return bool(np.all(first > 0))
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _int_array(values) -> np.ndarray:
+    """Integers as a read-only 1-D array: int64 when every one fits, else object.
+
+    An int64 array is kept as it is.  A list of Python ints is taken as
+    int64, or, when one of them does not fit, as an object array of the same
+    ints.
+    """
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            values = np.array(values, dtype=object)
+    values.flags.writeable = False
+    return values
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """max |a| of an int64 array (0 if empty), as a Python int."""
+    return max(int(np.maximum.reduce(a, initial=0)), -int(np.minimum.reduce(a, initial=0)))
+
+
+def _sum_of_products(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """sum(a * b) of two integer arrays of one length as an exact Python int;
+    b defaults to a.
+
+    It is one int64 dot when both arrays are int64 and max|a| * max|b| *
+    len(a) <= 2^63 - 1, which bounds every partial sum; otherwise it is a dot
+    of object arrays, whose products and sums are Python ints.
+    """
+    b = a if b is None else b
+    if a.dtype == b.dtype == np.int64:
+        top_a = _magnitude(a)
+        top_b = top_a if b is a else _magnitude(b)
+        if top_a * top_b * len(a) <= _INT64_MAX:
+            return int(a.dot(b))
+    x = a.astype(object, copy=False)
+    return int(np.dot(x, x if b is a else b.astype(object, copy=False)))
 
 
 def _exact_ratios(values) -> tuple[list[int], int]:
@@ -190,15 +278,15 @@ def _exact_ratios(values) -> tuple[list[int], int]:
     return list(map(operator.lshift, digits, shifts)), 1 << -low
 
 
-def _gap_products(d: int, n: int) -> tuple[np.ndarray, list[int]]:
-    """The strict table of level n and the gap product of each row, in canonical order.
+def _gap_products(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strict table of level n and the int64 gap product of each row, in canonical order.
 
-    Each product is taken in int64 on the table and handed on as a Python
-    int.  A strict row has every gap p_j >= 1, so each partial product that
-    ``prod`` forms is at most the full one, and with sum_j j * p_j = n the
-    full one is prod (j p_j) / d! <= (n/d)^d / d! by AM-GM.  A level where
-    that bound reaches 2^63 is refused with a ValueError before any table is
-    built, so below it every product is exact in int64.
+    The products are taken one column of gaps at a time.  A strict row has
+    every gap p_j >= 1, so each partial product is at most the full one, and
+    with sum_j j * p_j = n the full one is prod (j p_j) / d! <= (n/d)^d / d!
+    by AM-GM.  A level where that bound reaches 2^63 is refused with a
+    ValueError before any table is built, so below it every product is exact
+    in int64.
     """
     if d >= 1 and n**d >= 2**63 * d**d * math.factorial(d):
         raise ValueError(f"level {n} is too large for d={d}: its gap products "
@@ -209,9 +297,10 @@ def _gap_products(d: int, n: int) -> tuple[np.ndarray, list[int]]:
             f"no strictly decreasing partition at level {n} for d={d} "
             f"(need N >= {d * (d + 1) // 2})"
         )
-    gaps = table.copy()
-    gaps[:, :-1] -= table[:, 1:]
-    return table, gaps.prod(axis=1).tolist()
+    products = table[:, -1].copy()
+    for j in range(d - 1):
+        products *= table[:, j] - table[:, j + 1]
+    return table, products
 
 
 def product_weights(d: int, n: int) -> WeightVector:
@@ -243,15 +332,20 @@ def power_weights(d: int, n: int, alpha) -> WeightVector:
     a = Fraction(alpha)
     if a < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    top = int(products.max())
     if a.denominator == 1:
-        bits = math.log2(max(products))  # 0 when every product is 1: its powers stay 1
-        if bits and a.numerator > MAX_POWER_BITS / bits:
+        k = a.numerator
+        bits = math.log2(top)  # 0 when every product is 1: its powers stay 1
+        if bits and k > MAX_POWER_BITS / bits:
             raise ValueError(f"exponent too large at d={d}, level {n}: the gap products "
                              f"({bits:.3g} bits) to that power exceed the cap of "
                              f"{MAX_POWER_BITS} bits")
-        return WeightVector.from_table(d, n, table, [p**a.numerator for p in products])
-    x, top = float(a), max(products)
-    return WeightVector.from_table(d, n, table, *_exact_ratios([(p / top) ** x for p in products]))
+        if top**k <= _INT64_MAX:  # every power is exact in int64
+            return WeightVector.from_table(d, n, table, products**k)
+        return WeightVector.from_table(d, n, table, [p**k for p in products.tolist()])
+    x = float(a)
+    return WeightVector.from_table(
+        d, n, table, *_exact_ratios([(p / top) ** x for p in products.tolist()]))
 
 
 def uniform_weights(d: int, n: int) -> WeightVector:
@@ -361,7 +455,7 @@ def weights_to_json(w: WeightVector) -> list[dict]:
     """
     den = w.denominator
     records = []
-    for parts, v in zip(w.table.tolist(), w.numerators):
+    for parts, v in zip(w.table.tolist(), w.numerators.tolist()):
         g = math.gcd(v, den)
         records.append({"parts": parts, "weight": f"{int_text(v // g)}/{int_text(den // g)}"})
     return records

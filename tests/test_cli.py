@@ -233,6 +233,22 @@ class TestRisk:
         }
 
 
+@pytest.mark.parametrize("argv", [["risk", "-d", "3", "-N", "30"],
+                                  ["sweep", "-d", "3", "-N", "20:30:10"]],
+                         ids=["risk", "sweep"])
+def test_memory_error_exits_2_with_one_json_line(capsys, monkeypatch, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("sud_estimate.weights.partition_table", exhausted)
+    monkeypatch.setattr("sud_estimate.risk.partition_table", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {"error": "out of memory", "type": "MemoryError"}
+
+
 class TestSweep:
     def test_json_rows_and_fit(self, capsys):
         code, payload, _ = run_json(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gap_vector, removable_rows, weight_vector_st
 from sud_estimate.errors import EmptySumError, EmptySupportError
@@ -141,6 +142,79 @@ def reference_incidence(d: int, n: int) -> BoxMatrix:
     return BoxMatrix(
         (len(rows), len(cols)), np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
     )
+
+
+def python_int_breakdown(d: int, n: int, w: WeightVector) -> tuple[Fraction, list[int]]:
+    """The risk of ``w`` and its parent sums, all in Python ints on the reference incidence."""
+    b = reference_incidence(d, n)
+    column = {parts: j for j, parts in enumerate(enumerate_partitions(d, n))}
+    c = [0] * b.shape[1]
+    for parts, v in zip(w.support, w.numerators.tolist()):
+        c[column[parts]] = v
+    indices, indptr = b.indices.tolist(), b.indptr.tolist()
+    sums = [sum(c[j] for j in indices[indptr[r]:indptr[r + 1]]) for r in range(b.shape[0])]
+    return 1 - Fraction(sum(s * s for s in sums), d * d * sum(v * v for v in c)), sums
+
+
+class TestIntegerPaths:
+    """The int64 sums are taken only where a bound keeps them exact."""
+
+    @staticmethod
+    def two_row_scheme(top: int) -> WeightVector:
+        # numerators top and top - 1 on (4, 1) and (3, 2); the level-6 row (4, 2) sums both
+        return WeightVector.from_table(2, 5, np.array([[4, 1], [3, 2]]), [top, top - 1])
+
+    @pytest.mark.parametrize("top, dtype", [(2**62 - 1, np.int64), (2**62, object)])
+    def test_parent_sums_on_each_side_of_the_bound(self, top, dtype):
+        # d * top is 2^63 - 2 (inside the bound) or 2^63 (outside)
+        w = self.two_row_scheme(top)
+        assert w.numerators.dtype == np.int64
+        b = exact_risk(2, 5, w)
+        risk, sums = python_int_breakdown(2, 5, w)
+        assert b._parent_sums.dtype == dtype
+        assert b._parent_sums.tolist() == sums
+        assert b.risk == risk
+
+    def test_terms_are_python_int_squares_of_int64_sums(self):
+        w = self.two_row_scheme(2**40)
+        b = exact_risk(2, 5, w)
+        assert b._parent_sums.dtype == np.int64 and max(b._parent_sums) > 2**31.5
+        _, sums = python_int_breakdown(2, 5, w)
+        assert list(b.numerator_terms.values()) == [Fraction(s * s) for s in sums]
+        assert b.numerator == sum(s * s for s in sums)
+
+    @given(weight_vector_st(max_level=8), st.integers(2**79, 2**119))
+    @settings(max_examples=60)
+    def test_risk_is_unchanged_on_the_object_path(self, data, half):
+        # the risk is scale invariant; reducing by a divisor of the denominator
+        # (< 2^15) leaves numerators above 2^65 when the odd scale K exceeds 2^80
+        d, n, entries = data
+        w = WeightVector(d, n, entries)
+        k = 2 * half + 1
+        scaled = WeightVector.from_table(d, n, w.table, [v * k for v in w.numerators.tolist()],
+                                         w.denominator)
+        assert scaled.numerators.dtype == object
+        b = exact_risk(d, n, scaled)
+        assert b._parent_sums.dtype == object
+        assert b.risk == exact_risk(d, n, w).risk
+
+    @pytest.mark.parametrize("d, n, scheme", [(3, 602, "product"), (4, 82, "power:3")])
+    def test_gap_product_schemes_stay_on_int64(self, d, n, scheme):
+        w = scheme_weights(scheme, d, n)
+        b = exact_risk(d, n, w)
+        assert w.numerators.dtype == np.int64
+        assert b._parent_sums.dtype == np.int64
+        assert (b.risk, b._parent_sums.tolist()) == python_int_breakdown(d, n, w)
+
+    def test_full_support_optimum_stays_exact(self):
+        from sud_estimate.spectral import build_incidence, max_eigenpair
+
+        result = max_eigenpair(build_incidence(3, 122))
+        w = result.eigvec
+        floats = result._vector[result._vector > 0].tolist()
+        assert [Fraction(v, w.denominator) for v in w.numerators.tolist()] == list(
+            map(Fraction, floats))
+        assert exact_risk(3, 122, w).risk == python_int_breakdown(3, 122, w)[0]
 
 
 class TestBoxRemoval:

@@ -18,6 +18,8 @@ from sud_estimate.weights import (
     WeightVector,
     _exact_ratios,
     _gap_products,
+    _int_array,
+    _sum_of_products,
     fraction_text,
     int_text,
     load_weights,
@@ -57,16 +59,16 @@ class TestGapProducts:
         (4, 10), (4, 93), (5, 15), (5, 44), (6, 21), (6, 38),
     ])
     def test_products_are_the_object_array_products_as_python_ints(self, d, n):
-        # int64 products wrap silently; these must be exact and plain ints
+        # int64 products wrap silently; these must equal the Python-int products
         table, products = _gap_products(d, n)
         gaps = table.copy()
         gaps[:, :-1] -= table[:, 1:]
-        assert products == gaps.astype(object).prod(axis=1).tolist()
-        assert {type(p) for p in products} == {int}
+        assert products.dtype == np.int64
+        assert products.tolist() == gaps.astype(object).prod(axis=1).tolist()
 
     def test_largest_level_inside_the_bound_is_exact(self):
         # d=1 has one row, whose gap is the level n; the bound (n/d)^d / d! reaches 2^63 at 2^63
-        assert _gap_products(1, 2**63 - 1)[1] == [2**63 - 1]
+        assert _gap_products(1, 2**63 - 1)[1].tolist() == [2**63 - 1]
         with pytest.raises(ValueError, match="int64"):
             _gap_products(1, 2**63)
 
@@ -81,6 +83,65 @@ class TestGapProducts:
         monkeypatch.setattr("sud_estimate.weights.partition_table", refuse)
         with pytest.raises(ValueError, match="int64"):
             _gap_products(2, 10**10)
+
+
+class TestSumOfProducts:
+    @staticmethod
+    def assert_matches_python_ints(a, b):
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        want = int(np.dot(a.astype(object), b.astype(object)))
+        got = _sum_of_products(a, b)
+        assert type(got) is int and got == want
+        return got
+
+    @pytest.mark.parametrize("a, b", [
+        ([2**63 - 1], [1]),
+        ([(2**63 - 1) // 7] * 7, [1] * 7),  # 2^63 - 1 = 7 * 1317624576693539401
+        ([-(2**63 - 1) // 7] * 7, [1] * 7),
+    ])
+    def test_bound_at_int64_max_is_exact(self, a, b):
+        # inside the bound: one int64 dot
+        assert self.assert_matches_python_ints(a, b) in (2**63 - 1, -(2**63 - 1))
+
+    @pytest.mark.parametrize("a, b", [
+        ([2**62], [2]),
+        ([2**62, 2**62], [1, 1]),  # int64 wraps this sum to -2^63
+        ([-(2**62), -(2**62)], [1, 1]),
+        ([2**32, 3], [2**31, 5]),
+    ])
+    def test_bound_at_2_63_is_exact(self, a, b):
+        # outside the bound: an int64 dot would wrap
+        self.assert_matches_python_ints(a, b)
+
+    def test_default_second_factor_and_object_arrays(self):
+        a = np.array([3, 2**40, 7], dtype=np.int64)
+        assert _sum_of_products(a) == 9 + 2**80 + 49
+        big = np.array([2**70, 1], dtype=object)
+        assert _sum_of_products(big) == 2**140 + 1
+        assert _sum_of_products(np.zeros(0, dtype=np.int64)) == 0
+
+
+class TestIntArray:
+    def test_dtype_is_int64_exactly_when_every_value_fits(self):
+        assert _int_array([2**63 - 1, 0]).dtype == np.int64
+        wide = _int_array([2**63, 1])
+        assert wide.dtype == object and wide.tolist() == [2**63, 1]
+        assert {type(v) for v in wide.tolist()} == {int}
+        assert not _int_array([1, 2]).flags.writeable
+
+    def test_scheme_numerators_are_read_only_arrays(self):
+        for w in (product_weights(3, 30), power_weights(2, 40, 60),
+                  WeightVector(2, 5, {(4, 1): Fraction(1, 3), (3, 2): 2})):
+            assert isinstance(w.numerators, np.ndarray) and not w.numerators.flags.writeable
+        assert power_weights(2, 40, 60).numerators.dtype == object
+
+    def test_from_table_keeps_copies(self):
+        table = np.array([[4, 1], [3, 2]])
+        numerators = np.array([3, 2])
+        w = WeightVector.from_table(2, 5, table, numerators)
+        table[0, 0] = numerators[0] = 0
+        assert w == product_weights(2, 5)
+        assert table.flags.writeable and numerators.flags.writeable
 
 
 class TestWeightVector:
@@ -208,7 +269,8 @@ class TestExactRatios:
         want = WeightVector.from_table(3, 40, result._columns[vector > 0],
                                        [p * (scale // q) for p, q in ratios], scale)
         w = result.eigvec
-        assert (w.denominator, w.numerators) == (want.denominator, want.numerators)
+        assert w.denominator == want.denominator
+        assert np.array_equal(w.numerators, want.numerators)
         assert np.array_equal(w.table, want.table)
 
 
