@@ -21,7 +21,9 @@ Dirichlet moments after substituting y_j = j * x_j; ``riemann_constant``
 approximates the same ratio by lattice sums over the actual gap vectors,
 converging at rate O(1/N).  The lattice sums are exact rationals: each
 monomial's sum comes from a level recurrence costing O(d m) big-int
-additions at level m, with no mesh and no list of points.
+additions at level m, with no mesh and no list of points.  One run to the
+largest requested level holds the sums at every lower level too, and
+monomials that share an exponent prefix share its partial recurrence.
 
 C(2) = 10 exactly, which matches the classical pi^2/N^2 phase-estimation
 rate once the d^2-dimensional parameter count of SU(d) is folded in.
@@ -126,19 +128,21 @@ def exact_constant(d: int, riemann_levels: Iterable[int] = ()) -> ConstantReport
     """Closed-form C(d) through Dirichlet moments.
 
     Optionally attaches exact lattice-sum estimates at the requested levels so
-    the O(1/N) convergence is visible in one report.
+    the O(1/N) convergence is visible in one report; one recurrence run to
+    the largest level serves them all (``_riemann_estimates``).
     """
     numerator, denominator = constant_integrands(d)
     coeffs = tuple(range(1, d + 1))
     num = weighted_simplex_integral(numerator, coeffs)
     den = weighted_simplex_integral(denominator, coeffs)
-    estimates = tuple((n, riemann_constant(d, n)) for n in riemann_levels)
+    levels = list(riemann_levels)
+    estimates = tuple(zip(levels, _riemann_estimates(d, levels)))
     return ConstantReport(d, num / den, num, den, estimates)
 
 
-def _lattice_moment(exps: Sequence[int], m: int) -> int:
-    """Sum of prod_j p_j^exps[j-1] over the integer points p >= 0 with
-    sum_j j * p_j = m, i.e. over the gap vectors of level m.
+def _lattice_moment(exps: Sequence[int], m: int, partial: dict | None = None) -> list[int]:
+    """Sums of prod_j p_j^exps[j-1] over the integer points p >= 0 with
+    sum_j j * p_j = s, i.e. over the gap vectors of level s, for every s <= m.
 
     No point is listed.  ``level[s]`` holds the sum over the coordinates added
     so far at partial level s; coordinate j with exponent e then maps it to
@@ -146,22 +150,62 @@ def _lattice_moment(exps: Sequence[int], m: int) -> int:
     gives g_k[s] = [k = 0] level[s] + sum_{i <= k} C(k, i) g_i[s - j]: along
     each residue class mod j, g_0 is a prefix sum of ``level`` and g_k a
     prefix sum of the shifted sum_{i < k} C(k, i) g_i.  Each coordinate costs
-    O(e^2 m) big-int additions.
+    O(e^2 m) big-int additions.  ``partial`` maps exponent prefixes to their
+    sums, all up to the same m; monomials that share a prefix, looked up in
+    one such dict, share its recurrence.
     """
-    level = [1] + [0] * m
-    for j, e in enumerate(exps, start=1):
-        out = [0] * (m + 1)
-        for r in range(min(j, m + 1)):
-            g = [list(accumulate(level[r::j]))]
-            for k in range(1, e + 1):
-                carry = g[0][:-1]
-                for i in range(1, k):
-                    c = math.comb(k, i)
-                    carry = [a + c * b for a, b in zip(carry, g[i])]
-                g.append(list(accumulate(carry, initial=0)))
-            out[r::j] = g[e]
-        level = out
-    return level[m]
+    exps = tuple(exps)
+    if partial is None:
+        partial = {}
+    if not exps:
+        return [1] + [0] * m
+    if exps in partial:
+        return partial[exps]
+    level = _lattice_moment(exps[:-1], m, partial)
+    j, e = len(exps), exps[-1]
+    out = [0] * (m + 1)
+    for r in range(min(j, m + 1)):
+        g = [list(accumulate(level[r::j]))]
+        for k in range(1, e + 1):
+            carry = g[0][:-1]
+            for i in range(1, k):
+                c = math.comb(k, i)
+                carry = [a + c * b for a, b in zip(carry, g[i])]
+            g.append(list(accumulate(carry, initial=0)))
+        out[r::j] = g[e]
+    partial[exps] = out
+    return out
+
+
+def _riemann_estimates(d: int, levels: Sequence[int]) -> list[Fraction]:
+    """:func:`riemann_constant` at each of ``levels``, in their order.
+
+    Every level is checked before any sum is taken, in request order: a
+    negative one raises ValueError, and one whose denominator sum vanishes
+    raises :class:`EmptySumError`.  That sum, of prod_j p_j^2 over the gap
+    vectors of level n+1, has a positive term exactly when some gap vector
+    has every p_j >= 1, i.e. when n+1 >= d(d+1)/2.  Each monomial's sums
+    then come from one recurrence run to the largest level n+1, whose
+    ``level[s]`` holds every s at once, and monomials that share an
+    exponent prefix share its partial recurrence.
+    """
+    numerator, denominator = constant_integrands(d)
+    for n in levels:
+        if n < 0:
+            raise ValueError(f"level must be >= 0, got {n}")
+        if n + 1 < d * (d + 1) // 2:
+            raise EmptySumError(f"denominator lattice sum vanished at level {n} for d={d}")
+    if not levels:
+        return []
+    m = max(levels) + 1
+    partial: dict = {}
+    terms = [[(c, _lattice_moment(exps, m, partial)) for exps, c in poly.items()]
+             for poly in (numerator, denominator)]
+    estimates = []
+    for n in levels:
+        num, den = (sum(c * sums[n + 1] for c, sums in t) for t in terms)
+        estimates.append((n + 1) ** 2 * Fraction(num, den))
+    return estimates
 
 
 def riemann_constant(d: int, n: int) -> Fraction:
@@ -175,13 +219,4 @@ def riemann_constant(d: int, n: int) -> Fraction:
     level recurrence (``_lattice_moment``) costing O(d n) big-int additions;
     no mesh or list of points is built.
     """
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    numerator, denominator = constant_integrands(d)
-    num, den = (
-        sum(c * _lattice_moment(exps, n + 1) for exps, c in poly.items())
-        for poly in (numerator, denominator)
-    )
-    if den == 0:
-        raise EmptySumError(f"denominator lattice sum vanished at level {n} for d={d}")
-    return (n + 1) ** 2 * Fraction(num) / den
+    return _riemann_estimates(d, [n])[0]

@@ -312,12 +312,12 @@ def _verify_checks(args) -> list[dict]:
 
     worst = 0.0
     for n in range(1, args.n_max + 1):  # level by level: the rule drops the levels passed
-        # one box-removal structure serves the optimal solve and every exact risk
+        # one box-removal structure serves every scheme build and exact risk
         structure = build_incidence(args.d, n)
         schemes = []
         for scheme in ("product", "uniform"):
             try:
-                schemes.append(scheme_weights(scheme, args.d, n))
+                schemes.append(scheme_weights(scheme, args.d, n, structure=structure))
             except EmptySupportError:
                 pass
         schemes.append(max_eigenpair(structure, tol=args.tol).eigvec)

@@ -18,7 +18,12 @@ numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
 matrix is a :class:`BoxMatrix`, a 0/1 CSR form in plain numpy.  The
 risk is computed in one arithmetic: exact integers on the scheme's integer
 form (numerators over a common denominator), giving an exact rational;
-``float_risk`` is its nearest float.  B c is one reduction over the CSR rows,
+``float_risk`` is its nearest float.  The scheme's support rows are placed on
+the columns of B by one walk over the runs of rows that share a prefix in the
+canonical level table (``_locate``), with no search.  The CLI builds one
+structure per level, and the gap-product schemes read their support from its
+strict rows, so a scored level enumerates two tables, N and N+1.  B c is one
+reduction over the CSR rows,
 in int64 when a bound on the numerators keeps every row sum exact and over an
 object array of Python ints otherwise, and ||B c||^2 is an int64 dot only
 under the same kind of bound (``weights._sum_of_products``).  The expansion
@@ -34,7 +39,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,21 +180,35 @@ def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """The column of B for each row of a scheme's support ``queries``: its index
     in the canonical partition table ``table`` of the same level.
 
-    Every query must occur in the table, so its level is the table's and its
-    first d-1 entries fix it.  Column by column, each table row is keyed by
-    (first row sharing its prefix so far, -entry); the keys ascend down the
-    table, so one binary search per column moves each query to the first row
-    sharing one more of its entries.  A key's magnitude is below
-    rows * (largest entry + 1): far inside int64 for any table that fits in
-    memory.
+    Every query must occur in the table, so its level is the table's.  In
+    the canonical table the rows sharing a prefix lambda_1..lambda_j form one
+    run, and inside it the next entry takes every value from hi =
+    min(lambda_j, boxes left) down to ceil(left / (d - j)), each value one
+    contiguous sub-run, in that order.  So the walk reads the table column by
+    column: a row starts a run of the longer prefixes when it started one
+    before or its entry differs from the row above; a query whose run starts
+    at row ``found`` moves to the start of that run's sub-run number hi - v
+    for its entry v.  A prefix of d - 1 entries fixes its row, so in the last
+    column each sub-run is one row.  Each column costs a few passes over the
+    table and the queries, with no search.
     """
-    width = int(table[0, 0]) + 1  # the first row is (n, 0, ..., 0)
-    first = np.zeros(len(table), dtype=np.int64)
+    d = table.shape[1]
     found = np.zeros(len(queries), dtype=np.int64)
-    for j in range(table.shape[1] - 1):
-        keys = first * width - table[:, j]
-        found = keys.searchsorted(found * width - queries[:, j])
-        first = keys.searchsorted(keys)
+    starts_run = np.zeros(len(table), dtype=bool)
+    starts_run[0] = True
+    run = np.empty(len(table), dtype=np.int64)  # run[s]: the number of the run starting at s
+    cap = left = table[0, 0]  # the first row is (n, 0, ..., 0)
+    for j in range(d - 1):
+        value = queries[:, j]
+        step = np.minimum(cap, left) - value
+        if j == d - 2:
+            return found + step
+        column = table[:, j]
+        starts_run[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(starts_run)
+        run[starts] = np.arange(len(starts))
+        found = starts[run[found] + step]
+        cap, left = value, left - value
     return found
 
 
@@ -455,20 +474,18 @@ def fit_constant(points: Sequence[RiskPoint]) -> FitResult:
 
 def _scheme_and_structure(
     spec: str | Scheme, d: int, n: int, tol: float = 1e-12
-) -> tuple[WeightVector, IncidenceStructure | None]:
-    """The scheme ``spec`` at level n, with the structure that scores it.
+) -> tuple[WeightVector, IncidenceStructure]:
+    """The scheme ``spec`` at level n, with the full box-removal structure of
+    level n that scores it, built once.
 
-    An optimal scheme is solved on the full box-removal structure of level n,
-    built here once and returned, so that its risk reuses it; any other
-    scheme comes with None and its risk builds the structure.
+    The scheme build calls for the structure when it reads it (product,
+    power and uniform take their support from its strict rows, and the
+    optimal scheme is solved on it), after the refusals that need no table;
+    a ``file:`` scheme is read first, and its structure built after it.
     """
-    scheme = parse_scheme(spec)
-    if scheme.kind != "optimal":
-        return scheme_weights(scheme, d, n, tol=tol), None
-    from .spectral import build_incidence, optimal_weights  # deferred: spectral imports risk
-
-    structure = build_incidence(d, n)
-    return optimal_weights(d, n, support=scheme.support, tol=tol, structure=structure), structure
+    structure = cache(partial(_box_removal, d, n))
+    w = scheme_weights(spec, d, n, tol=tol, structure=structure)
+    return w, structure()
 
 
 def _curve_point(args) -> RiskPoint | tuple[int, str]:

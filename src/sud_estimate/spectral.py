@@ -254,7 +254,8 @@ def optimality_gap(
     """Compare the gap-product scheme with the spectral optima at level n.
 
     One box-removal structure serves both solves, full first, and the
-    product scheme's exact risk.  The product scheme can never beat the
+    product scheme, whose support is the strict structure's columns, and its
+    exact risk.  The product scheme can never beat the
     full-support optimum; the returned ``gap`` (product risk - optimal risk)
     is nonnegative up to the solver tolerance.
     """
@@ -265,5 +266,5 @@ def optimality_gap(
     except EmptySupportError:
         return OptimalityGap(d, n, None, full, None)
     strict = max_eigenpair(strict_structure, tol=tol, max_iterations=max_iterations)
-    product = exact_risk(d, n, product_weights(d, n), structure).risk
+    product = exact_risk(d, n, product_weights(d, n, strict_structure), structure).risk
     return OptimalityGap(d, n, product, full, strict)

@@ -278,34 +278,51 @@ def _exact_ratios(values) -> tuple[list[int], int]:
     return list(map(operator.lshift, digits, shifts)), 1 << -low
 
 
-def _gap_products(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _built(structure):
+    """``structure``, or what it returns when it is a function that builds it."""
+    return structure() if callable(structure) else structure
+
+
+def _gap_products(d: int, n: int, structure=None) -> tuple[np.ndarray, np.ndarray]:
     """The strict table of level n and the int64 gap product of each row, in canonical order.
 
     The products are taken one column of gaps at a time.  A strict row has
     every gap p_j >= 1, so each partial product is at most the full one, and
     with sum_j j * p_j = n the full one is prod (j p_j) / d! <= (n/d)^d / d!
     by AM-GM.  A level where that bound reaches 2^63 is refused with a
-    ValueError before any table is built, so below it every product is exact
-    in int64.
+    ValueError, and a level 0 <= n < d(d+1)/2, which has no strict row,
+    with :class:`EmptySupportError`, both before any table is built; below
+    the bound every product is exact in int64.  The strict table is the
+    ``strict`` rows of the box-removal ``structure`` of level n (full or
+    strict support; a function that builds it is called only after those
+    refusals), or is enumerated when ``structure`` is None.
     """
     if d >= 1 and n**d >= 2**63 * d**d * math.factorial(d):
         raise ValueError(f"level {n} is too large for d={d}: its gap products "
                          f"may not fit in int64")
-    table = partition_table(d, n, strict=True)
-    if not len(table):
+    if 0 <= n < d * (d + 1) // 2:  # a negative level is refused by the table build
         raise EmptySupportError(
             f"no strictly decreasing partition at level {n} for d={d} "
             f"(need N >= {d * (d + 1) // 2})"
         )
+    structure = _built(structure)
+    if structure is None:
+        table = partition_table(d, n, strict=True)
+    elif (structure.d, structure.level) == (d, n):
+        table = structure.parent_table[structure.strict]
+    else:
+        raise ValueError(f"structure is the one of d={structure.d}, level {structure.level}, "
+                         f"not of ({d}, {n})")
     products = table[:, -1].copy()
     for j in range(d - 1):
         products *= table[:, j] - table[:, j + 1]
     return table, products
 
 
-def product_weights(d: int, n: int) -> WeightVector:
-    """Gap-product coefficients on the strict partitions of level n."""
-    return WeightVector.from_table(d, n, *_gap_products(d, n))
+def product_weights(d: int, n: int, structure=None) -> WeightVector:
+    """Gap-product coefficients on the strict partitions of level n, read from
+    ``structure`` when it is given (see :func:`_gap_products`)."""
+    return WeightVector.from_table(d, n, *_gap_products(d, n, structure))
 
 
 # Exact numerators of power:<alpha> are (gap product)^alpha, and the exact risk
@@ -317,8 +334,9 @@ def product_weights(d: int, n: int) -> WeightVector:
 MAX_POWER_BITS = 2**18
 
 
-def power_weights(d: int, n: int, alpha) -> WeightVector:
-    """Gap-product-to-the-alpha coefficients on the strict partitions.
+def power_weights(d: int, n: int, alpha, structure=None) -> WeightVector:
+    """Gap-product-to-the-alpha coefficients on the strict partitions, read from
+    ``structure`` when it is given (see :func:`_gap_products`).
 
     Exact for integer alpha.  Any other exponent is evaluated in floating
     point on the products divided by their maximum, each float then taken
@@ -328,7 +346,7 @@ def power_weights(d: int, n: int, alpha) -> WeightVector:
     refused when alpha * log2(largest gap product), the bits of the largest
     numerator, exceeds ``MAX_POWER_BITS``.
     """
-    table, products = _gap_products(d, n)
+    table, products = _gap_products(d, n, structure)
     a = Fraction(alpha)
     if a < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -348,9 +366,10 @@ def power_weights(d: int, n: int, alpha) -> WeightVector:
         d, n, table, *_exact_ratios([(p / top) ** x for p in products.tolist()]))
 
 
-def uniform_weights(d: int, n: int) -> WeightVector:
-    """Equal coefficients on every strict partition of level n."""
-    return power_weights(d, n, 0)
+def uniform_weights(d: int, n: int, structure=None) -> WeightVector:
+    """Equal coefficients on every strict partition of level n, read from
+    ``structure`` when it is given (see :func:`_gap_products`)."""
+    return power_weights(d, n, 0, structure)
 
 
 @dataclass(frozen=True)
@@ -406,19 +425,30 @@ def parse_scheme(spec: str | Scheme) -> Scheme:
     raise ValueError(f"unknown scheme {spec!r}")
 
 
-def scheme_weights(spec: str | Scheme, d: int, n: int, *, tol: float = 1e-12) -> WeightVector:
-    """Materialise a scheme specification as a weight vector at level n."""
+def scheme_weights(spec: str | Scheme, d: int, n: int, *, tol: float = 1e-12,
+                   structure=None) -> WeightVector:
+    """Materialise a scheme specification as a weight vector at level n.
+
+    ``structure`` is the box-removal structure of level n
+    (:class:`~sud_estimate.risk.IncidenceStructure`) when the caller holds
+    one, or a function of no arguments that builds it.  Product, power and
+    uniform then read their support as its strict rows, and the optimal
+    scheme is solved on it (it must be the full-support one); a function is
+    called only after the refusals that need no table.  A ``file:`` scheme
+    reads neither.
+    """
     scheme = parse_scheme(spec)
     if scheme.kind == "product":
-        return product_weights(d, n)
+        return product_weights(d, n, structure)
     if scheme.kind == "uniform":
-        return uniform_weights(d, n)
+        return uniform_weights(d, n, structure)
     if scheme.kind == "power":
-        return power_weights(d, n, scheme.alpha)
+        return power_weights(d, n, scheme.alpha, structure)
     if scheme.kind == "optimal":
         from .spectral import optimal_weights  # deferred: spectral imports weights
 
-        return optimal_weights(d, n, support=scheme.support, tol=tol)
+        return optimal_weights(d, n, support=scheme.support, tol=tol,
+                               structure=_built(structure))
     if scheme.kind == "file":
         w = load_weights(scheme.path)
         if w.d != d or w.level != n:

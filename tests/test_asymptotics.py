@@ -120,22 +120,27 @@ class TestGapLattice:
 
     def test_small_example(self):
         # the level-5 gap vectors at d=2 are (5, 0), (3, 1) and (1, 2)
-        assert _lattice_moment((0, 0), 5) == 3
-        assert _lattice_moment((1, 0), 5) == 5 + 3 + 1
-        assert _lattice_moment((0, 2), 5) == 0 + 1 + 4
-        assert _lattice_moment((1, 1), 5) == 0 + 3 + 2
+        assert _lattice_moment((0, 0), 5)[5] == 3
+        assert _lattice_moment((1, 0), 5)[5] == 5 + 3 + 1
+        assert _lattice_moment((0, 2), 5)[5] == 0 + 1 + 4
+        assert _lattice_moment((1, 1), 5)[5] == 0 + 3 + 2
 
     def test_d1_and_level_zero(self):
-        assert _lattice_moment((3,), 7) == 7**3
-        assert _lattice_moment((0, 0, 0), 0) == 1
-        assert _lattice_moment((2, 1, 0), 0) == 0
+        assert _lattice_moment((3,), 7)[7] == 7**3
+        assert _lattice_moment((0, 0, 0), 0) == [1]
+        assert _lattice_moment((2, 1, 0), 0) == [0]
 
     @pytest.mark.parametrize("d,m", [(2, 9), (3, 10), (4, 12)])
     def test_bijection_with_partition_gap_vectors(self, d, m):
-        # every exponent up to 3, so the recurrence's k = 3 step runs too
-        points = _gap_vectors(d, m)
+        # every exponent up to 3, so the recurrence's k = 3 step runs too; one
+        # prefix dict serves every monomial, and each run holds every level
+        partial = {}
+        points = {s: _gap_vectors(d, s) for s in (m, m - 1, d)}
         for exps in product(range(4), repeat=d):
-            assert _lattice_moment(exps, m) == _moment_by_enumeration(exps, points)
+            sums = _lattice_moment(exps, m, partial)
+            assert len(sums) == m + 1
+            for s, at_s in points.items():
+                assert sums[s] == _moment_by_enumeration(exps, at_s), (exps, s)
 
 
 def _dense_riemann(d: int, n: int) -> Fraction:
@@ -200,6 +205,31 @@ class TestRiemannConstant:
         # at level 1 the only gap vector is (1, 0), killing prod x_j^2
         with pytest.raises(EmptySumError):
             riemann_constant(2, 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_report_levels_share_one_recurrence(self, d):
+        # unsorted and repeated levels, each read from the one run to the largest
+        lo = d * (d + 1) // 2 - 1
+        levels = [lo + 30, lo, lo + 7, lo + 30, lo + 1]
+        report = exact_constant(d, riemann_levels=levels)
+        assert [n for n, _ in report.riemann_estimates] == levels
+        for n, est in report.riemann_estimates:
+            assert est == riemann_constant(d, n)
+
+    def test_refusals_come_before_any_sum(self, monkeypatch):
+        import sud_estimate.asymptotics as asymptotics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice sum was taken")
+
+        monkeypatch.setattr(asymptotics, "_lattice_moment", refuse)
+        with pytest.raises(ValueError, match="got -1"):
+            exact_constant(4, riemann_levels=[600, -1])
+        # the first requested level whose denominator vanishes is named
+        with pytest.raises(EmptySumError, match="at level 8 for d=4"):
+            exact_constant(4, riemann_levels=[600, 8, 0, -1])
+        with pytest.raises(EmptySumError, match="at level 0 for d=4"):
+            exact_constant(4, riemann_levels=range(4))
 
 
 def _scaled_remainders(d: int, levels) -> list[tuple[int, float]]:

@@ -16,7 +16,7 @@ from sud_estimate.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from sud_estimate.partitions import enumerate_partitions
+from sud_estimate.partitions import enumerate_partitions, partition_table
 from sud_estimate.risk import exact_risk, risk_curve
 from sud_estimate.spectral import optimality_gap
 from sud_estimate.weights import (
@@ -54,6 +54,20 @@ def box_removals(monkeypatch):
 
     monkeypatch.setattr("sud_estimate.risk._box_removal", counting)
     monkeypatch.setattr("sud_estimate.spectral._box_removal", counting)
+    return calls
+
+
+@pytest.fixture
+def level_tables(monkeypatch):
+    """The (d, n, strict) of every partition table the risk and weights modules enumerate."""
+    calls = []
+
+    def counting(d, n, strict=False):
+        calls.append((d, n, strict))
+        return partition_table(d, n, strict)
+
+    monkeypatch.setattr("sud_estimate.risk.partition_table", counting)
+    monkeypatch.setattr("sud_estimate.weights.partition_table", counting)
     return calls
 
 
@@ -247,6 +261,17 @@ def test_memory_error_exits_2_with_one_json_line(capsys, monkeypatch, argv):
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err) == {"error": "out of memory", "type": "MemoryError"}
+
+
+@pytest.mark.parametrize("argv, levels", [(["risk", "-d", "3", "-N", "30"], [30]),
+                                          (["sweep", "-d", "3", "-N", "20:30:10"], [20, 30])],
+                         ids=["risk", "sweep"])
+def test_two_level_tables_per_scored_level(capsys, level_tables, argv, levels):
+    # the levels N and N+1 of box removal; the gap-product support is the
+    # strict rows of the level-N table, not a third enumeration
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert sorted(level_tables) == [(3, m, False) for n in levels for m in (n, n + 1)]
 
 
 class TestSweep:
@@ -591,6 +616,12 @@ class TestVerify:
         code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")
         assert code == EXIT_OK and payload["pass"] is True
         assert box_removals == [(3, n) for n in range(1, 11)]
+
+    def test_enumerates_no_strict_table(self, capsys, level_tables):
+        # product and uniform read their support from each level's structure
+        code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")
+        assert code == EXIT_OK and payload["pass"] is True
+        assert level_tables and not any(strict for _, _, strict in level_tables)
 
     @pytest.mark.parametrize("d, n_max", [(4, 4), (3, 10)])
     def test_one_quadrature_rule_per_run(self, capsys, monkeypatch, d, n_max):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from sud_estimate.risk import (
     ExpansionDiagnostics,
     RiskPoint,
     _box_removal,
+    _locate,
     curve_to_csv,
     exact_risk,
     expansion_diagnostics,
@@ -156,6 +158,34 @@ def python_int_breakdown(d: int, n: int, w: WeightVector) -> tuple[Fraction, lis
     return 1 - Fraction(sum(s * s for s in sums), d * d * sum(v * v for v in c)), sums
 
 
+def sparse_weights(d: int, n: int) -> WeightVector:
+    """Random coefficients on a random tenth of the level-n partitions, among
+    them one with a repeated part and one with a zero part."""
+    rng = random.Random(f"{d}-{n}")
+    rows = enumerate_partitions(d, n)
+    support = set(rng.sample(rows, len(rows) // 10))
+    support.add(next(p for p in rows if len(set(p)) < d and p[-1] > 0))
+    support.add(next(p for p in rows if p[-1] == 0))
+    return WeightVector(d, n, {p: Fraction(rng.randint(1, 50), rng.randint(1, 7))
+                               for p in sorted(support)})
+
+
+class TestLocate:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_a_dict_of_rows(self, d):
+        rng = random.Random(d)
+        for n in range(13):
+            table = partition_table(d, n)
+            index = {row: i for i, row in enumerate(map(tuple, table.tolist()))}
+            picks = [rng.sample(range(len(table)), rng.randint(1, len(table))) for _ in range(4)]
+            subsets = [table[:0], table, partition_table(d, n, strict=True), table[:1],
+                       table[-1:]] + [table[sorted(p)] for p in picks] + [table[picks[0]]]
+            for queries in subsets:
+                got = _locate(table, queries)
+                assert got.dtype == np.int64
+                assert got.tolist() == [index[row] for row in map(tuple, queries.tolist())], n
+
+
 class TestIntegerPaths:
     """The int64 sums are taken only where a bound keeps them exact."""
 
@@ -239,11 +269,14 @@ class TestBoxRemoval:
                 assert np.diff(_box_removal(d, n).matrix.indptr).min() >= 1, (d, n)
 
     @pytest.mark.parametrize(
-        "d, n, scheme", [(2, 400, "power:60"), (3, 30, "product"), (4, 12, "optimal")]
+        "d, n, scheme",
+        [(2, 400, "power:60"), (3, 30, "product"), (4, 12, "optimal"), (3, 30, "sparse"),
+         (5, 14, "sparse")],
     )
     def test_numerator_matches_reference_loop(self, d, n, scheme):
-        # power:60 coefficients reach 200^60, far beyond int64
-        w = scheme_weights(scheme, d, n)
+        # power:60 coefficients reach 200^60, far beyond int64; a sparse support,
+        # like a file: scheme's, has rows with repeated parts and zeros
+        w = sparse_weights(d, n) if scheme == "sparse" else scheme_weights(scheme, d, n)
         b = reference_incidence(d, n)
         cols = enumerate_partitions(d, n)
         sums = [
