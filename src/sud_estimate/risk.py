@@ -20,7 +20,9 @@ risk is computed in one arithmetic: exact integers on the scheme's integer
 form (numerators over a common denominator), giving an exact rational;
 ``float_risk`` is its nearest float.  The scheme's support rows are placed on
 the columns of B by one walk over the runs of rows that share a prefix in the
-canonical level table (``_locate``), with no search.  The CLI builds one
+canonical level table (``_locate``), with no search; the run marks of that
+table are built once per structure, so every scheme scored on it shares
+them.  The CLI builds one
 structure per level, and the gap-product schemes read their support from its
 strict rows, so a scored level enumerates two tables, N and N+1.  B c is one
 reduction over the CSR rows,
@@ -175,8 +177,41 @@ class IncidenceStructure:
             strict &= t[:, j] > t[:, j + 1]
         return strict
 
+    @cached_property
+    def run_marks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The run marks of ``parent_table`` (:func:`_run_marks`), built once
+        for every scheme scored on a full-support structure."""
+        return _run_marks(self.parent_table)
 
-def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+
+def _run_marks(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Where the runs of the canonical level ``table`` start, read by :func:`_locate`.
+
+    One pair per column j < d - 2: ``starts``, the rows that start a run of
+    rows sharing their first j + 1 entries, and ``first``, for each run of
+    the first j entries in table order, the number (index in ``starts``) of
+    its first sub-run.  A row starts a run when it started one in the column
+    before or its entry differs from the row above.
+    """
+    marks = []
+    starts_run = np.zeros(len(table), dtype=bool)
+    starts_run[0] = True
+    previous = np.zeros(1, dtype=np.int64)  # the one run of the empty prefix
+    run = np.empty(len(table), dtype=np.int64)  # run[s]: the number of the run starting at s
+    for j in range(table.shape[1] - 2):
+        column = table[:, j]
+        starts_run[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(starts_run)
+        run[starts] = np.arange(len(starts))
+        marks.append((starts, run[previous]))
+        previous = starts
+    return marks
+
+
+def _locate(
+    table: np.ndarray, queries: np.ndarray,
+    marks: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
     """The column of B for each row of a scheme's support ``queries``: its index
     in the canonical partition table ``table`` of the same level.
 
@@ -184,30 +219,25 @@ def _locate(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     the canonical table the rows sharing a prefix lambda_1..lambda_j form one
     run, and inside it the next entry takes every value from hi =
     min(lambda_j, boxes left) down to ceil(left / (d - j)), each value one
-    contiguous sub-run, in that order.  So the walk reads the table column by
-    column: a row starts a run of the longer prefixes when it started one
-    before or its entry differs from the row above; a query whose run starts
-    at row ``found`` moves to the start of that run's sub-run number hi - v
-    for its entry v.  A prefix of d - 1 entries fixes its row, so in the last
-    column each sub-run is one row.  Each column costs a few passes over the
-    table and the queries, with no search.
+    contiguous sub-run, in that order.  So the walk reads the queries column
+    by column: a query in run number r of its first j entries moves to run
+    number ``first[r] + hi - v`` of its first j + 1 entries, for its entry v,
+    with the table's run marks ``marks`` (:func:`_run_marks`, built when
+    None).  A prefix of d - 1 entries fixes its row, so in the last column
+    each sub-run is one row.  Each column costs a few passes over the
+    queries, with no search.
     """
+    if marks is None:
+        marks = _run_marks(table)
     d = table.shape[1]
-    found = np.zeros(len(queries), dtype=np.int64)
-    starts_run = np.zeros(len(table), dtype=bool)
-    starts_run[0] = True
-    run = np.empty(len(table), dtype=np.int64)  # run[s]: the number of the run starting at s
+    found = np.zeros(len(queries), dtype=np.int64)  # run number of the prefix so far
     cap = left = table[0, 0]  # the first row is (n, 0, ..., 0)
     for j in range(d - 1):
         value = queries[:, j]
         step = np.minimum(cap, left) - value
         if j == d - 2:
-            return found + step
-        column = table[:, j]
-        starts_run[1:] |= column[1:] != column[:-1]
-        starts = np.flatnonzero(starts_run)
-        run[starts] = np.arange(len(starts))
-        found = starts[run[found] + step]
+            return (marks[-1][0][found] if marks else found) + step
+        found = marks[j][1][found] + step
         cap, left = value, left - value
     return found
 
@@ -273,7 +303,7 @@ def exact_risk(
     structure = _full_structure(d, n, structure)
     fits = w.numerators.dtype == np.int64 and d * int(w.numerators.max()) <= _INT64_MAX
     c = np.zeros(structure.matrix.shape[1], dtype=np.int64 if fits else object)
-    c[_locate(structure.parent_table, w.table)] = w.numerators
+    c[_locate(structure.parent_table, w.table, structure.run_marks)] = w.numerators
     sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])
     scale_sq = w.denominator * w.denominator
     numerator = Fraction(_sum_of_products(sums), scale_sq)

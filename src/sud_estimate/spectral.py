@@ -12,25 +12,38 @@ eigenvector is entrywise nonnegative (B^T B is a nonnegative matrix), so it
 is itself a valid scheme.
 
 B^T B is never materialised: a thick-restart Lanczos solve (Wu & Simon, SIAM
-J. Matrix Anal. Appl. 22, 2000; the scheme behind ARPACK) applies B and B^T
-once each per step, on a basis of fixed size with full
-reorthogonalisation.  It starts from the all-ones vector, which has positive
-overlap with the nonnegative leading eigenvector, and returns only a pair
-that passes a residual certificate ||A v - theta v|| <= tol * theta
-recomputed on the final nonnegative vector.  Plain numpy throughout: B is
-the :class:`~sud_estimate.risk.BoxMatrix` of the box-removal structure, and
-its two products are bincounts.
+J. Matrix Anal. Appl. 22, 2000; the scheme behind ARPACK) on a basis of
+fixed size with full reorthogonalisation, run on a Chebyshev polynomial of
+A = B^T B (Zhou & Saad, SIAM J. Matrix Anal. Appl. 29, 2007).  It starts
+from the all-ones vector, which has positive overlap with the nonnegative
+leading eigenvector.  A first cycle of plain steps on A gives its two
+largest Ritz values theta_1 >= theta_2; by Cauchy interlacing theta_2 <=
+lambda_2 < lambda_1, so a cut below theta_1 (at theta_2 when that is at
+least theta_1 / 2) leaves lambda_1 above it.  The rest of the solve runs on
+p(A) = T_8(2A/cut - I) / T_8(2 theta_1/cut - 1): |p| <= 1 on [0, cut], which
+holds every eigenvalue but those above the cut, and p increases above it,
+so p(A) has the same top eigenvector with a much wider relative gap.  Each
+filtered step applies A eight times by the three-term recurrence and
+reorthogonalises once, so most applications skip the per-step
+orthogonalisation against the basis.  ``iterations`` counts applications
+of A, those inside the filter included.  The solve returns only a pair
+that passes a residual certificate ||A v - theta v|| <= tol * theta,
+recomputed with A itself on the final nonnegative vector.  Plain numpy
+throughout: B is the :class:`~sud_estimate.risk.BoxMatrix` of the
+box-removal structure, and its two products are bincounts.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ConvergenceError, EmptySupportError
-from .risk import IncidenceStructure, _box_removal, _full_structure, exact_risk
+from .risk import BoxMatrix, IncidenceStructure, _box_removal, _full_structure, exact_risk
 from .weights import WeightVector, _exact_ratios, product_weights
 
 __all__ = [
@@ -97,9 +110,12 @@ class SpectralResult:
 
 
 # Basis size of the restarted Lanczos solve: ARPACK's default ncv for one
-# eigenpair.  Each restart keeps about half of it as Ritz vectors (Wu & Simon).
+# eigenpair.  Each restart keeps about half of it as Ritz vectors (Wu & Simon);
+# the first cycle, on B^T B itself, runs that many steps.
 _BASIS_SIZE = 20
 _KEPT = 10
+# Degree of the Chebyshev filter: applications of B^T B per filtered step.
+_DEGREE = 8
 
 
 def _certified(structure: IncidenceStructure, v: np.ndarray, iterations: int) -> SpectralResult:
@@ -120,28 +136,80 @@ def _certified(structure: IncidenceStructure, v: np.ndarray, iterations: int) ->
     )
 
 
+def _cut(top: float, second: float) -> float:
+    """Upper end of the interval [0, cut] that the filter damps.
+
+    ``top`` and ``second`` are the two largest Ritz values of the first
+    cycle.  By Cauchy interlacing second <= lambda_2 < lambda_1 and top <=
+    lambda_1, so any cut below top keeps lambda_1 above it.  The cut is kept
+    strictly below top, also when the two tie, and at least top / 2, so that
+    the filter's scale T_m(2 top / cut - 1) stays finite and above 1.
+    """
+    return max(top / 2, min(second, top * (1 - 2**-20)))
+
+
+def _chebyshev(b: BoxMatrix, cut: float, scale: float):
+    """x -> T_m(2A/cut - I) x / scale for A = B^T B, m = ``_DEGREE``.
+
+    The three-term recurrence T_(k+1) = 2 t T_k - T_(k-1): m applications of
+    A and no orthogonalisation.
+    """
+    shift = 2.0 / cut
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        prev, y = x, b.rmatvec(b @ x)
+        y *= shift
+        y -= x
+        for _ in range(_DEGREE - 1):
+            nxt = b.rmatvec(b @ y)
+            nxt *= 2 * shift
+            nxt -= y
+            nxt -= y
+            nxt -= prev
+            prev, y = y, nxt
+        y /= scale
+        return y
+
+    return apply
+
+
 def max_eigenpair(
     structure: IncidenceStructure,
     tol: float = 1e-12,
     max_iterations: int = 10**6,
 ) -> SpectralResult:
-    """Thick-restart Lanczos for the largest eigenpair of B^T B.
+    """Thick-restart Lanczos for the largest eigenpair of B^T B, Chebyshev-filtered.
 
     Deterministic: all-ones start, a basis of at most ``_BASIS_SIZE`` vectors
     orthogonalised twice against all earlier ones, Ritz pairs from
     ``np.linalg.eigh`` of the projected matrix, and restarts that keep the
-    ``_KEPT`` largest Ritz vectors.  ``iterations`` counts applications of
-    B^T B (the certificate's own product aside) and ``max_iterations`` caps
-    it; at the cap :class:`ConvergenceError` is raised with the current Ritz
-    pair attached as ``best``.  The returned eigenvector is entrywise
+    ``_KEPT`` largest Ritz vectors.  The first cycle is ``_KEPT`` plain
+    steps on A = B^T B.  Unless it ends the solve, its two largest Ritz
+    values set the damped interval [0, cut] (:func:`_cut`), and the solve
+    restarts from its top Ritz vector on p(A) = T_m(2A/cut - I) /
+    T_m(2 theta_1/cut - 1), m = ``_DEGREE``, applied by the three-term
+    recurrence with no orthogonalisation.  |p| <= 1 on [0, cut] and p
+    increases above it, so lambda_1 > cut stays the strict top of p(A) with
+    the same eigenvector, and each filtered step widens its relative gap.
+    After each filtered step the top Ritz pair of p(A) is tested (beta times
+    the last entry of its projected eigenvector, against tol times its Ritz
+    value); a pair that passes is certified on A itself, and one that fails
+    the certificate does not stop the solve.
+
+    ``iterations`` counts applications of B^T B, the ``_DEGREE`` of each
+    filtered step included (the certificate's own product aside), and
+    ``max_iterations`` caps it: a step that would pass the cap raises
+    :class:`ConvergenceError` instead, with the current Ritz vector,
+    certified, attached as ``best``.  The returned eigenvector is entrywise
     nonnegative and carries the recomputed residual ||A v - theta v|| <=
     tol * theta.  A breakdown (the basis spans an invariant subspace, as on
-    small forms and inside the mirror-symmetric half of the d=2 form, where
-    beta falls to rounding level rather than to zero) ends the solve: its
-    Ritz pairs are exact, so a failed certificate there raises
-    :class:`ConvergenceError`.  If the support graph splits into components
-    whose top eigenvalues tie exactly, the vector is a nonnegative mixture
-    over the tied components; the eigenvalue is unaffected.
+    forms of at most ``_KEPT`` columns and inside the mirror-symmetric half
+    of the d=2 form, where beta falls to rounding level rather than to zero)
+    ends the solve: its Ritz pairs are exact, so a failed certificate there
+    raises :class:`ConvergenceError`.  If the support graph splits into
+    components whose top eigenvalues tie exactly, the vector is a
+    nonnegative mixture over the tied components; the eigenvalue is
+    unaffected.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -157,24 +225,27 @@ def max_eigenpair(
     basis = np.empty((size + 1, ncols))
     basis[0] = 1.0 / np.sqrt(ncols)
     projected = np.zeros((size, size))
-    first = 0
+    first, last = 0, min(_KEPT, size)
     iterations = 0
+    step, cost = (lambda x: b.rmatvec(b @ x)), 1
 
     def ritz(k: int) -> SpectralResult:
+        if k == 0:  # a filtered phase that has not taken a step
+            return _certified(structure, basis[0], iterations)
         _, vectors = np.linalg.eigh(projected[:k, :k])
         return _certified(structure, vectors[:, -1] @ basis[:k], iterations)
 
     while True:
-        for j in range(first, size):
-            if iterations == max_iterations:
+        for j in range(first, last):
+            if iterations + cost > max_iterations:
                 best = ritz(j)
                 raise ConvergenceError(
                     f"Lanczos did not reach residual {tol:g} * theta within "
                     f"{max_iterations} applications (last residual {best.residual:.3e})",
                     best=best,
                 )
-            w = b.rmatvec(b @ basis[j])
-            iterations += 1
+            w = step(basis[j])
+            iterations += cost
             h = basis[: j + 1] @ w
             w -= h @ basis[: j + 1]
             again = basis[: j + 1] @ w
@@ -192,11 +263,24 @@ def max_eigenpair(
                     best=found,
                 )
             basis[j + 1] = w / beta
-        theta, vectors = np.linalg.eigh(projected)
-        if beta * abs(vectors[-1, -1]) <= tol * theta[-1]:
-            found = ritz(size)
-            if found.residual <= tol * found.eigmax:
-                return found
+            # the top Ritz pair after each filtered step and at the end of a cycle
+            if cost > 1 or j + 1 == last:
+                theta, vectors = np.linalg.eigh(projected[: j + 1, : j + 1])
+                if beta * abs(vectors[-1, -1]) <= tol * theta[-1]:
+                    found = _certified(structure, vectors[:, -1] @ basis[: j + 1], iterations)
+                    if found.residual <= tol * found.eigmax:
+                        return found
+        if cost == 1:
+            # the filter, from the first cycle's two largest Ritz values;
+            # restart from its top Ritz vector alone
+            top = theta[-1]
+            cut = _cut(top, theta[-2])
+            scale = math.cosh(_DEGREE * math.acosh(2 * top / cut - 1))
+            step, cost = _chebyshev(b, cut, scale), _DEGREE
+            basis[0] = vectors[:, -1] @ basis[:last]
+            first, last = 0, size
+            projected[:] = 0.0
+            continue
         # restart from the largest Ritz vectors, largest first, and the last
         # Lanczos vector; their couplings are recomputed by the next projection
         first = min(_KEPT, size - 1)

@@ -617,6 +617,17 @@ class TestVerify:
         assert code == EXIT_OK and payload["pass"] is True
         assert box_removals == [(3, n) for n in range(1, 11)]
 
+    def test_scores_each_level_on_one_set_of_run_marks(self, capsys, monkeypatch):
+        # product, uniform and optimal are placed on the columns by one set of run marks
+        import sud_estimate.risk as risk
+
+        built = []
+        marks = risk._run_marks
+        monkeypatch.setattr(risk, "_run_marks", lambda table: built.append(int(table[0, 0])) or marks(table))
+        code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")
+        assert code == EXIT_OK and payload["pass"] is True
+        assert built == list(range(1, 11))
+
     def test_enumerates_no_strict_table(self, capsys, level_tables):
         # product and uniform read their support from each level's structure
         code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")

@@ -105,6 +105,28 @@ class TestExactRisk:
             with pytest.raises(ValueError, match="structure"):
                 exact_risk(3, 9, w, other)
 
+    def test_run_marks_are_built_once_per_structure(self, monkeypatch):
+        import sud_estimate.risk as risk
+        from sud_estimate.spectral import optimal_weights
+
+        built = []
+        marks = risk._run_marks
+        monkeypatch.setattr(risk, "_run_marks", lambda table: built.append(len(table)) or marks(table))
+        structure = _box_removal(3, 30)
+        schemes = [product_weights(3, 30, structure), uniform_weights(3, 30, structure),
+                   optimal_weights(3, 30, structure=structure)]
+        risks = [exact_risk(3, 30, w, structure).risk for w in schemes]
+        assert built == [len(structure.parent_table)]
+        # each risk is ||B c||^2 / (d^2 ||c||^2) on the dense matrix, in exact integers
+        index = {row: i for i, row in enumerate(map(tuple, structure.parent_table.tolist()))}
+        b = np.zeros(structure.matrix.shape, dtype=object)
+        b[structure.matrix.entry_rows, structure.matrix.indices] = 1
+        for w, risk_value in zip(schemes, risks):
+            c = np.zeros(b.shape[1], dtype=object)
+            c[[index[row] for row in map(tuple, w.table.tolist())]] = w.numerators.tolist()
+            want = 1 - Fraction(int(((b @ c) ** 2).sum()), 9 * int((c * c).sum()))
+            assert risk_value == want
+
     @given(weight_vector_st(max_level=8))
     @settings(max_examples=60)
     def test_risk_in_unit_interval_and_identity(self, data):

@@ -16,6 +16,9 @@ from conftest import removable_rows
 from sud_estimate.partitions import enumerate_partitions, partition_table
 from sud_estimate.risk import BoxMatrix, IncidenceStructure, exact_risk
 from sud_estimate.spectral import (
+    _DEGREE,
+    _KEPT,
+    _cut,
     build_incidence,
     max_eigenpair,
     optimal_weights,
@@ -174,6 +177,69 @@ class TestMaxEigenpair:
             want = max(np.linalg.eigvalsh(b.T @ b))
             got = max_eigenpair(s).eigmax
             assert got == pytest.approx(want, rel=1e-12)
+
+    # levels whose column counts fall below, at and above the basis size (20)
+    # and near 55, so that most solves run the filtered phase
+    @pytest.mark.parametrize("d, support, levels", [
+        (2, "full", (26, 38, 44, 110)),
+        (2, "strict", (31, 41, 43, 111)),
+        (3, "full", (11, 12, 13, 23)),
+        (3, "strict", (17, 18, 19, 29)),
+        (4, "full", (8, 9, 10, 15)),
+        (4, "strict", (18, 19, 20, 25)),
+        (5, "full", (8, 9, 10, 13)),
+        (5, "strict", (23, 24, 25, 28)),
+    ])
+    def test_matches_dense_eigensolver_on_both_supports(self, d, support, levels):
+        columns, filtered = [], []
+        for n in levels:
+            s = build_incidence(d, n, support)
+            b = dense(s.matrix)
+            want = max(np.linalg.eigvalsh(b.T @ b))
+            r = max_eigenpair(s)
+            assert r.eigmax == pytest.approx(want, rel=1e-12), n
+            assert r.residual <= 1e-12 * r.eigmax
+            columns.append(s.matrix.shape[1])
+            filtered.append(r.iterations > _KEPT)
+        assert min(columns) < 20 <= max(columns[:3]) and max(columns) > 50
+        assert sum(filtered) >= 2
+
+    def test_cut_stays_below_a_tied_top_ritz_value(self):
+        for top in (1e-3, 1.0, 3.99999, 8.9991, 25.0):
+            for second in (top, np.nextafter(top, 0.0), top * (1 - 1e-12)):
+                cut = _cut(top, second)
+                assert top / 2 <= cut < top
+                scale = math.cosh(_DEGREE * math.acosh(2 * top / cut - 1))
+                assert 1.0 < scale < math.inf
+        assert _cut(8.0, 7.0) == 7.0
+        assert _cut(8.0, 1.0) == 4.0
+
+    @pytest.mark.parametrize(
+        "cap, spent", [(2, 2), (_KEPT + 3, _KEPT), (_KEPT + 8, _KEPT + _DEGREE)]
+    )
+    def test_cap_inside_a_filter_block_stops_before_it(self, cap, spent):
+        # a filtered step costs _DEGREE applications; one that would pass the
+        # cap is not taken, and the current Ritz vector comes back certified
+        s = build_incidence(3, 60, "full")
+        with pytest.raises(ConvergenceError) as info:
+            max_eigenpair(s, max_iterations=cap)
+        best = info.value.best
+        assert best.iterations == spent <= cap
+        v = np.array([float(best.eigvec.entries.get(p, 0)) for p in rows(s.parent_table)])
+        assert (v > 0).all()
+        v /= np.linalg.norm(v)
+        b = dense(s.matrix)
+        av = b.T @ (b @ v)
+        assert best.eigmax == pytest.approx(v @ av, rel=1e-12)
+        assert best.residual == pytest.approx(np.linalg.norm(av - best.eigmax * v), rel=1e-6)
+        assert 0 < best.eigmax <= 9.0
+
+    @pytest.mark.parametrize("n, most", [(2000, 2000), (1999, 1200)])
+    def test_d2_applications_at_large_levels(self, n, most):
+        # 3,760 and 1,590 applications without the filter
+        r = max_eigenpair(build_incidence(2, n, "full"))
+        assert r.iterations <= most
+        assert r.eigmax == pytest.approx(4 * math.cos(math.pi / (n + 3)) ** 2, abs=1e-10)
 
     def test_iteration_cap_raises_with_best_iterate(self):
         s = build_incidence(2, 10, "full")
