@@ -110,8 +110,9 @@ class SpectralResult:
 
 
 # Basis size of the restarted Lanczos solve: ARPACK's default ncv for one
-# eigenpair.  Each restart keeps about half of it as Ritz vectors (Wu & Simon);
-# the first cycle, on B^T B itself, runs that many steps.
+# eigenpair.  Each restart keeps about half of it as Ritz vectors (Wu & Simon),
+# and the first cycle, on B^T B itself, takes that many steps unless the basis
+# holds the whole space.
 _BASIS_SIZE = 20
 _KEPT = 10
 # Degree of the Chebyshev filter: applications of B^T B per filtered step.
@@ -184,7 +185,9 @@ def max_eigenpair(
     orthogonalised twice against all earlier ones, Ritz pairs from
     ``np.linalg.eigh`` of the projected matrix, and restarts that keep the
     ``_KEPT`` largest Ritz vectors.  The first cycle is ``_KEPT`` plain
-    steps on A = B^T B.  Unless it ends the solve, its two largest Ritz
+    steps on A = B^T B, or as many as there are columns when the basis
+    holds them all; that cycle then exhausts the Krylov space and ends the
+    solve by breakdown.  Unless it ends the solve, its two largest Ritz
     values set the damped interval [0, cut] (:func:`_cut`), and the solve
     restarts from its top Ritz vector on p(A) = T_m(2A/cut - I) /
     T_m(2 theta_1/cut - 1), m = ``_DEGREE``, applied by the three-term
@@ -203,7 +206,7 @@ def max_eigenpair(
     certified, attached as ``best``.  The returned eigenvector is entrywise
     nonnegative and carries the recomputed residual ||A v - theta v|| <=
     tol * theta.  A breakdown (the basis spans an invariant subspace, as on
-    forms of at most ``_KEPT`` columns and inside the mirror-symmetric half
+    forms of at most ``_BASIS_SIZE`` columns and inside the mirror-symmetric half
     of the d=2 form, where beta falls to rounding level rather than to zero)
     ends the solve: its Ritz pairs are exact, so a failed certificate there
     raises :class:`ConvergenceError`.  If the support graph splits into
@@ -225,7 +228,7 @@ def max_eigenpair(
     basis = np.empty((size + 1, ncols))
     basis[0] = 1.0 / np.sqrt(ncols)
     projected = np.zeros((size, size))
-    first, last = 0, min(_KEPT, size)
+    first, last = 0, size if size == ncols else _KEPT
     iterations = 0
     step, cost = (lambda x: b.rmatvec(b @ x)), 1
 
