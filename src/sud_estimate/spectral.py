@@ -206,10 +206,10 @@ def max_eigenpair(
     certified, attached as ``best``.  The returned eigenvector is entrywise
     nonnegative and carries the recomputed residual ||A v - theta v|| <=
     tol * theta.  A breakdown (the basis spans an invariant subspace, as on
-    forms of at most ``_BASIS_SIZE`` columns and inside the mirror-symmetric half
-    of the d=2 form, where beta falls to rounding level rather than to zero)
-    ends the solve: its Ritz pairs are exact, so a failed certificate there
-    raises :class:`ConvergenceError`.  If the support graph splits into
+    forms of at most ``_BASIS_SIZE`` columns and inside the mirror-symmetric
+    half of the d=2 form, where beta falls to rounding level rather than to
+    zero) ends the solve: its Ritz pairs are exact, so a failed certificate
+    there raises :class:`ConvergenceError`.  If the support graph splits into
     components whose top eigenvalues tie exactly, the vector is a
     nonnegative mixture over the tied components; the eigenvalue is
     unaffected.

@@ -623,7 +623,9 @@ class TestVerify:
 
         built = []
         marks = risk._run_marks
-        monkeypatch.setattr(risk, "_run_marks", lambda table: built.append(int(table[0, 0])) or marks(table))
+        monkeypatch.setattr(
+            risk, "_run_marks", lambda table: built.append(int(table[0, 0])) or marks(table)
+        )
         code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "10", "--no-timestamp")
         assert code == EXIT_OK and payload["pass"] is True
         assert built == list(range(1, 11))

@@ -111,7 +111,9 @@ class TestExactRisk:
 
         built = []
         marks = risk._run_marks
-        monkeypatch.setattr(risk, "_run_marks", lambda table: built.append(len(table)) or marks(table))
+        monkeypatch.setattr(
+            risk, "_run_marks", lambda table: built.append(len(table)) or marks(table)
+        )
         structure = _box_removal(3, 30)
         schemes = [product_weights(3, 30, structure), uniform_weights(3, 30, structure),
                    optimal_weights(3, 30, structure=structure)]
