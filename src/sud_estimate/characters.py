@@ -48,7 +48,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import EmptySupportError, ResolutionError
 from .partitions import check_partition, enumerate_partitions, partition_table, pieri_add
 from .weights import WeightVector
 
@@ -360,10 +360,12 @@ def quadrature_risk(d: int, n: int, w: WeightVector, rule: QuadratureRule | None
             suggested_resolution=min_resolution(d, n),
         )
     rule._alternants = {t: a for t, a in rule._alternants.items() if sum(t) >= n}
-    coeff = w.float_coefficients()
+    if not len(w.numerators):
+        raise EmptySupportError(f"no nonzero coefficient at level {n} for d={d}")
+    den, norm = w.denominator, math.sqrt(float(w.norm_sq))  # unit-norm coefficients
     total = np.zeros(rule.eigenvalues.shape[0], dtype=complex)
-    for parts, c in coeff.items():
-        total += c * rule.alternant(parts)
+    for parts, v in zip(w.table.tolist(), w.numerators.tolist()):
+        total += v / den / norm * rule.alternant(tuple(parts))
     p1 = rule.eigenvalues.sum(axis=1)
     integral = rule.cell * float(np.sum(np.abs(total * p1) ** 2))
     return 1.0 - integral / (d * d)

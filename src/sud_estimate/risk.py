@@ -209,8 +209,7 @@ def _run_marks(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _locate(
-    table: np.ndarray, queries: np.ndarray,
-    marks: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    table: np.ndarray, queries: np.ndarray, marks: list[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
     """The column of B for each row of a scheme's support ``queries``: its index
     in the canonical partition table ``table`` of the same level.
@@ -222,13 +221,10 @@ def _locate(
     contiguous sub-run, in that order.  So the walk reads the queries column
     by column: a query in run number r of its first j entries moves to run
     number ``first[r] + hi - v`` of its first j + 1 entries, for its entry v,
-    with the table's run marks ``marks`` (:func:`_run_marks`, built when
-    None).  A prefix of d - 1 entries fixes its row, so in the last column
-    each sub-run is one row.  Each column costs a few passes over the
-    queries, with no search.
+    with the table's run marks ``marks`` (:func:`_run_marks`).  A prefix of
+    d - 1 entries fixes its row, so in the last column each sub-run is one
+    row.  Each column costs a few passes over the queries, with no search.
     """
-    if marks is None:
-        marks = _run_marks(table)
     d = table.shape[1]
     found = np.zeros(len(queries), dtype=np.int64)  # run number of the prefix so far
     cap = left = table[0, 0]  # the first row is (n, 0, ..., 0)

@@ -103,10 +103,8 @@ class SpectralResult:
     @cached_property
     def eigvec(self) -> WeightVector:
         positive = self._vector > 0.0
-        return WeightVector.from_table(
-            self.d, self.level, self._columns[positive],
-            *_exact_ratios(self._vector[positive]),
-        )
+        return WeightVector(self.d, self.level, self._columns[positive],
+                            *_exact_ratios(self._vector[positive]))
 
 
 # Basis size of the restarted Lanczos solve: ARPACK's default ncv for one

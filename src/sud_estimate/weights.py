@@ -1,18 +1,20 @@
 """Coefficient schemes over the partitions of one level.
 
 A scheme assigns a nonnegative coefficient c(lambda) to every partition of N
-into at most d parts.  Coefficients are exact rationals, held as integer
-numerators over one common denominator on the support table (no Fraction per
-partition until one is asked for).  The numerators are one array: int64 when
-every one fits, which is the case for the gap products and their small powers,
-and an object array of Python ints otherwise, as for eigenvector floats taken
-exactly; sums of their products are int64 dots only under a bound that keeps
-them exact.  Coefficients are deliberately left unnormalised:
-every risk expression downstream is a ratio of quadratic forms in c, so
-dividing by the squared norm on the way out is exact, whereas rescaling the
-coefficients themselves to unit Euclidean norm would require square roots.
-Only the character oracle, which works in floating point anyway, asks for
-unit-norm coefficients (``float_coefficients``).
+into at most d parts.  Coefficients are exact rationals, held in one integer
+form: integer numerators over one common denominator on the support table
+(no Fraction per partition until one is asked for).  That form is also what
+:class:`WeightVector` is built from; the named schemes make it from their
+tables, and a weight file is read into it.  The numerators are one array:
+int64 when every one fits, which is the case for the gap products and their
+small powers, and an object array of Python ints otherwise, as for
+eigenvector floats taken exactly; sums of their products are int64 dots only
+under a bound that keeps them exact.  Coefficients are deliberately left
+unnormalised: every risk expression downstream is a ratio of quadratic forms
+in c, so dividing by the squared norm on the way out is exact, whereas
+rescaling the coefficients themselves to unit Euclidean norm would require
+square roots.  Only the character oracle, which works in floating point
+anyway, scales them to unit norm.
 
 The scheme of main interest puts c(lambda) proportional to the product of the
 row gaps lambda_i - lambda_{i+1}; it vanishes off the strictly decreasing
@@ -32,7 +34,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -67,10 +68,14 @@ class WeightVector:
     exact sum of squared coefficients; the map ``entries`` of Fractions is
     built the first time it is read.  Instances are immutable.
 
-    ``WeightVector(d, level, entries)`` takes a map partition -> coefficient
-    (absent or zero: off the support); the named schemes use
-    :meth:`from_table`.  Both routes end in one batched check over all rows,
-    and a ValueError names the first row that fails it.
+    ``WeightVector(d, level, table, numerators, denominator=1)`` is the one
+    constructor: the scheme with coefficient ``numerators[i] / denominator``
+    on row i of ``table``, a zero coefficient being off the support.  It
+    keeps copies of both.  An integer array of numerators is taken as int64,
+    anything else as an object array whose entries must be ints (a TypeError
+    otherwise).  One batched check runs over all rows, and a ValueError names
+    the first row that fails it; rows are sorted canonically, and a row that
+    appears twice is refused.
     """
 
     d: int
@@ -80,34 +85,12 @@ class WeightVector:
     numerators: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
 
-    def __init__(self, d: int, level: int, entries: Mapping[tuple[int, ...], Fraction]):
-        values = [v if type(v) is Fraction else Fraction(v) for v in entries.values()]
-        scale = math.lcm(*(v.denominator for v in values))
-        self._set(d, level, _key_table(d, level, list(map(tuple, entries))),
-                  [v.numerator * (scale // v.denominator) for v in values], scale)
-
-    @classmethod
-    def from_table(cls, d: int, level: int, table: np.ndarray, numerators,
-                   denominator: int = 1) -> "WeightVector":
-        """The scheme with coefficient ``numerators[i] / denominator`` on row i of
-        ``table``; it keeps copies of both."""
+    def __init__(self, d: int, level: int, table, numerators, denominator: int = 1):
+        table = np.array(table, dtype=np.int64)
         if isinstance(numerators, np.ndarray) and numerators.dtype.kind == "i":
             numerators = numerators.astype(np.int64)
         else:
-            numerators = numerators.tolist() if isinstance(numerators, np.ndarray) else list(numerators)
-        w = cls.__new__(cls)
-        w._set(d, level, np.array(table, dtype=np.int64), numerators, denominator)
-        return w
-
-    def _set(self, d: int, level: int, table: np.ndarray, numerators, denominator: int):
-        """Check rows (d entries, sum ``level``, weakly decreasing, nonnegative) and
-        numerators (nonnegative); drop zeros, sort rows canonically, reduce.
-
-        ``table`` is an int64 array and ``numerators`` an int64 array, checked
-        and reduced by array passes, or a list of Python ints, checked and
-        reduced by list operations; the scheme keeps both and makes them
-        read-only.
-        """
+            numerators = np.array(numerators, dtype=object)
         if table.shape[1] == d > 0:  # one pass per column
             bad = table[:, -1] < 0
             total = table[:, -1].copy()
@@ -120,41 +103,31 @@ class WeightVector:
         for i in bad[:1]:  # name the first offender
             t = check_partition(tuple(table[i].tolist()), d)
             raise ValueError(f"partition {t} has level {sum(t)}, expected {level}")
-        array = isinstance(numerators, np.ndarray)
+        # an int64 array needs no type check, and with denominator 1 no reduction
+        g = (math.gcd(denominator, *numerators.tolist())  # a TypeError for a non-integer
+             if numerators.dtype == object or denominator > 1 else 1)
         # with none negative, 0 is present iff low == 0
-        low = int(numerators.min(initial=1)) if array else min(numerators, default=1)
+        low = numerators.min(initial=1)
         if low < 0:
-            i = (int(np.argmax(numerators < 0)) if array
-                 else next(i for i, v in enumerate(numerators) if v < 0))
+            i = int(np.argmax(numerators < 0))
             raise ValueError(f"coefficient for {tuple(table[i].tolist())} is negative: "
                              f"{Fraction(int(numerators[i]), denominator)}")
-        ordered = _descending(table)
-        if low == 0 or not ordered:
+        if not _descending(table):
             order = np.lexsort(table.T[::-1])[::-1]
-            if array:
-                order = order[numerators[order] != 0]
-                numerators = numerators[order]
-            else:
-                order = [i for i in order.tolist() if numerators[i]]
-                numerators = [numerators[i] for i in order]
-            table = table[order]
-            # dropping zeros from a canonical table leaves it canonical
-            if not (ordered or _descending(table)):
+            table, numerators = table[order], numerators[order]
+            if not _descending(table):
                 raise ValueError(f"a partition of level {level} appears twice")
-        if not array:
-            g = math.gcd(denominator, *numerators)  # a TypeError for a non-integer
-        elif denominator > 1:
-            g = math.gcd(denominator, int(np.gcd.reduce(numerators)))
-        else:
-            g = 1
+        if low == 0:
+            # dropping rows from a canonical table leaves it canonical
+            keep = numerators != 0
+            table, numerators = table[keep], numerators[keep]
         if g > 1:
-            numerators = numerators // g if array else [v // g for v in numerators]
+            numerators, denominator = numerators // g, denominator // g
         numerators = _int_array(numerators)
         table.flags.writeable = False
-        norm_sq = Fraction(_sum_of_products(numerators), (denominator // g)**2)
         vars(self).update(  # frozen: set the fields directly
-            d=d, level=level, norm_sq=norm_sq, denominator=denominator // g,
-            numerators=numerators, table=table,
+            d=d, level=level, norm_sq=Fraction(_sum_of_products(numerators), denominator**2),
+            denominator=denominator, numerators=numerators, table=table,
         )
 
     def __eq__(self, other):
@@ -167,20 +140,8 @@ class WeightVector:
 
     @cached_property
     def entries(self) -> dict[tuple[int, ...], Fraction]:
-        return {p: Fraction(v, self.denominator)
-                for p, v in zip(self.support, self.numerators.tolist())}
-
-    @property
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.table.tolist()))
-
-    def float_coefficients(self) -> dict[tuple[int, ...], float]:
-        """Coefficients scaled to unit Euclidean norm, as floats."""
-        if not len(self.numerators):
-            raise EmptySupportError(f"no nonzero coefficient at level {self.level} for d={self.d}")
-        norm = math.sqrt(float(self.norm_sq))
-        return {p: v / self.denominator / norm
-                for p, v in zip(self.support, self.numerators.tolist())}
+        return {tuple(p): Fraction(v, self.denominator)
+                for p, v in zip(self.table.tolist(), self.numerators.tolist())}
 
 
 def _key_table(d: int, n: int, keys: list[tuple]) -> np.ndarray:
@@ -223,15 +184,15 @@ _INT64_MAX = 2**63 - 1
 def _int_array(values) -> np.ndarray:
     """Integers as a read-only 1-D array: int64 when every one fits, else object.
 
-    An int64 array is kept as it is.  A list of Python ints is taken as
-    int64, or, when one of them does not fit, as an object array of the same
-    ints.
+    An int64 array is kept as it is.  An object array or a list of Python
+    ints is taken as int64, or, when one of them does not fit, as an object
+    array of the same ints.
     """
-    if not isinstance(values, np.ndarray):
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
         try:
             values = np.array(values, dtype=np.int64)
         except OverflowError:
-            values = np.array(values, dtype=object)
+            values = np.asarray(values, dtype=object)
     values.flags.writeable = False
     return values
 
@@ -322,7 +283,7 @@ def _gap_products(d: int, n: int, structure=None) -> tuple[np.ndarray, np.ndarra
 def product_weights(d: int, n: int, structure=None) -> WeightVector:
     """Gap-product coefficients on the strict partitions of level n, read from
     ``structure`` when it is given (see :func:`_gap_products`)."""
-    return WeightVector.from_table(d, n, *_gap_products(d, n, structure))
+    return WeightVector(d, n, *_gap_products(d, n, structure))
 
 
 # Exact numerators of power:<alpha> are (gap product)^alpha, and the exact risk
@@ -359,11 +320,10 @@ def power_weights(d: int, n: int, alpha, structure=None) -> WeightVector:
                              f"({bits:.3g} bits) to that power exceed the cap of "
                              f"{MAX_POWER_BITS} bits")
         if top**k <= _INT64_MAX:  # every power is exact in int64
-            return WeightVector.from_table(d, n, table, products**k)
-        return WeightVector.from_table(d, n, table, [p**k for p in products.tolist()])
+            return WeightVector(d, n, table, products**k)
+        return WeightVector(d, n, table, [p**k for p in products.tolist()])
     x = float(a)
-    return WeightVector.from_table(
-        d, n, table, *_exact_ratios([(p / top) ** x for p in products.tolist()]))
+    return WeightVector(d, n, table, *_exact_ratios([(p / top) ** x for p in products.tolist()]))
 
 
 def uniform_weights(d: int, n: int, structure=None) -> WeightVector:
@@ -511,19 +471,27 @@ def records_text(records: list[dict], depth: int = 0) -> str:
 
 
 def weights_from_json(records) -> WeightVector:
-    """Inverse of :func:`weights_to_json`; a malformed record's ValueError names its index."""
+    """Inverse of :func:`weights_to_json`; a malformed record's ValueError names its index.
+
+    The scheme's level and d are those of the first record, and its integer
+    form has the lcm of the weights' denominators as its denominator.
+    """
     if not isinstance(records, list):
         raise ValueError(f"weight records must be a JSON list, not {type(records).__name__}")
-    entries = {}
+    keys, values = [], []
     for i, rec in enumerate(records):
         try:
-            entries[tuple(rec["parts"])] = Fraction(rec["weight"])
+            values.append(Fraction(rec["weight"]))
+            keys.append(tuple(rec["parts"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"weight record {i} is malformed: {exc!r}") from exc
-    if not entries:
+    if not keys:
         raise EmptySupportError("weight file has no entries")
-    first = check_partition(next(iter(entries)))
-    return WeightVector(len(first), level(first), entries)
+    first = check_partition(keys[0])
+    d, n = len(first), level(first)
+    scale = math.lcm(*(v.denominator for v in values))
+    return WeightVector(d, n, _key_table(d, n, keys),
+                        [v.numerator * (scale // v.denominator) for v in values], scale)
 
 
 def save_weights(records: list[dict], path) -> None:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from sud_estimate.partitions import enumerate_partitions
+from sud_estimate.weights import WeightVector, _key_table
 
 
 @st.composite
@@ -45,6 +47,15 @@ def weight_vector_st(draw, d: int | None = None, max_level: int = 10):
     if all(v == 0 for v in values):
         values[0] += 1
     return dd, n, dict(zip(support, values))
+
+
+def mapped_weights(d: int, n: int, entries) -> WeightVector:
+    """The scheme with coefficient ``entries[p]`` on partition p of level n
+    (absent or zero: off the support), over the lcm of the denominators."""
+    values = [Fraction(v) for v in entries.values()]
+    scale = math.lcm(*(v.denominator for v in values))
+    return WeightVector(d, n, _key_table(d, n, list(entries)),
+                        [v.numerator * (scale // v.denominator) for v in values], scale)
 
 
 def brute_partitions(d: int, n: int) -> list[tuple[int, ...]]:

@@ -24,7 +24,7 @@ from sud_estimate.characters import (
 from sud_estimate.errors import EmptySupportError, ResolutionError
 from sud_estimate.partitions import enumerate_partitions, pieri_add
 from sud_estimate.risk import exact_risk
-from sud_estimate.weights import product_weights, scheme_weights, uniform_weights
+from sud_estimate.weights import WeightVector, product_weights, scheme_weights, uniform_weights
 
 
 def su2_character(k: int, theta: float) -> float:
@@ -218,7 +218,10 @@ class TestQuadrature:
                          np.vdot(_alternant(b, grid), _alternant(a, grid)))
         # the product scheme's first level with two labels, (5,2,1) and
         # (4,3,1) at d=3; the regrouping needs no bandwidth margin
-        coeff = product_weights(d, d * (d + 1) // 2 + 2).float_coefficients()
+        w = product_weights(d, d * (d + 1) // 2 + 2)
+        norm = math.sqrt(float(w.norm_sq))
+        coeff = {tuple(p): v / w.denominator / norm
+                 for p, v in zip(w.table.tolist(), w.numerators.tolist())}
         assert len(coeff) == 2
         orbit_total = sum(c * rule.alternant(p) for p, c in coeff.items())
         grid_total = sum(c * _alternant(p, grid) for p, c in coeff.items())
@@ -345,6 +348,11 @@ class TestQuadratureRisk:
         w = product_weights(3, 6)
         want = float(exact_risk(3, 6, w).risk)
         assert quadrature_risk(3, 6, w) == pytest.approx(want, abs=1e-10)
+
+    def test_empty_scheme_refused(self):
+        w = WeightVector(2, 5, np.zeros((0, 2), dtype=np.int64), [])
+        with pytest.raises(EmptySupportError, match="no nonzero coefficient at level 5 for d=2"):
+            quadrature_risk(2, 5, w)
 
     def test_low_resolution_refused_with_suggestion(self):
         w = product_weights(2, 5)

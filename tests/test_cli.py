@@ -157,6 +157,8 @@ class TestRisk:
             ('[{"parts": [4, 1], "weight": "3"}, {"parts": [3, 2]}]', "weight record 1"),
             ('{"parts": [4, 1], "weight": "3"}', "must be a JSON list"),
             (None, "cannot read weight file"),
+            ('[{"parts": [4, 1], "weight": "1/2"}, {"parts": [4, 1], "weight": "1/3"},'
+             ' {"parts": [3, 2], "weight": "1"}]', "a partition of level 5 appears twice"),
         ],
     )
     def test_malformed_weight_file_exits_2(self, capsys, tmp_path, content, names):

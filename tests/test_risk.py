@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gap_vector, removable_rows, weight_vector_st
+from conftest import gap_vector, mapped_weights, removable_rows, weight_vector_st
 from sud_estimate.errors import EmptySumError, EmptySupportError
 from sud_estimate.partitions import partition_table
 from sud_estimate.risk import (
@@ -16,6 +16,7 @@ from sud_estimate.risk import (
     RiskPoint,
     _box_removal,
     _locate,
+    _run_marks,
     curve_to_csv,
     exact_risk,
     expansion_diagnostics,
@@ -69,7 +70,7 @@ class TestExactRisk:
     def test_single_partition_slack(self):
         for d, n in [(2, 4), (3, 7), (4, 11)]:
             parts = enumerate_partitions(d, n, strict=True)[0]
-            w = WeightVector(d, n, {parts: Fraction(1)})
+            w = mapped_weights(d, n, {parts: Fraction(1)})
             slack = exact_risk(d, n, w).risk
             assert slack >= 0
             assert slack == 1 - Fraction(1, d)
@@ -82,7 +83,7 @@ class TestExactRisk:
 
     def test_empty_support_raises(self):
         with pytest.raises(EmptySupportError):
-            exact_risk(2, 2, WeightVector(2, 2, {}))
+            exact_risk(2, 2, mapped_weights(2, 2, {}))
 
     def test_scores_the_integer_form_without_building_entries(self):
         w = product_weights(3, 600)
@@ -133,7 +134,7 @@ class TestExactRisk:
     @settings(max_examples=60)
     def test_risk_in_unit_interval_and_identity(self, data):
         d, n, entries = data
-        w = WeightVector(d, n, entries)
+        w = mapped_weights(d, n, entries)
         b = exact_risk(d, n, w)
         assert 0 <= b.risk <= 1
         assert b.risk == 1 - b.numerator / (d * d * b.norm_sq)
@@ -150,7 +151,7 @@ class TestExactRisk:
             }
             if all(v == 0 for v in entries.values()):
                 continue
-            slack = exact_risk(3, 8, WeightVector(3, 8, entries)).risk
+            slack = exact_risk(3, 8, mapped_weights(3, 8, entries)).risk
             assert slack >= 0
 
 
@@ -175,7 +176,7 @@ def python_int_breakdown(d: int, n: int, w: WeightVector) -> tuple[Fraction, lis
     b = reference_incidence(d, n)
     column = {parts: j for j, parts in enumerate(enumerate_partitions(d, n))}
     c = [0] * b.shape[1]
-    for parts, v in zip(w.support, w.numerators.tolist()):
+    for parts, v in zip(map(tuple, w.table.tolist()), w.numerators.tolist()):
         c[column[parts]] = v
     indices, indptr = b.indices.tolist(), b.indptr.tolist()
     sums = [sum(c[j] for j in indices[indptr[r]:indptr[r + 1]]) for r in range(b.shape[0])]
@@ -190,8 +191,8 @@ def sparse_weights(d: int, n: int) -> WeightVector:
     support = set(rng.sample(rows, len(rows) // 10))
     support.add(next(p for p in rows if len(set(p)) < d and p[-1] > 0))
     support.add(next(p for p in rows if p[-1] == 0))
-    return WeightVector(d, n, {p: Fraction(rng.randint(1, 50), rng.randint(1, 7))
-                               for p in sorted(support)})
+    return mapped_weights(d, n, {p: Fraction(rng.randint(1, 50), rng.randint(1, 7))
+                                 for p in sorted(support)})
 
 
 class TestLocate:
@@ -205,7 +206,7 @@ class TestLocate:
             subsets = [table[:0], table, partition_table(d, n, strict=True), table[:1],
                        table[-1:]] + [table[sorted(p)] for p in picks] + [table[picks[0]]]
             for queries in subsets:
-                got = _locate(table, queries)
+                got = _locate(table, queries, _run_marks(table))
                 assert got.dtype == np.int64
                 assert got.tolist() == [index[row] for row in map(tuple, queries.tolist())], n
 
@@ -216,7 +217,7 @@ class TestIntegerPaths:
     @staticmethod
     def two_row_scheme(top: int) -> WeightVector:
         # numerators top and top - 1 on (4, 1) and (3, 2); the level-6 row (4, 2) sums both
-        return WeightVector.from_table(2, 5, np.array([[4, 1], [3, 2]]), [top, top - 1])
+        return WeightVector(2, 5, np.array([[4, 1], [3, 2]]), [top, top - 1])
 
     @pytest.mark.parametrize("top, dtype", [(2**62 - 1, np.int64), (2**62, object)])
     def test_parent_sums_on_each_side_of_the_bound(self, top, dtype):
@@ -243,10 +244,10 @@ class TestIntegerPaths:
         # the risk is scale invariant; reducing by a divisor of the denominator
         # (< 2^15) leaves numerators above 2^65 when the odd scale K exceeds 2^80
         d, n, entries = data
-        w = WeightVector(d, n, entries)
+        w = mapped_weights(d, n, entries)
         k = 2 * half + 1
-        scaled = WeightVector.from_table(d, n, w.table, [v * k for v in w.numerators.tolist()],
-                                         w.denominator)
+        scaled = WeightVector(d, n, w.table, [v * k for v in w.numerators.tolist()],
+                              w.denominator)
         assert scaled.numerators.dtype == object
         b = exact_risk(d, n, scaled)
         assert b._parent_sums.dtype == object

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import weight_vector_st
+from conftest import mapped_weights, weight_vector_st
 from sud_estimate import partitions
 from sud_estimate.errors import EmptySupportError
 from sud_estimate.risk import exact_risk
@@ -131,14 +131,14 @@ class TestIntArray:
 
     def test_scheme_numerators_are_read_only_arrays(self):
         for w in (product_weights(3, 30), power_weights(2, 40, 60),
-                  WeightVector(2, 5, {(4, 1): Fraction(1, 3), (3, 2): 2})):
+                  mapped_weights(2, 5, {(4, 1): Fraction(1, 3), (3, 2): 2})):
             assert isinstance(w.numerators, np.ndarray) and not w.numerators.flags.writeable
         assert power_weights(2, 40, 60).numerators.dtype == object
 
     def test_from_table_keeps_copies(self):
         table = np.array([[4, 1], [3, 2]])
         numerators = np.array([3, 2])
-        w = WeightVector.from_table(2, 5, table, numerators)
+        w = WeightVector(2, 5, table, numerators)
         table[0, 0] = numerators[0] = 0
         assert w == product_weights(2, 5)
         assert table.flags.writeable and numerators.flags.writeable
@@ -146,18 +146,18 @@ class TestIntArray:
 
 class TestWeightVector:
     def test_drops_zeros_and_sorts(self):
-        w = WeightVector(2, 5, {(3, 2): Fraction(2), (5, 0): Fraction(0), (4, 1): Fraction(3)})
-        assert w.support == ((4, 1), (3, 2))
+        w = mapped_weights(2, 5, {(3, 2): Fraction(2), (5, 0): Fraction(0), (4, 1): Fraction(3)})
+        assert w.table.tolist() == [[4, 1], [3, 2]]
         assert (5, 0) not in w.entries
         assert w.norm_sq == 13
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WeightVector(2, 5, {(4, 1): Fraction(-1)})
+            mapped_weights(2, 5, {(4, 1): Fraction(-1)})
         with pytest.raises(ValueError):
-            WeightVector(2, 5, {(3, 1): Fraction(1)})  # wrong level
+            mapped_weights(2, 5, {(3, 1): Fraction(1)})  # wrong level
         with pytest.raises(ValueError):
-            WeightVector(3, 5, {(4, 1): Fraction(1)})  # wrong d
+            mapped_weights(3, 5, {(4, 1): Fraction(1)})  # wrong d
 
     @pytest.mark.parametrize(
         "d, key, value, message",
@@ -175,13 +175,13 @@ class TestWeightVector:
         valid = {(5, 0): Fraction(1), (4, 1): Fraction(2)} if d == 2 else {(3, 1, 1): 1}
         for entries in ({key: value}, {**valid, key: value}):
             with pytest.raises(ValueError, match=re.escape(message)):
-                WeightVector(d, 5, entries)
+                mapped_weights(d, 5, entries)
 
     def test_norm_sq_is_the_exact_sum_of_squares(self):
-        w = WeightVector(2, 6, {(6, 0): Fraction(1, 6), (5, 1): Fraction(-0, 4),
-                                (4, 2): Fraction(3, 10), (3, 3): 2})
+        w = mapped_weights(2, 6, {(6, 0): Fraction(1, 6), (5, 1): Fraction(-0, 4),
+                                  (4, 2): Fraction(3, 10), (3, 3): 2})
         assert w.norm_sq == Fraction(1, 36) + Fraction(9, 100) + 4
-        assert w.support == ((6, 0), (4, 2), (3, 3))
+        assert w.table.tolist() == [[6, 0], [4, 2], [3, 3]]
 
     def test_scheme_build_and_risk_validate_in_bulk(self, monkeypatch):
         # product_weights(3, 600) has 29,701 entries; none is validated on its own
@@ -205,22 +205,34 @@ class TestWeightVector:
     @given(weight_vector_st(), st.integers(1, 12))
     def test_mapping_and_table_routes_agree(self, data, extra):
         d, n, entries = data
-        w = WeightVector(d, n, entries)
+        w = mapped_weights(d, n, entries)
         scale = math.lcm(*(Fraction(v).denominator for v in entries.values())) * extra
         table = np.array(list(entries), dtype=np.int64)
         numerators = [int(Fraction(v) * scale) for v in entries.values()]
-        v = WeightVector.from_table(d, n, table, numerators, scale)
+        v = WeightVector(d, n, table, numerators, scale)
         assert v == w
         assert v.entries == w.entries == {p: Fraction(c) for p, c in entries.items() if c}
         assert v.norm_sq == w.norm_sq
         assert v.denominator == w.denominator
         assert math.gcd(v.denominator, *v.numerators) == 1
 
+    @pytest.mark.parametrize("numerators", [[1.5, 2.0], [3.0, 2.0], np.array([1.5, 2.0]),
+                                            np.array([3, 2], dtype=float)])
+    def test_non_integer_numerators_are_refused(self, numerators):
+        # an int64 cast would truncate 1.5 to 1 without a word
+        with pytest.raises(TypeError):
+            WeightVector(2, 5, np.array([[4, 1], [3, 2]]), numerators)
+
+    def test_a_repeated_row_is_refused_whatever_its_coefficients(self):
+        for numerators in ([1, 0], [0, 1]):  # a zero on either copy does not hide it
+            with pytest.raises(ValueError, match="appears twice"):
+                WeightVector(2, 5, np.array([[3, 2], [4, 1], [3, 2]]), [2] + numerators)
+
     def test_table_route_sorts_rows_and_rejects_a_repeated_row(self):
         table = np.array([[3, 2], [4, 1]])
-        assert WeightVector.from_table(2, 5, table, [2, 3]) == product_weights(2, 5)
+        assert WeightVector(2, 5, table, [2, 3]) == product_weights(2, 5)
         with pytest.raises(ValueError, match="appears twice"):
-            WeightVector.from_table(2, 5, np.array([[4, 1], [4, 1]]), [1, 1])
+            WeightVector(2, 5, np.array([[4, 1], [4, 1]]), [1, 1])
 
     @pytest.mark.parametrize("alpha", [0, 1, 3])
     def test_named_schemes_equal_their_mapping(self, alpha):
@@ -229,13 +241,14 @@ class TestWeightVector:
         mapped = {
             (a, b, c): ((a - b) * (b - c) * c) ** alpha for a, b, c in table.tolist()
         }
-        assert w == WeightVector(3, 14, mapped)
+        assert w == mapped_weights(3, 14, mapped)
         assert "entries" not in vars(w)
 
     def test_float_coefficients_unit_norm(self):
         w = product_weights(2, 9)
-        coeffs = w.float_coefficients()
-        assert sum(c * c for c in coeffs.values()) == pytest.approx(1.0, abs=1e-14)
+        norm = math.sqrt(float(w.norm_sq))
+        coeffs = [v / w.denominator / norm for v in w.numerators.tolist()]
+        assert sum(c * c for c in coeffs) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestExactRatios:
@@ -266,8 +279,8 @@ class TestExactRatios:
         vector = result._vector
         ratios = [x.as_integer_ratio() for x in vector[vector > 0].tolist()]
         scale = math.lcm(*(q for _, q in ratios))
-        want = WeightVector.from_table(3, 40, result._columns[vector > 0],
-                                       [p * (scale // q) for p, q in ratios], scale)
+        want = WeightVector(3, 40, result._columns[vector > 0],
+                            [p * (scale // q) for p, q in ratios], scale)
         w = result.eigvec
         assert w.denominator == want.denominator
         assert np.array_equal(w.numerators, want.numerators)
@@ -282,7 +295,7 @@ class TestSchemes:
     def test_uniform_scheme(self):
         w = uniform_weights(2, 7)
         assert set(w.entries.values()) == {Fraction(1)}
-        assert w.support == ((6, 1), (5, 2), (4, 3))
+        assert w.table.tolist() == [[6, 1], [5, 2], [4, 3]]
 
     def test_empty_strict_set_raises(self):
         with pytest.raises(EmptySupportError):
@@ -347,7 +360,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "w",
-        [None, product_weights(2, 5), WeightVector(1, 3, {(3,): Fraction(1, 3)}),
+        [None, product_weights(2, 5), mapped_weights(1, 3, {(3,): Fraction(1, 3)}),
          power_weights(3, 9, Fraction(1, 2)), power_weights(2, 5, 10000)],
         ids=["empty", "product", "d=1", "power:1/2", "beyond-the-digit-limit"],
     )
@@ -381,6 +394,9 @@ class TestSerialization:
             ([{"parts": [4, 1], "weight": "1/0"}], "weight record 0 "),
             ([{"parts": ["4", "1"], "weight": "3"}], "partition entries must be ints, got '4'"),
             ({"parts": [4, 1], "weight": "3"}, "must be a JSON list, not dict"),
+            # a repeated partition is refused, not overwritten by its last record
+            ([{"parts": [4, 1], "weight": "1/2"}, {"parts": [4, 1], "weight": "1/3"},
+              {"parts": [3, 2], "weight": "1"}], "a partition of level 5 appears twice"),
         ],
     )
     def test_malformed_records_name_the_record(self, records, message):
