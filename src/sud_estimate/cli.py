@@ -267,11 +267,12 @@ def _cmd_optimal(args) -> int:
         rows = [[ " ".join(str(x) for x in rec["parts"]), rec["weight"]] for rec in coeffs]
         print(_csv_rows(["parts", "weight"], rows), end="")
         return EXIT_OK
+    risk = getattr(gap, f"risk_{args.support}")
     body = {
         "support": args.support,
         "eigmax": result.eigmax,
-        "optimal_risk": result.optimal_risk,
-        "n2_optimal_risk": args.n * args.n * result.optimal_risk,
+        "optimal_risk": float(risk),
+        "n2_optimal_risk": float(args.n * args.n * risk),
         "iterations": result.iterations,
         "residual": result.residual,
         "full_optimal_risk": gap.risk_optimal,

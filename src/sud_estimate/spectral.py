@@ -9,7 +9,10 @@ an extremal eigenvalue problem:
 
 and eigmax <= d^2 because every row of B has at most d ones.  The leading
 eigenvector is entrywise nonnegative (B^T B is a nonnegative matrix), so it
-is itself a valid scheme.
+is itself a valid scheme.  Reports score that scheme with
+:func:`~sud_estimate.risk.exact_risk` rather than by the formula above,
+whose subtraction cancels: at d=2 N=2000 it is 1.3e-10 relative off the
+closed form sin^2(pi / (N+3)), and the exact risk within 2e-16.
 
 B^T B is never materialised: a thick-restart Lanczos solve (Wu & Simon, SIAM
 J. Matrix Anal. Appl. 22, 2000; the scheme behind ARPACK) on a basis of
@@ -98,6 +101,11 @@ class SpectralResult:
 
     @property
     def optimal_risk(self) -> float:
+        """1 - eigmax / d^2, read only by the benchmark's ``perfbench/pin.py``.
+
+        It cancels at large N; the reports take the exact risk of ``eigvec``
+        (:class:`OptimalityGap`).
+        """
         return 1.0 - self.eigmax / (self.d * self.d)
 
     @cached_property
@@ -115,6 +123,12 @@ _BASIS_SIZE = 20
 _KEPT = 10
 # Degree of the Chebyshev filter: applications of B^T B per filtered step.
 _DEGREE = 8
+# Least ratio beta / projected[0, 0] that the breakdown test accepts, whatever
+# tol is.  A breakdown leaves that ratio at rounding level, and below tol it
+# would be taken as a new direction.  Over every full and strict form at d=2
+# N <= 409, d=3 N <= 124, d=4 N <= 29 and d=5 N <= 14 it is <= 6.9e-14 at each
+# breakdown and >= 5.2e-6 at every other step.
+_BREAKDOWN = 1e-12
 
 
 def _certified(structure: IncidenceStructure, v: np.ndarray, iterations: int) -> SpectralResult:
@@ -206,11 +220,12 @@ def max_eigenpair(
     tol * theta.  A breakdown (the basis spans an invariant subspace, as on
     forms of at most ``_BASIS_SIZE`` columns and inside the mirror-symmetric
     half of the d=2 form, where beta falls to rounding level rather than to
-    zero) ends the solve: its Ritz pairs are exact, so a failed certificate
-    there raises :class:`ConvergenceError`.  If the support graph splits into
-    components whose top eigenvalues tie exactly, the vector is a
-    nonnegative mixture over the tied components; the eigenvalue is
-    unaffected.
+    zero; it is tested at max(tol, ``_BREAKDOWN``) times the first diagonal
+    entry of the projected matrix) ends the solve: its Ritz pairs are exact,
+    so a failed certificate there raises :class:`ConvergenceError`.  If the
+    support graph splits into components whose top eigenvalues tie exactly,
+    the vector is a nonnegative mixture over the tied components; the
+    eigenvalue is unaffected.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -254,7 +269,7 @@ def max_eigenpair(
             projected[: j + 1, j] = projected[j, : j + 1] = h + again
             beta = float(np.linalg.norm(w))
             # beta bounds the residual of every Ritz pair of the basis so far
-            if beta <= tol * projected[0, 0]:
+            if beta <= max(tol, _BREAKDOWN) * projected[0, 0]:
                 found = ritz(j + 1)
                 if found.residual <= tol * found.eigmax:
                     return found
@@ -308,29 +323,35 @@ class OptimalityGap:
     """Gap-product risk against the spectral optima at the same level.
 
     ``full`` and ``strict`` are the eigenpairs on the two supports, the ones
-    the ``optimal`` command reports.  When the strict set is empty,
-    ``strict`` and ``risk_product`` are None (the gap-product scheme does not
-    exist there); the full-support optimum always exists.  ``gap`` is the
-    product risk minus the full-support optimum.
+    the ``optimal`` command reports, and ``risk_full`` and ``risk_strict``
+    are the exact risks of their eigenvector schemes (:func:`exact_risk`),
+    next to the exact ``risk_product``.  When the strict set is empty,
+    ``strict``, ``risk_strict`` and ``risk_product`` are None (the
+    gap-product scheme does not exist there); the full-support optimum
+    always exists.  ``risk_optimal`` and ``risk_optimal_strict`` are the
+    floats of the two exact risks, and ``gap`` is the product risk minus the
+    full-support one, rounded once.
     """
 
     d: int
     level: int
     risk_product: Fraction | None
+    risk_full: Fraction
+    risk_strict: Fraction | None
     full: SpectralResult
     strict: SpectralResult | None
 
     @property
     def risk_optimal(self) -> float:
-        return self.full.optimal_risk
+        return float(self.risk_full)
 
     @property
     def risk_optimal_strict(self) -> float | None:
-        return None if self.strict is None else self.strict.optimal_risk
+        return None if self.risk_strict is None else float(self.risk_strict)
 
     @property
     def gap(self) -> float | None:
-        return None if self.risk_product is None else float(self.risk_product) - self.risk_optimal
+        return None if self.risk_product is None else float(self.risk_product - self.risk_full)
 
 
 def optimality_gap(
@@ -338,18 +359,20 @@ def optimality_gap(
 ) -> OptimalityGap:
     """Compare the gap-product scheme with the spectral optima at level n.
 
-    One box-removal structure serves both solves, full first, and the
-    product scheme, whose support is the strict structure's columns, and its
-    exact risk.  The product scheme can never beat the
-    full-support optimum; the returned ``gap`` (product risk - optimal risk)
-    is nonnegative up to the solver tolerance.
+    One box-removal structure serves both solves, full first, the product
+    scheme, whose support is the strict structure's columns, and the exact
+    risks of the product and of both eigenvector schemes.  The product
+    scheme can never beat the full-support optimum; the returned ``gap``
+    (product risk - optimal risk) is nonnegative up to the solver tolerance.
     """
     structure = _box_removal(d, n)
     full = max_eigenpair(structure, tol=tol, max_iterations=max_iterations)
+    risk_full = exact_risk(d, n, full.eigvec, structure).risk
     try:
         strict_structure = _restrict(structure, "strict")
     except EmptySupportError:
-        return OptimalityGap(d, n, None, full, None)
+        return OptimalityGap(d, n, None, risk_full, None, full, None)
     strict = max_eigenpair(strict_structure, tol=tol, max_iterations=max_iterations)
     product = exact_risk(d, n, product_weights(d, n, strict_structure), structure).risk
-    return OptimalityGap(d, n, product, full, strict)
+    risk_strict = exact_risk(d, n, strict.eigvec, structure).risk
+    return OptimalityGap(d, n, product, risk_full, risk_strict, full, strict)

@@ -71,11 +71,12 @@ class WeightVector:
     ``WeightVector(d, level, table, numerators, denominator=1)`` is the one
     constructor: the scheme with coefficient ``numerators[i] / denominator``
     on row i of ``table``, a zero coefficient being off the support.  It
-    keeps copies of both.  An integer array of numerators is taken as int64,
-    anything else as an object array whose entries must be ints (a TypeError
-    otherwise).  One batched check runs over all rows, and a ValueError names
-    the first row that fails it; rows are sorted canonically, and a row that
-    appears twice is refused.
+    keeps copies of both.  ``table`` must have a signed integer dtype (a
+    ValueError names its first row otherwise).  An integer array of
+    numerators is taken as int64, anything else as an object array whose
+    entries must be ints (a TypeError otherwise).  One batched check runs over all rows, and a
+    ValueError names the first row that fails it; rows are sorted
+    canonically, and a row that appears twice is refused.
     """
 
     d: int
@@ -86,7 +87,13 @@ class WeightVector:
     table: np.ndarray = field(repr=False)
 
     def __init__(self, d: int, level: int, table, numerators, denominator: int = 1):
-        table = np.array(table, dtype=np.int64)
+        table = np.asarray(table)
+        # a cast would truncate floats, read bools as ints and wrap large uint64
+        if table.dtype.kind != "i":
+            for row in table[:1]:
+                raise ValueError(f"partition {tuple(row.tolist())} is not a row of ints "
+                                 f"({table.dtype} table)")
+        table = table.astype(np.int64)
         if isinstance(numerators, np.ndarray) and numerators.dtype.kind == "i":
             numerators = numerators.astype(np.int64)
         else:

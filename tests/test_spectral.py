@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from sud_estimate.spectral import (
     optimal_weights,
     optimality_gap,
 )
-from sud_estimate.weights import product_weights
+from sud_estimate.weights import WeightVector, product_weights
 
 
 def rows(table: np.ndarray) -> list[tuple[int, ...]]:
@@ -259,6 +260,15 @@ class TestMaxEigenpair:
         assert best.iterations == 2
         assert 0 < best.eigmax <= 4.0
 
+    def test_breakdown_below_any_tolerance_ends_the_solve(self):
+        # 6 columns: the first cycle exhausts the Krylov space, and a beta at
+        # rounding level is a breakdown however small tol is
+        with pytest.raises(ConvergenceError, match="broke down") as info:
+            max_eigenpair(build_incidence(2, 10), tol=1e-300, max_iterations=10**4)
+        best = info.value.best
+        assert best.iterations <= 6
+        assert best.eigmax == pytest.approx(4 * math.cos(math.pi / 13) ** 2, rel=1e-14)
+
     def test_rejects_nonpositive_cap_and_tolerance(self):
         s = build_incidence(2, 10, "full")
         with pytest.raises(ValueError):
@@ -300,13 +310,55 @@ class TestOptimality:
         assert g.gap is None
         assert g.risk_optimal == pytest.approx(0.5, abs=1e-12)
 
-    def test_both_eigenpairs_returned_and_strict_vector_left_unbuilt(self):
+    def test_both_eigenpairs_returned_and_scored_exactly(self):
         g = optimality_gap(3, 12)
         assert (g.full.support, g.strict.support) == ("full", "strict")
-        assert g.risk_optimal_strict == g.strict.optimal_risk
-        assert "eigvec" not in vars(g.strict)
+        assert g.risk_full == exact_risk(3, 12, g.full.eigvec).risk
+        assert g.risk_strict == exact_risk(3, 12, g.strict.eigvec).risk
+        assert (g.risk_optimal, g.risk_optimal_strict) == (float(g.risk_full),
+                                                           float(g.risk_strict))
+        assert g.gap == float(g.risk_product - g.risk_full)
         assert len(g.strict.eigvec.entries) == len(partition_table(3, 12, strict=True))
-        assert "eigvec" in vars(g.strict)
+
+    @pytest.mark.parametrize("d, n, want", [
+        (2, 2000, math.sin(math.pi / 2003) ** 2),  # 1 - eigmax/4 is -1.3e-10 relative off
+        # 4 (sin^2(a/2) + sin^2(a) + sin^2(3a/2)) / 9 = 1 - eigmax/9, a = 2 pi / (N+6)
+        (3, 400, 4 * sum(math.sin(k * math.pi / 406) ** 2 for k in (1, 2, 3)) / 9),
+    ], ids=["d2", "d3"])
+    def test_optimum_to_rounding_at_a_large_level(self, d, n, want):
+        assert optimality_gap(d, n).risk_optimal == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("d, n", [(2, 11), (3, 9), (4, 8), (5, 7)])
+    def test_distance_to_the_eigmax_bound_is_a_sum_of_squares(self, d, n):
+        # d^2 ||c||^2 - ||Bc||^2 = sum over children mu of the squared differences
+        # of c on pairs of parents of mu, plus c(lam)^2 (d^2 - sum of |S(mu)| over
+        # the children mu of lam); every term is >= 0, so eigmax <= d^2
+        parents = enumerate_partitions(d, n)
+        of_child = {  # mu -> its parents mu - e_i, i in S(mu)
+            mu: [tuple(x - (j == i) for j, x in enumerate(mu, start=1))
+                 for i in removable_rows(mu)]
+            for mu in enumerate_partitions(d, n + 1)
+        }
+        degree_sum = dict.fromkeys(parents, 0)
+        for ps in of_child.values():
+            for p in ps:
+                degree_sum[p] += len(ps)
+        boundary = {p: d * d - s for p, s in degree_sum.items()}
+        assert min(boundary.values()) >= 0
+        rng = np.random.default_rng(10 * d + n)
+        for _ in range(5):
+            values = rng.integers(0, 1000, len(parents)) * (rng.random(len(parents)) < 0.7)
+            values[rng.integers(len(parents))] += 1
+            c = dict(zip(parents, values.tolist()))
+            norm_sq = sum(v * v for v in c.values())
+            bc_sq = sum(sum(c[p] for p in ps) ** 2 for ps in of_child.values())
+            differences = sum((c[p] - c[q]) ** 2 for ps in of_child.values()
+                              for p, q in itertools.combinations(ps, 2))
+            assert d * d * norm_sq - bc_sq == differences + sum(
+                c[p] ** 2 * boundary[p] for p in parents)
+            # the exact engine's numerator is the same integer
+            w = WeightVector(d, n, np.array(parents), values)
+            assert exact_risk(d, n, w).numerator == bc_sq and w.norm_sq == norm_sq
 
     def test_optimal_weights_scheme_entry_point(self):
         w = optimal_weights(2, 6, support="strict")

@@ -223,6 +223,17 @@ class TestWeightVector:
         with pytest.raises(TypeError):
             WeightVector(2, 5, np.array([[4, 1], [3, 2]]), numerators)
 
+    @pytest.mark.parametrize("n, table, row", [
+        (5, np.array([[4.7, 1.2]]), "(4.7, 1.2)"),
+        (1, np.array([[True, False]]), "(True, False)"),
+        (5, np.array([[4.0, 1.0]]), "(4.0, 1.0)"),
+        (5, np.array([[4, 1]], dtype=object), "(4, 1)"),
+    ])
+    def test_non_integer_tables_are_refused(self, n, table, row):
+        # an int64 cast would build the first two on (4, 1) and (1, 0) without a word
+        with pytest.raises(ValueError, match=re.escape(f"partition {row} is not a row of ints")):
+            WeightVector(2, n, table, [1])
+
     def test_a_repeated_row_is_refused_whatever_its_coefficients(self):
         for numerators in ([1, 0], [0, 1]):  # a zero on either copy does not hide it
             with pytest.raises(ValueError, match="appears twice"):
