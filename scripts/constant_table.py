@@ -16,8 +16,8 @@ import argparse
 from sud_estimate.asymptotics import exact_constant
 from sud_estimate.risk import risk_curve
 
-# fit windows chosen so the float sweep stays fast while the 1/N remainder
-# is already small
+# fit windows chosen so the sweep stays fast while the 1/N remainder is
+# already small
 FIT_WINDOWS = {2: range(100, 401, 20), 3: range(60, 151, 10), 4: range(60, 121, 10)}
 
 
@@ -31,18 +31,19 @@ def main() -> None:
 
     for d in range(2, args.max_d + 1):
         report = exact_constant(d, levels)
+        value = float(report.exact)
         print(f"== d={d}")
-        print(f"   exact            C({d}) = {report.exact} = {report.value:.6f}")
+        print(f"   exact            C({d}) = {report.exact} = {value:.6f}")
         print(f"   integrals        numerator {report.numerator_integral}, "
               f"denominator {report.denominator_integral}")
         for n, exact_est in report.riemann_estimates:
             est = float(exact_est)
-            rel = (est - report.value) / report.value
+            rel = (est - value) / value
             print(f"   lattice N={n:<6d} {est:.6f}   ({rel:+.2%})")
         window = FIT_WINDOWS.get(d)
         if window is not None:
             fit = risk_curve(d, window, "product").fit
-            rel = (fit.constant - report.value) / report.value
+            rel = (fit.constant - value) / value
             print(f"   sweep  N={window[0]}..{window[-1]}  "
                   f"{fit.constant:.6f}   ({rel:+.2%})")
         print()

@@ -35,11 +35,9 @@ def main() -> None:
     for n in args.levels:
         g = optimality_gap(args.d, n)
         product = f"{float(g.risk_product):.6f}" if g.risk_product is not None else "     --- "
-        strict = (
-            f"{g.risk_optimal_strict:.6f}" if g.risk_optimal_strict is not None else "     --- "
-        )
-        row = (f"  {n:4d}  {product}  {g.risk_optimal:.6f}  {strict}  "
-               f"{n * n * g.risk_optimal:8.4f}")
+        strict = f"{float(g.risk_strict):.6f}" if g.risk_strict is not None else "     --- "
+        optimal = float(g.risk_full)
+        row = f"  {n:4d}  {product}  {optimal:.6f}  {strict}  {n * n * optimal:8.4f}"
         if closed_form:
             row += f"   {math.sin(math.pi / (n + 3)) ** 2:.6f}"
         print(row)
@@ -47,7 +45,7 @@ def main() -> None:
     points = []
     for n in args.extrapolate:
         g = optimality_gap(args.d, n)
-        points.append(RiskPoint(n, None, g.risk_optimal, n * n * g.risk_optimal))
+        points.append(RiskPoint(n, g.risk_full))
     fit = fit_constant(points)
     print(f"\n   optimal-rate fit on N={fit.window[0]}..{fit.window[1]}: "
           f"N^2 risk -> {fit.constant:.4f}"

@@ -12,8 +12,8 @@ optionally dumping one CSV per scheme.  Typical runs:
 import argparse
 from pathlib import Path
 
-from sud_estimate.cli import parse_range
-from sud_estimate.risk import curve_to_csv, risk_curve
+from sud_estimate.cli import curve_to_csv, parse_range
+from sud_estimate.risk import risk_curve
 
 
 def main() -> None:
@@ -24,22 +24,21 @@ def main() -> None:
     parser.add_argument("--schemes", default="product,uniform",
                         help="comma-separated scheme specs")
     parser.add_argument("--exact", action="store_true",
-                        help="exact rational risks (slower, prints fractions)")
+                        help="also print each level's exact rational risk, and fill "
+                             "the CSV's numerator and denominator columns")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--csv-dir", type=Path, default=None,
                         help="write <scheme>.csv files here")
     args = parser.parse_args()
 
     for scheme in args.schemes.split(","):
-        curve = risk_curve(
-            args.d, args.levels, scheme, exact=args.exact, workers=args.workers
-        )
+        curve = risk_curve(args.d, args.levels, scheme, workers=args.workers)
         print(f"== d={args.d}  scheme={scheme}")
         if curve.skipped:
             lo, hi = curve.skipped[0][0], curve.skipped[-1][0]
             print(f"   (skipped infeasible N={lo}..{hi})")
         for p in curve.points:
-            exact = f"  = {p.risk}" if p.risk is not None else ""
+            exact = f"  = {p.risk}" if args.exact else ""
             print(f"   N={p.n:4d}  risk={p.risk_float:.3e}  "
                   f"N^2 risk={p.n2_risk:9.4f}{exact}")
         if curve.fit is not None:
@@ -50,7 +49,7 @@ def main() -> None:
         if args.csv_dir is not None:
             args.csv_dir.mkdir(parents=True, exist_ok=True)
             out = args.csv_dir / f"{scheme.replace(':', '_')}_d{args.d}.csv"
-            out.write_text(curve_to_csv(curve))
+            out.write_text(curve_to_csv(curve, args.exact))
             print(f"   wrote {out}")
         print()
 

@@ -10,7 +10,6 @@ oracle built on Haar-measure quadrature.
 from .asymptotics import (
     ConstantReport,
     exact_constant,
-    riemann_constant,
 )
 from .characters import (
     QuadratureRule,
@@ -18,7 +17,6 @@ from .characters import (
     branching_defect,
     haar_quadrature,
     orthogonality_defect,
-    pieri_residual,
     quadrature_risk,
 )
 from .errors import (
@@ -38,7 +36,6 @@ from .risk import (
     RiskBreakdown,
     exact_risk,
     expansion_diagnostics,
-    float_risk,
     risk_curve,
 )
 from .spectral import (
@@ -78,7 +75,6 @@ __all__ = [
     "exact_constant",
     "exact_risk",
     "expansion_diagnostics",
-    "float_risk",
     "haar_quadrature",
     "max_eigenpair",
     "optimal_weights",
@@ -86,11 +82,9 @@ __all__ = [
     "orthogonality_defect",
     "partition_table",
     "pieri_add",
-    "pieri_residual",
     "power_weights",
     "product_weights",
     "quadrature_risk",
-    "riemann_constant",
     "risk_curve",
     "scheme_weights",
     "uniform_weights",

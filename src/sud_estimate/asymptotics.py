@@ -17,7 +17,7 @@ where q_i = prod_{j != i} x_j.  The integrands are homogeneous of degrees
 S is normalised.  ``constant_integrands`` writes both as maps from exponent
 tuples to integer coefficients; every integral here is a sum over those
 monomials.  ``exact_constant`` evaluates the ratio in closed form through
-Dirichlet moments after substituting y_j = j * x_j; ``riemann_constant``
+Dirichlet moments after substituting y_j = j * x_j, and on request
 approximates the same ratio by lattice sums over the actual gap vectors,
 converging at rate O(1/N).  The lattice sums are exact rationals: each
 monomial's sum comes from a level recurrence costing O(d m) big-int
@@ -45,7 +45,6 @@ __all__ = [
     "weighted_simplex_integral",
     "ConstantReport",
     "exact_constant",
-    "riemann_constant",
 ]
 
 
@@ -119,10 +118,6 @@ class ConstantReport:
     denominator_integral: Fraction
     riemann_estimates: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
-    @property
-    def value(self) -> float:
-        return float(self.exact)
-
 
 def exact_constant(d: int, riemann_levels: Iterable[int] = ()) -> ConstantReport:
     """Closed-form C(d) through Dirichlet moments.
@@ -178,7 +173,13 @@ def _lattice_moment(exps: Sequence[int], m: int, partial: dict | None = None) ->
 
 
 def _riemann_estimates(d: int, levels: Sequence[int]) -> list[Fraction]:
-    """:func:`riemann_constant` at each of ``levels``, in their order.
+    """Lattice-sum approximations of C(d) at each of ``levels``, in their
+    order, as exact rationals.
+
+    At level n both integrands are summed over the rescaled gap vectors
+    p/(n+1) of level n+1.  Their degrees, 2(d-1) and 2d, match the risk
+    expansion, so the ratio is (n+1)^2 times the ratio of the integer sums
+    over p, and it converges to C(d) with an O(1/n) error.
 
     Every level is checked before any sum is taken, in request order: a
     negative one raises ValueError, and one whose denominator sum vanishes
@@ -207,16 +208,3 @@ def _riemann_estimates(d: int, levels: Sequence[int]) -> list[Fraction]:
         estimates.append((n + 1) ** 2 * Fraction(num, den))
     return estimates
 
-
-def riemann_constant(d: int, n: int) -> Fraction:
-    """Lattice-sum approximation of C(d) at level n, as an exact rational.
-
-    Sums both integrands over the rescaled gap vectors p/(n+1) of level n+1
-    and returns the ratio; the homogeneity degrees match the risk expansion,
-    so the estimate converges to C(d) with an O(1/n) error.  The integrands
-    have degrees 2(d-1) and 2d, so the ratio is (n+1)^2 times the ratio of
-    the integer sums over p.  Each monomial's sum is exact and comes from a
-    level recurrence (``_lattice_moment``) costing O(d n) big-int additions;
-    no mesh or list of points is built.
-    """
-    return _riemann_estimates(d, [n])[0]

@@ -58,7 +58,6 @@ __all__ = [
     "QuadratureRule",
     "haar_quadrature",
     "min_resolution",
-    "pieri_residual",
     "branching_defect",
     "orthogonality_defect",
     "quadrature_risk",
@@ -236,24 +235,16 @@ def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
     return QuadratureRule(d, resolution, _eigenvalue_matrix(2.0 * math.pi * free / resolution))
 
 
-def pieri_residual(parts, points: Iterable[TorusPoint]) -> float:
-    """Pointwise defect of the branching rule, multiplied through by a_delta.
+def branching_defect(d: int, max_level: int, points: Iterable[TorusPoint]) -> float:
+    """The largest pointwise defect of the branching rule, multiplied
+    through by a_delta, over every label up to ``max_level``.
 
     Tensoring with the defining representation adds one box in every
     admissible row, so chi_lambda * (z_1 + ... + z_d) is the sum of the
     children's characters.  Times the Weyl denominator this is the
     polynomial identity a_(lambda+delta) * (z_1 + ... + z_d) = sum over
-    children mu of a_(mu+delta), which divides by nothing.  Returns its
-    maximum absolute deviation over the sample, evaluated on one eigenvalue
-    matrix built from the points' angles.
-    """
-    t = check_partition(parts)
-    z = _sample_eigenvalues(points, len(t))
-    return 0.0 if z is None else _branching_deviation(t, z, {})
-
-
-def branching_defect(d: int, max_level: int, points: Iterable[TorusPoint]) -> float:
-    """The largest :func:`pieri_residual` over every label up to ``max_level``.
+    children mu of a_(mu+delta), which divides by nothing; the defect is
+    its maximum absolute deviation over the sample.
 
     Labels are taken level by level in enumeration order, on one eigenvalue
     matrix, and each label's alternant is evaluated once, from level 0 to

@@ -17,7 +17,7 @@ scheme or weight file, a level whose tables do not fit in memory), 3
 numerical failure (non-convergence, refused resolution, an exact value
 outside its mathematical range or a NaN or infinity in a report).  Errors
 are one JSON object on stderr.
-``parse_range`` is shared with the experiment scripts.
+``parse_range`` and ``curve_to_csv`` are shared with the experiment scripts.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .errors import (
     ResolutionError,
 )
 from .risk import (
+    RiskCurve,
     _scheme_and_structure,
-    curve_to_csv,
     exact_risk,
     expansion_diagnostics,
     risk_curve,
@@ -157,6 +157,18 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def curve_to_csv(curve: RiskCurve, exact: bool) -> str:
+    """CSV rows (N, risk_num, risk_den, risk_float, N2_risk), header included.
+
+    The exact numerator and denominator columns are left empty unless ``exact``.
+    """
+    rows = []
+    for p in curve.points:
+        num, den = (int_text(p.risk.numerator), int_text(p.risk.denominator)) if exact else ("", "")
+        rows.append([p.n, num, den, repr(p.risk_float), repr(p.n2_risk)])
+    return _csv_rows(["N", "risk_num", "risk_den", "risk_float", "N2_risk"], rows)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -194,26 +206,19 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    curve = risk_curve(
-        args.d,
-        args.n,
-        args.scheme,
-        exact=args.exact,
-        fit=args.fit,
-        workers=args.workers,
-    )
+    curve = risk_curve(args.d, args.n, args.scheme, fit=args.fit, workers=args.workers)
     if not curve.points:
         raise EmptySupportError(
             f"no feasible level in {min(args.n)}..{max(args.n)} for "
             f"scheme {args.scheme!r} at d={args.d}"
         )
     if args.format == "csv":
-        print(curve_to_csv(curve), end="")
+        print(curve_to_csv(curve, args.exact), end="")
         return EXIT_OK
     rows = []
     for p in curve.points:
         row = {"N": p.n, "risk_float": p.risk_float, "n2_risk": p.n2_risk}
-        if p.risk is not None:
+        if args.exact:
             row["risk"] = fraction_text(p.risk)
         rows.append(row)
     body = {
@@ -275,10 +280,11 @@ def _cmd_optimal(args) -> int:
         "n2_optimal_risk": float(args.n * args.n * risk),
         "iterations": result.iterations,
         "residual": result.residual,
-        "full_optimal_risk": gap.risk_optimal,
-        "strict_optimal_risk": gap.risk_optimal_strict,
+        "full_optimal_risk": float(gap.risk_full),
+        "strict_optimal_risk": None if gap.risk_strict is None else float(gap.risk_strict),
         "product_risk": fraction_text(gap.risk_product) if gap.risk_product is not None else None,
-        "product_gap": gap.gap,
+        "product_gap": (None if gap.risk_product is None
+                        else float(gap.risk_product - gap.risk_full)),
     }
     _print_json(_payload(args, "optimal", body), coeffs)
     return EXIT_OK

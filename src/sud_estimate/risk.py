@@ -17,8 +17,8 @@ numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
 :class:`IncidenceStructure`, which also serves the spectral optimum; its
 matrix is a :class:`BoxMatrix`, a 0/1 CSR form in plain numpy.  The
 risk is computed in one arithmetic: exact integers on the scheme's integer
-form (numerators over a common denominator), giving an exact rational;
-``float_risk`` is its nearest float.  The scheme's support rows are placed on
+form (numerators over a common denominator), giving an exact rational,
+which reports round when they print.  The scheme's support rows are placed on
 the columns of B by one walk over the runs of rows that share a prefix in the
 canonical level table (``_locate``), with no search; the run marks of that
 table are built once per structure, so every scheme scored on it shares
@@ -36,8 +36,6 @@ of products the same way.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +51,6 @@ from .weights import (
     Scheme,
     WeightVector,
     _sum_of_products,
-    int_text,
     parse_scheme,
     scheme_weights,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "IncidenceStructure",
     "RiskBreakdown",
     "exact_risk",
-    "float_risk",
     "ExpansionDiagnostics",
     "expansion_diagnostics",
     "RiskPoint",
@@ -71,7 +67,6 @@ __all__ = [
     "RiskCurve",
     "risk_curve",
     "fit_constant",
-    "curve_to_csv",
 ]
 
 
@@ -309,13 +304,6 @@ def exact_risk(
     return RiskBreakdown(d, n, risk, numerator, w.norm_sq, structure.child_table, sums, scale_sq)
 
 
-def float_risk(
-    d: int, n: int, w: WeightVector, structure: IncidenceStructure | None = None
-) -> float:
-    """The exact risk of :func:`exact_risk`, rounded once to the nearest float."""
-    return float(exact_risk(d, n, w, structure).risk)
-
-
 # ---------------------------------------------------------------------------
 # Expansion diagnostics
 # ---------------------------------------------------------------------------
@@ -449,10 +437,18 @@ def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
 
 @dataclass(frozen=True)
 class RiskPoint:
+    """The exact risk of one sweep level, with the floats that reports print."""
+
     n: int
-    risk: Fraction | None  # exact value when the sweep ran exactly
-    risk_float: float
-    n2_risk: float
+    risk: Fraction
+
+    @property
+    def risk_float(self) -> float:
+        return float(self.risk)
+
+    @property
+    def n2_risk(self) -> float:
+        return self.n * self.n * self.risk_float
 
 
 @dataclass(frozen=True)
@@ -516,17 +512,12 @@ def _scheme_and_structure(
 
 def _curve_point(args) -> RiskPoint | tuple[int, str]:
     """One level of a sweep, or (n, reason) when the scheme has no support there."""
-    d, n, label, exact = args
+    d, n, label = args
     try:
         w, structure = _scheme_and_structure(label, d, n)
     except EmptySupportError as exc:
         return n, str(exc)
-    if exact:
-        r = exact_risk(d, n, w, structure).risk
-        rf = float(r)
-        return RiskPoint(n, r, rf, n * n * rf)
-    rf = float_risk(d, n, w, structure)
-    return RiskPoint(n, None, rf, n * n * rf)
+    return RiskPoint(n, exact_risk(d, n, w, structure).risk)
 
 
 def risk_curve(
@@ -534,11 +525,10 @@ def risk_curve(
     n_values: Iterable[int],
     scheme: str | Scheme,
     *,
-    exact: bool = False,
     fit: bool = True,
     workers: int = 1,
 ) -> RiskCurve:
-    """Risk as a function of N for one scheme.
+    """Exact risk as a function of N for one scheme.
 
     Infeasible levels (empty support) are skipped and recorded rather than
     raised.  ``workers`` > 1 evaluates levels in separate processes; results
@@ -546,7 +536,7 @@ def risk_curve(
     the output order is fixed.
     """
     label = parse_scheme(scheme).label()
-    jobs = [(d, n, label, exact) for n in sorted(set(int(n) for n in n_values))]
+    jobs = [(d, n, label) for n in sorted(set(int(n) for n in n_values))]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only multi-process sweeps pay its import
 
@@ -559,18 +549,3 @@ def risk_curve(
     fitted = fit_constant(points) if fit and len(points) >= 2 else None
     return RiskCurve(d, label, tuple(points), tuple(skipped), fitted)
 
-
-def curve_to_csv(curve: RiskCurve) -> str:
-    """CSV rows (N, risk_num, risk_den, risk_float, N2_risk), header included.
-
-    Exact numerator/denominator columns are left empty when the sweep did not
-    keep the exact risks.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "risk_num", "risk_den", "risk_float", "N2_risk"])
-    for p in curve.points:
-        num = int_text(p.risk.numerator) if p.risk is not None else ""
-        den = int_text(p.risk.denominator) if p.risk is not None else ""
-        writer.writerow([p.n, num, den, repr(p.risk_float), repr(p.n2_risk)])
-    return buf.getvalue()

@@ -71,9 +71,10 @@ class WeightVector:
     ``WeightVector(d, level, table, numerators, denominator=1)`` is the one
     constructor: the scheme with coefficient ``numerators[i] / denominator``
     on row i of ``table``, a zero coefficient being off the support.  It
-    keeps copies of both.  ``table`` must have a signed integer dtype (a
-    ValueError names its first row otherwise).  An integer array of
-    numerators is taken as int64, anything else as an object array whose
+    keeps copies of both.  ``table`` must be (k, d), k >= 0 (a ValueError
+    names its shape otherwise), with a signed integer dtype (a ValueError
+    names its first row otherwise).  An integer array of numerators is
+    taken as int64, anything else as an object array whose
     entries must be ints (a TypeError otherwise).  One batched check runs over all rows, and a
     ValueError names the first row that fails it; rows are sorted
     canonically, and a row that appears twice is refused.
@@ -88,6 +89,9 @@ class WeightVector:
 
     def __init__(self, d: int, level: int, table, numerators, denominator: int = 1):
         table = np.asarray(table)
+        if table.ndim != 2 or table.shape[1] != d:
+            raise ValueError(f"table of shape {table.shape} is not (k, {d}): "
+                             f"one row of {d} parts per partition")
         # a cast would truncate floats, read bools as ints and wrap large uint64
         if table.dtype.kind != "i":
             for row in table[:1]:
@@ -98,7 +102,7 @@ class WeightVector:
             numerators = numerators.astype(np.int64)
         else:
             numerators = np.array(numerators, dtype=object)
-        if table.shape[1] == d > 0:  # one pass per column
+        if d > 0:  # one pass per column
             bad = table[:, -1] < 0
             total = table[:, -1].copy()
             for j in range(d - 1):

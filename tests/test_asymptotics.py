@@ -10,7 +10,6 @@ from sud_estimate.asymptotics import (
     _lattice_moment,
     constant_integrands,
     exact_constant,
-    riemann_constant,
     simplex_monomial_integral,
     weighted_simplex_integral,
 )
@@ -78,7 +77,7 @@ class TestExactConstant:
         assert rep.numerator_integral == Fraction(1, 3)
         assert rep.denominator_integral == Fraction(1, 30)
         assert rep.exact == 10
-        assert rep.value == 10.0
+        assert float(rep.exact) == 10.0
 
     def test_d3_exact_value(self):
         c = exact_constant(3).exact
@@ -104,7 +103,7 @@ class TestExactConstant:
         rep = exact_constant(2, riemann_levels=(100, 200))
         assert [n for n, _ in rep.riemann_estimates] == [100, 200]
         for n, est in rep.riemann_estimates:
-            assert est == pytest.approx(riemann_constant(2, n), abs=0.0)
+            assert est == _dense_riemann(2, n)
 
 
 def _gap_vectors(d: int, m: int) -> list[tuple[int, ...]]:
@@ -157,18 +156,25 @@ def _dense_riemann(d: int, n: int) -> Fraction:
     return (n + 1) ** 2 * Fraction(num) / den
 
 
+def lattice_estimate(d: int, n: int) -> Fraction:
+    """The lattice-sum estimate of C(d) at level n, from a report of that level alone."""
+    ((level, estimate),) = exact_constant(d, [n]).riemann_estimates
+    assert level == n
+    return estimate
+
+
 class TestRiemannConstant:
     @pytest.mark.parametrize(
         "d,n", [(2, 50), (3, 40), (3, 699), (4, 30), (4, 119), (5, 19)]
     )
     def test_matches_dense_sum(self, d, n):
-        assert riemann_constant(d, n) == _dense_riemann(d, n)
+        assert lattice_estimate(d, n) == _dense_riemann(d, n)
 
     def test_memory_stays_bounded(self):
         # one dense mesh over p_2..p_4 at level 601 held about 590 MiB
         tracemalloc.start()
         try:
-            riemann_constant(4, 600)
+            lattice_estimate(4, 600)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,35 +182,35 @@ class TestRiemannConstant:
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
-            riemann_constant(2, -2)
+            lattice_estimate(2, -2)
 
     def test_d2_close_at_large_level(self):
-        assert riemann_constant(2, 4000) == pytest.approx(10.0, rel=0.01)
+        assert lattice_estimate(2, 4000) == pytest.approx(10.0, rel=0.01)
 
     def test_d3_close_at_large_level(self):
         c3 = float(exact_constant(3).exact)
-        assert riemann_constant(3, 1500) == pytest.approx(c3, rel=0.02)
+        assert lattice_estimate(3, 1500) == pytest.approx(c3, rel=0.02)
 
     def test_error_halves_when_level_doubles(self):
-        e500 = abs(riemann_constant(2, 500) - 10.0)
-        e1000 = abs(riemann_constant(2, 1000) - 10.0)
-        e4000 = abs(riemann_constant(2, 4000) - 10.0)
+        e500 = abs(lattice_estimate(2, 500) - 10.0)
+        e1000 = abs(lattice_estimate(2, 1000) - 10.0)
+        e4000 = abs(lattice_estimate(2, 4000) - 10.0)
         assert e1000 < e500 < 8 * e4000
         assert e500 / e1000 == pytest.approx(2.0, rel=0.2)
 
     def test_d5_close_at_large_level(self):
         assert exact_constant(5).exact == 728
-        assert riemann_constant(5, 3200) == pytest.approx(728, rel=0.02)
+        assert lattice_estimate(5, 3200) == pytest.approx(728, rel=0.02)
 
     def test_d4_error_quarters_when_level_quadruples(self):
-        e800 = abs(riemann_constant(4, 800) - 275)
-        e3200 = abs(riemann_constant(4, 3200) - 275)
+        e800 = abs(lattice_estimate(4, 800) - 275)
+        e3200 = abs(lattice_estimate(4, 3200) - 275)
         assert e800 / e3200 == pytest.approx(4.0, abs=0.4)
 
     def test_zero_denominator_is_reported(self):
         # at level 1 the only gap vector is (1, 0), killing prod x_j^2
         with pytest.raises(EmptySumError):
-            riemann_constant(2, 0)
+            lattice_estimate(2, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_report_levels_share_one_recurrence(self, d):
@@ -214,7 +220,7 @@ class TestRiemannConstant:
         report = exact_constant(d, riemann_levels=levels)
         assert [n for n, _ in report.riemann_estimates] == levels
         for n, est in report.riemann_estimates:
-            assert est == riemann_constant(d, n)
+            assert est == lattice_estimate(d, n)
 
     def test_refusals_come_before_any_sum(self, monkeypatch):
         import sud_estimate.asymptotics as asymptotics

@@ -17,7 +17,6 @@ from sud_estimate.characters import (
     haar_quadrature,
     min_resolution,
     orthogonality_defect,
-    pieri_residual,
     quadrature_risk,
     random_torus_points,
 )
@@ -100,10 +99,10 @@ class TestTorusPoint:
     def test_non_finite_angle_rejected_where_it_enters(self, bad):
         with pytest.raises(ValueError, match="angle 1"):
             TorusPoint((0.3, bad))
-        # a lazy sample meets the bad angle inside the residual computation
+        # a lazy sample meets the bad angle inside the defect computation
         sample = (TorusPoint(angles) for angles in [(0.1, 0.2), (0.3, bad)])
         with pytest.raises(ValueError, match="angle 1"):
-            pieri_residual((2, 1, 0), sample)
+            branching_defect(3, 3, sample)
 
 
 class TestSchurEval:
@@ -279,29 +278,27 @@ def min_pair_gap(point: TorusPoint) -> float:
 
 
 class TestPieriResidual:
+    """The branching rule, checked pointwise by :func:`branching_defect`."""
+
     @pytest.mark.parametrize(
         "parts", [(3, 0), (4, 2), (2, 1, 0), (3, 3, 1), (2, 1, 1, 0)]
     )
     def test_branching_identity_pointwise(self, parts):
         points = random_torus_points(len(parts), 25, seed=42)
-        assert pieri_residual(parts, points) < 1e-9
+        assert branching_defect(len(parts), sum(parts), points) < 1e-9
 
     def test_branching_identity_near_confluence(self):
         # two eigenvalues 1.25e-5 apart, where an alternant ratio would lose
         # about four digits
         point = NEAR_CONFLUENT
         assert min_pair_gap(point) == pytest.approx(1.25e-5, rel=1e-6)
-        worst = max(
-            pieri_residual(parts, [point])
-            for n in range(5)
-            for parts in enumerate_partitions(4, n)
-        )
-        assert worst < 1e-11
+        assert branching_defect(4, 4, [point]) < 1e-11
 
     def test_batched_residual_matches_pointwise_evaluation(self):
         # the sample includes a point with two eigenvalues 1.25e-5 apart
         points = random_torus_points(4, 99, seed=290127639) + [NEAR_CONFLUENT]
         assert min_pair_gap(points[-1]) == pytest.approx(1.25e-5, rel=1e-6)
+        batched = characters._sample_eigenvalues(points, 4)
         for n in range(5):
             for parts in enumerate_partitions(4, n):
                 children = [child for _, child in pieri_add(parts)]
@@ -311,20 +308,22 @@ class TestPieriResidual:
                     lhs = _alternant(parts, z)[0] * sum(p.eigenvalues)
                     rhs = sum(_alternant(c, z)[0] for c in children)
                     pointwise = max(pointwise, abs(lhs - rhs))
-                assert pieri_residual(parts, points) == pytest.approx(
+                assert characters._branching_deviation(parts, batched, {}) == pytest.approx(
                     pointwise, abs=1e-14
                 )
 
     def test_rejects_points_of_another_rank(self):
         with pytest.raises(ValueError):
-            pieri_residual((2, 1, 0), random_torus_points(4, 3))
-        assert pieri_residual((2, 1, 0), []) == 0.0
+            branching_defect(3, 3, random_torus_points(4, 3))
+        assert branching_defect(3, 3, []) == 0.0
 
     @pytest.mark.parametrize("d, max_level", [(2, 6), (3, 6), (4, 6), (5, 3)])
     def test_branching_defect_is_the_largest_residual(self, d, max_level):
+        # each label on its own, with no alternant kept from another label
         points = random_torus_points(d, 30, seed=5)
+        z = characters._sample_eigenvalues(points, d)
         assert branching_defect(d, max_level, points) == max(
-            pieri_residual(parts, points)
+            characters._branching_deviation(parts, z, {})
             for n in range(max_level + 1)
             for parts in enumerate_partitions(d, n)
         )

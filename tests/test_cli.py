@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sud_estimate import characters, cli
-from sud_estimate.asymptotics import riemann_constant
+from sud_estimate.asymptotics import exact_constant
 from sud_estimate.characters import haar_quadrature, min_resolution
 from sud_estimate.cli import (
     EXIT_INFEASIBLE,
@@ -330,7 +331,7 @@ class TestSweep:
         assert payload["fit"]["window"] == [390, 400]
 
     def test_rationals_beyond_the_digit_limit_are_printed_exactly(self, capsys):
-        want = {p.n: p.risk for p in risk_curve(2, range(3, 10), HUGE, exact=True).points}
+        want = {p.n: p.risk for p in risk_curve(2, range(3, 10), HUGE).points}
         code, payload, err = run_json(capsys, "sweep", "-d", "2", "-N", "3:9", "--scheme", HUGE,
                                       "--exact", "--no-timestamp")
         assert code == EXIT_OK, err
@@ -383,11 +384,37 @@ class TestSweep:
         assert code == EXIT_OK
         assert box_removals == [(3, n) for n in (30, 60, 90, 120)]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_adds_only_the_exact_fields(self, capsys, fmt):
+        # one exact computation either way: --exact chooses only what is printed
+        args = ("sweep", "-d", "3", "-N", "60:120:30", "--format", fmt, "--no-timestamp")
+        code, plain, _ = run(capsys, *args)
+        assert code == EXIT_OK
+        code, exact, _ = run(capsys, *args, "--exact")
+        assert code == EXIT_OK
+        if fmt == "csv":
+            plain_rows = [line.split(",") for line in plain.splitlines()]
+            exact_rows = [line.split(",") for line in exact.splitlines()]
+            assert plain_rows[0] == exact_rows[0]
+            assert all(row[1:3] == ["", ""] for row in plain_rows[1:])
+            for a, b in zip(plain_rows[1:], exact_rows[1:], strict=True):
+                assert a[0] == b[0] and a[3:] == b[3:]
+                assert Fraction(int(b[1]), int(b[2])) == exact_risk(
+                    3, int(b[0]), scheme_weights("product", 3, int(b[0]))).risk
+            return
+        plain, exact = json.loads(plain), json.loads(exact)
+        assert exact["config"].pop("exact") is True and plain["config"].pop("exact") is False
+        rows = [row.pop("risk") for row in exact["rows"]]
+        assert rows == [fraction_text(exact_risk(3, n, scheme_weights("product", 3, n)).risk)
+                        for n in (60, 90, 120)]
+        assert exact == plain  # the same risk_float, n2_risk and fit
+
     def test_non_finite_value_exits_3_with_nothing_on_stdout(self, capsys, monkeypatch):
         import sud_estimate.risk
 
-        monkeypatch.setattr(sud_estimate.risk, "float_risk",
-                            lambda d, n, w, structure=None: math.nan)
+        fit = sud_estimate.risk.fit_constant
+        monkeypatch.setattr(sud_estimate.risk, "fit_constant",
+                            lambda points: dataclasses.replace(fit(points), constant=math.nan))
         code, out, err = run(capsys, "sweep", "-d", "2", "-N", "5:9", "--no-timestamp")
         assert code == EXIT_NUMERICAL
         assert out == ""
@@ -416,7 +443,7 @@ class TestConstant:
         for row in payload["riemann"]:
             assert row["value"] == pytest.approx(10.0, rel=0.05)
             exact = Fraction(row["exact"])
-            assert exact == riemann_constant(2, row["N"])
+            assert exact == exact_constant(2, [row["N"]]).riemann_estimates[0][1]
             assert float(exact) == row["value"]
 
     def test_csv_format(self, capsys):
@@ -486,6 +513,18 @@ class TestOptimal:
         )
         assert code == EXIT_NUMERICAL
         assert json.loads(err)["type"] == "ConvergenceError"
+
+    @pytest.mark.parametrize("argv", [["optimal"], ["risk", "--scheme", "optimal"]],
+                             ids=["optimal", "risk"])
+    def test_tolerance_below_the_rounding_floor_exits_3_quickly(self, capsys, argv):
+        # the solve used to run to the 10^6-application cap, 50 s, before it exited 3
+        start = time.process_time()
+        code, out, err = run(capsys, *argv, "-d", "3", "-N", "100", "--tol", "1e-16")
+        assert time.process_time() - start < 2.0
+        assert code == EXIT_NUMERICAL and out == ""
+        error = json.loads(err)
+        assert error["type"] == "ConvergenceError"
+        assert "best residual" in error["error"]
 
     def test_solves_each_support_once(self, capsys, monkeypatch):
         import sud_estimate.spectral as spectral
@@ -709,7 +748,7 @@ class TestVerify:
         pieri_add = characters.pieri_add
         monkeypatch.setattr(characters, "pieri_add", lambda parts: pieri_add(parts)[:-1])
         points = characters.random_torus_points(3, 10, seed=1)
-        assert characters.pieri_residual((2, 1, 0), points) > 1e-3
+        assert characters.branching_defect(3, 3, points) > 1e-3
         code, payload, _ = run_json(capsys, "verify", "-d", "3", "--n-max", "4", "--no-timestamp")
         assert code == EXIT_VERIFY_FAILED and payload["pass"] is False
         assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["branching-pointwise"]

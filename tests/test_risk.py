@@ -17,13 +17,12 @@ from sud_estimate.risk import (
     _box_removal,
     _locate,
     _run_marks,
-    curve_to_csv,
     exact_risk,
     expansion_diagnostics,
     fit_constant,
-    float_risk,
     risk_curve,
 )
+from sud_estimate.cli import curve_to_csv
 from sud_estimate.partitions import enumerate_partitions
 from sud_estimate.weights import (
     WeightVector,
@@ -320,28 +319,30 @@ class TestBoxRemoval:
 
 
 class TestFloatPath:
+    """Sweep points keep the exact risk; their floats are it, rounded once."""
+
     def test_matches_exact_path(self):
         for d, lo in ((2, 3), (3, 6)):
-            for n in range(lo, lo + 20):
-                for scheme in ("product", "uniform"):
-                    w = scheme_weights(scheme, d, n)
-                    exact = float(exact_risk(d, n, w).risk)
-                    fast = float_risk(d, n, w)
-                    assert fast == pytest.approx(exact, abs=1e-12)
+            for scheme in ("product", "uniform"):
+                curve = risk_curve(d, range(lo, lo + 20), scheme, fit=False)
+                assert [p.n for p in curve.points] == list(range(lo, lo + 20))
+                for p in curve.points:
+                    assert p.risk == exact_risk(d, p.n, scheme_weights(scheme, d, p.n)).risk
+                    assert p.risk_float == float(p.risk)
+                    assert p.n2_risk == p.n * p.n * p.risk_float
 
     def test_huge_coefficients_do_not_overflow(self):
         # coefficients near 200^60: squared as raw floats they overflowed to NaN
         w = power_weights(2, 400, 60)
-        exact = float(exact_risk(2, 400, w).risk)
-        fast = float_risk(2, 400, w)
-        assert math.isfinite(fast)
-        assert fast == pytest.approx(exact, rel=1e-12)
+        point = risk_curve(2, [400], "power:60", fit=False).points[0]
+        assert point.risk == exact_risk(2, 400, w).risk
+        assert math.isfinite(point.risk_float) and math.isfinite(point.n2_risk)
 
     def test_huge_fractional_exponent_does_not_overflow(self):
         # 200.0 ** 1000.5, the largest gap product at d=2 N=40, raised OverflowError;
         # the scheme sits almost wholly on (30, 10), whose risk alone is 1/2
-        w = power_weights(2, 40, Fraction(2001, 2))
-        assert float_risk(2, 40, w) == pytest.approx(0.49996, abs=1e-5)
+        point = risk_curve(2, [40], "power:2001/2", fit=False).points[0]
+        assert point.risk_float == pytest.approx(0.49996, abs=1e-5)
 
 
 def object_expansion(d: int, n: int) -> ExpansionDiagnostics:
@@ -477,7 +478,7 @@ class TestExpansionDiagnostics:
 
 class TestRiskCurve:
     def test_skips_infeasible_levels(self):
-        curve = risk_curve(2, range(1, 7), "product", exact=True, fit=False)
+        curve = risk_curve(2, range(1, 7), "product", fit=False)
         assert [p.n for p in curve.points] == [3, 4, 5, 6]
         assert [n for n, _ in curve.skipped] == [1, 2]
         assert curve.points[0].risk == Fraction(1, 2)
@@ -493,15 +494,9 @@ class TestRiskCurve:
         assert curve.fit.constant == pytest.approx(10.0, rel=0.02)
         assert curve.fit.window[0] >= 100
 
-    def test_exact_and_float_sweeps_agree(self):
-        fast = risk_curve(2, range(5, 40), "product", exact=False, fit=False)
-        slow = risk_curve(2, range(5, 40), "product", exact=True, fit=False)
-        for a, b in zip(fast.points, slow.points):
-            assert a.risk_float == pytest.approx(b.risk_float, abs=1e-12)
-
     def test_workers_do_not_change_results(self):
-        one = risk_curve(2, range(1, 30), "product", exact=True, workers=1)
-        two = risk_curve(2, range(1, 30), "product", exact=True, workers=2)
+        one = risk_curve(2, range(1, 30), "product", workers=1)
+        two = risk_curve(2, range(1, 30), "product", workers=2)
         assert one == two
 
     def test_one_scheme_build_per_level(self, monkeypatch):
@@ -517,8 +512,8 @@ class TestRiskCurve:
         assert [n for n, _ in curve.skipped] == [1, 2]
 
     def test_csv_shape(self):
-        curve = risk_curve(2, range(3, 8), "product", exact=True, fit=False)
-        text = curve_to_csv(curve)
+        curve = risk_curve(2, range(3, 8), "product", fit=False)
+        text = curve_to_csv(curve, exact=True)
         lines = text.strip().split("\n")
         assert lines[0] == "N,risk_num,risk_den,risk_float,N2_risk"
         assert lines[1].startswith("3,1,2,0.5,")
@@ -526,4 +521,4 @@ class TestRiskCurve:
 
     def test_fit_requires_points(self):
         with pytest.raises(ValueError):
-            fit_constant([RiskPoint(3, None, 0.5, 4.5)])
+            fit_constant([RiskPoint(3, Fraction(1, 2))])

@@ -234,6 +234,18 @@ class TestWeightVector:
         with pytest.raises(ValueError, match=re.escape(f"partition {row} is not a row of ints")):
             WeightVector(2, n, table, [1])
 
+    @pytest.mark.parametrize("table, numerators, shape", [
+        ([], [], "(0,)"),
+        (np.array([4, 1]), [1], "(2,)"),
+        (np.array([[[4, 1]]]), [1], "(1, 1, 2)"),
+        (np.array([[5, 0, 0]]), [1], "(1, 3)"),
+        (np.zeros((0, 3), dtype=np.int64), [], "(0, 3)"),
+    ])
+    def test_a_table_that_is_not_k_by_d_is_refused(self, table, numerators, shape):
+        # the first two raised IndexError at table.shape[1]; the last was accepted
+        with pytest.raises(ValueError, match=re.escape(f"table of shape {shape}")):
+            WeightVector(2, 5, table, numerators)
+
     def test_a_repeated_row_is_refused_whatever_its_coefficients(self):
         for numerators in ([1, 0], [0, 1]):  # a zero on either copy does not hide it
             with pytest.raises(ValueError, match="appears twice"):
