@@ -26,13 +26,12 @@ def main() -> None:
     parser.add_argument("--exact", action="store_true",
                         help="also print each level's exact rational risk, and fill "
                              "the CSV's numerator and denominator columns")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--csv-dir", type=Path, default=None,
                         help="write <scheme>.csv files here")
     args = parser.parse_args()
 
     for scheme in args.schemes.split(","):
-        curve = risk_curve(args.d, args.levels, scheme, workers=args.workers)
+        curve = risk_curve(args.d, args.levels, scheme)
         print(f"== d={args.d}  scheme={scheme}")
         if curve.skipped:
             lo, hi = curve.skipped[0][0], curve.skipped[-1][0]

@@ -225,8 +225,7 @@ def haar_quadrature(d: int, resolution: int) -> QuadratureRule:
         raise ValueError(f"d must be >= 2, got {d}")
     if resolution < 2 * d - 1:
         raise ResolutionError(
-            f"resolution {resolution} cannot even normalise the measure for d={d}",
-            suggested_resolution=2 * d - 1,
+            f"resolution {resolution} cannot even normalise the measure for d={d}"
         )
     free = np.fromiter(
         chain.from_iterable(combinations(range(resolution), d - 1)), dtype=np.int64
@@ -339,16 +338,14 @@ def quadrature_risk(d: int, n: int, w: WeightVector, rule: QuadratureRule | None
     if rule.resolution <= bandwidth:
         raise ResolutionError(
             f"resolution {rule.resolution} is inside the level-{n} integrand "
-            f"bandwidth {bandwidth}",
-            suggested_resolution=min_resolution(d, n),
+            f"bandwidth {bandwidth}"
         )
     top = (n + 1,) + (0,) * (d - 1)
     self_test = abs(rule.inner_product(top, top) - 1.0)
     if self_test > 1e-9:
         raise ResolutionError(
             f"resolution {rule.resolution} fails the level-{n + 1} orthonormality "
-            f"self-test (defect {self_test:.3e})",
-            suggested_resolution=min_resolution(d, n),
+            f"self-test (defect {self_test:.3e})"
         )
     rule._alternants = {t: a for t, a in rule._alternants.items() if sum(t) >= n}
     if not len(w.numerators):

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``risk``     exact risk of one scheme at one level
-* ``sweep``    risk as a function of N, with an optional rate-constant fit
+* ``sweep``    risk as a function of N, with its rate-constant fit
 * ``constant`` closed-form rate constant, optionally with lattice estimates
 * ``optimal``  leading eigenpair of the incidence form at one level
 * ``verify``   cross-checks of the combinatorial engine against the
@@ -13,10 +13,10 @@ Subcommands:
 Reports are JSON by default (stable key order, exact rationals as
 "num/den" strings) or CSV via ``--format csv``.  Exit codes: 0 success,
 1 failed verification, 2 infeasible parameters (empty support or sum, a bad
-scheme or weight file, a level whose tables do not fit in memory), 3
-numerical failure (non-convergence, refused resolution, an exact value
-outside its mathematical range or a NaN or infinity in a report).  Errors
-are one JSON object on stderr.
+scheme or weight file, an export path that cannot be written, a level whose
+tables do not fit in memory), 3 numerical failure (non-convergence, refused
+resolution, an exact value outside its mathematical range or a NaN or
+infinity in a report).  Errors are one JSON object on stderr.
 ``parse_range`` and ``curve_to_csv`` are shared with the experiment scripts.
 """
 
@@ -206,7 +206,7 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    curve = risk_curve(args.d, args.n, args.scheme, fit=args.fit, workers=args.workers)
+    curve = risk_curve(args.d, args.n, args.scheme, workers=args.workers)
     if not curve.points:
         raise EmptySupportError(
             f"no feasible level in {min(args.n)}..{max(args.n)} for "
@@ -261,7 +261,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    gap = optimality_gap(args.d, args.n, tol=args.tol, max_iterations=args.max_iterations)
+    gap = optimality_gap(args.d, args.n, tol=args.tol)
     result = getattr(gap, args.support)
     if result is None:
         raise EmptySupportError(f"no {args.support} partition at level {args.n} for d={args.d}")
@@ -327,7 +327,7 @@ def _verify_checks(args) -> list[dict]:
                 schemes.append(scheme_weights(scheme, args.d, n, structure=structure))
             except EmptySupportError:
                 pass
-        schemes.append(max_eigenpair(structure, tol=args.tol).eigvec)
+        schemes.append(max_eigenpair(structure).eigvec)
         for w in schemes:
             exact = float(exact_risk(args.d, n, w, structure).risk)
             quad = quadrature_risk(args.d, n, w, rule=rule)
@@ -391,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", dest="n", type=parse_range, required=True,
                    metavar="A:B[:STEP]", help="inclusive level range")
     p.add_argument("--scheme", default="product")
-    p.add_argument("--fit", action=argparse.BooleanOptionalAction, default=True,
-                   help="fit N^2 risk = C + b/N on the largest tested half")
     p.add_argument("--exact", action=argparse.BooleanOptionalAction, default=False,
                    help="print each level's exact rational risk beside its float")
     p.add_argument("--workers", type=_int_at_least(1), default=1,
@@ -410,13 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--support", choices=("full", "strict"), default="full")
-    p.add_argument("--max-iterations", type=_int_at_least(1), default=10**6,
-                   help="cap on applications of B^T B before giving up")
     p.add_argument("--export", default=None, metavar="PATH",
                    help="write the optimal coefficients as a weights JSON file")
     p.set_defaults(func=_cmd_optimal)
 
-    p = sub.add_parser("verify", parents=[common, solver],
+    p = sub.add_parser("verify", parents=[common],
                        help="cross-check combinatorics against the character oracle")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--n-max", type=_int_at_least(1), default=8)

@@ -22,7 +22,7 @@ class EmptySumError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver hits its iteration cap.
+    """Raised when an iterative solver stops without a certified result.
 
     The best iterate found so far is attached as ``best`` so callers can
     inspect how close the run got.
@@ -34,15 +34,7 @@ class ConvergenceError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """Raised when a quadrature grid is too coarse for the requested integrand.
-
-    ``suggested_resolution`` is the smallest per-angle point count known to be
-    exact for the integrand that triggered the refusal.
-    """
-
-    def __init__(self, message: str, suggested_resolution: int | None = None):
-        super().__init__(message)
-        self.suggested_resolution = suggested_resolution
+    """Raised when a quadrature grid is too coarse for the requested integrand."""
 
 
 class NumericalInstabilityError(RuntimeError):

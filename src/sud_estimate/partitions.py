@@ -100,14 +100,14 @@ def enumerate_partitions(d: int, n: int, strict: bool = False) -> list[tuple[int
     return list(map(tuple, partition_table(d, n, strict).tolist()))
 
 
-def pieri_add(parts, d: int | None = None) -> list[tuple[int, tuple[int, ...]]]:
+def pieri_add(parts) -> list[tuple[int, tuple[int, ...]]]:
     """Rows where one box can be added without leaving the partition lattice.
 
     Returns [(i, parts + e_i)] with 1-based row indices i, ordered by i.
     Row i is addable iff i == 1 or lambda_{i-1} > lambda_i.  These are the
     irreps appearing when tensoring with the defining representation.
     """
-    t = check_partition(parts, d)
+    t = check_partition(parts)
     out = []
     for i in range(1, len(t) + 1):
         if i == 1 or t[i - 2] > t[i - 1]:

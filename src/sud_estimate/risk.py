@@ -525,13 +525,13 @@ def risk_curve(
     n_values: Iterable[int],
     scheme: str | Scheme,
     *,
-    fit: bool = True,
     workers: int = 1,
 ) -> RiskCurve:
     """Exact risk as a function of N for one scheme.
 
     Infeasible levels (empty support) are skipped and recorded rather than
-    raised.  ``workers`` > 1 evaluates levels in separate processes; results
+    raised, and the rate constant is fitted whenever at least two levels are
+    feasible.  ``workers`` > 1 evaluates levels in separate processes; results
     are identical at any worker count because each level is independent and
     the output order is fixed.
     """
@@ -546,6 +546,6 @@ def risk_curve(
         results = [_curve_point(job) for job in jobs]
     points = [r for r in results if isinstance(r, RiskPoint)]
     skipped = [r for r in results if not isinstance(r, RiskPoint)]
-    fitted = fit_constant(points) if fit and len(points) >= 2 else None
+    fitted = fit_constant(points) if len(points) >= 2 else None
     return RiskCurve(d, label, tuple(points), tuple(skipped), fitted)
 

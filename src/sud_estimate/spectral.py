@@ -135,6 +135,10 @@ _BREAKDOWN = 1e-12
 # and none of 4,981 attempts up to 40,000 applications beat 3.9e-16 theta.
 # Every solve sampled at tol >= 1e-15 passed its first certificate.
 _STALLS = 32
+# Applications of B^T B after which the solve gives up.  The stall stop ends
+# every solve whose certificates fail; this cap ends one whose Ritz estimate
+# never passes, so that no certificate is attempted.
+_MAX_APPLICATIONS = 10**6
 
 
 def _certified(structure: IncidenceStructure, v: np.ndarray, iterations: int) -> SpectralResult:
@@ -192,11 +196,7 @@ def _chebyshev(b: BoxMatrix, cut: float, scale: float):
     return apply
 
 
-def max_eigenpair(
-    structure: IncidenceStructure,
-    tol: float = 1e-12,
-    max_iterations: int = 10**6,
-) -> SpectralResult:
+def max_eigenpair(structure: IncidenceStructure, tol: float = 1e-12) -> SpectralResult:
     """Thick-restart Lanczos for the largest eigenpair of B^T B, Chebyshev-filtered.
 
     Deterministic: all-ones start, a basis of at most ``_BASIS_SIZE`` vectors
@@ -223,7 +223,7 @@ def max_eigenpair(
 
     ``iterations`` counts applications of B^T B, the ``_DEGREE`` of each
     filtered step included (the certificate's own product aside), and
-    ``max_iterations`` caps it: a step that would pass the cap raises
+    ``_MAX_APPLICATIONS`` caps it: a step that would pass the cap raises
     :class:`ConvergenceError` instead, with the current Ritz vector,
     certified, attached as ``best``.  The returned eigenvector is entrywise
     nonnegative and carries the recomputed residual ||A v - theta v|| <=
@@ -239,8 +239,6 @@ def max_eigenpair(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     b = structure.matrix
     if b.nnz == 0:
         raise EmptySupportError(
@@ -265,11 +263,11 @@ def max_eigenpair(
 
     while True:
         for j in range(first, last):
-            if iterations + cost > max_iterations:
+            if iterations + cost > _MAX_APPLICATIONS:
                 best = ritz(j)
                 raise ConvergenceError(
                     f"Lanczos did not reach residual {tol:g} * theta within "
-                    f"{max_iterations} applications (last residual {best.residual:.3e})",
+                    f"{_MAX_APPLICATIONS} applications (last residual {best.residual:.3e})",
                     best=best,
                 )
             w = step(basis[j])
@@ -364,9 +362,7 @@ class OptimalityGap:
     strict: SpectralResult | None
 
 
-def optimality_gap(
-    d: int, n: int, tol: float = 1e-12, max_iterations: int = 10**6
-) -> OptimalityGap:
+def optimality_gap(d: int, n: int, tol: float = 1e-12) -> OptimalityGap:
     """Compare the gap-product scheme with the spectral optima at level n.
 
     One box-removal structure serves both solves, full first, the product
@@ -376,13 +372,13 @@ def optimality_gap(
     ``risk_full`` is nonnegative up to the solver tolerance.
     """
     structure = _box_removal(d, n)
-    full = max_eigenpair(structure, tol=tol, max_iterations=max_iterations)
+    full = max_eigenpair(structure, tol=tol)
     risk_full = exact_risk(d, n, full.eigvec, structure).risk
     try:
         strict_structure = _restrict(structure, "strict")
     except EmptySupportError:
         return OptimalityGap(d, n, None, risk_full, None, full, None)
-    strict = max_eigenpair(strict_structure, tol=tol, max_iterations=max_iterations)
+    strict = max_eigenpair(strict_structure, tol=tol)
     product = exact_risk(d, n, product_weights(d, n, strict_structure), structure).risk
     risk_strict = exact_risk(d, n, strict.eigvec, structure).risk
     return OptimalityGap(d, n, product, risk_full, risk_strict, full, strict)

@@ -508,7 +508,10 @@ def weights_from_json(records) -> WeightVector:
 def save_weights(records: list[dict], path) -> None:
     """Write the :func:`weights_to_json` records of a scheme as
     ``json.dumps(records, indent=2)`` prints them, and a final newline."""
-    Path(path).write_text(records_text(records) + "\n")
+    try:
+        Path(path).write_text(records_text(records) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write weight file {path}: {exc.strerror}") from exc
 
 
 def load_weights(path) -> WeightVector:

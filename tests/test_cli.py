@@ -1,8 +1,12 @@
+import argparse
 import dataclasses
+import inspect
+import io
 import json
 import math
 import sys
 import time
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -305,7 +309,7 @@ class TestSweep:
 
     def test_skipped_levels_reported(self, capsys):
         code, payload, _ = run_json(
-            capsys, "sweep", "-d", "2", "-N", "2:4", "--no-fit", "--no-timestamp"
+            capsys, "sweep", "-d", "2", "-N", "2:4", "--no-timestamp"
         )
         assert code == EXIT_OK
         assert [r["N"] for r in payload["rows"]] == [3, 4]
@@ -322,6 +326,16 @@ class TestSweep:
         assert [r["N"] for r in payload["rows"]] == [380, 390, 400]
         assert all(math.isfinite(r["risk_float"]) for r in payload["rows"])
         assert math.isfinite(payload["fit"]["constant"])
+
+    @pytest.mark.parametrize(
+        "d, levels, fitted",
+        [(2, "2:9", True), (3, "4:7", True), (3, "1:6", False)],
+    )
+    def test_two_or_more_feasible_levels_always_carry_the_fit(self, capsys, d, levels, fitted):
+        # skipped levels do not count: d=3 has no strict partition below N=6
+        code, payload, _ = run_json(capsys, "sweep", "-d", str(d), "-N", levels, "--no-timestamp")
+        assert code == EXIT_OK
+        assert ("fit" in payload) == fitted == (len(payload["rows"]) >= 2)
 
     def test_two_level_sweep_fits_both(self, capsys):
         code, payload, _ = run_json(
@@ -507,10 +521,9 @@ class TestOptimal:
         parts = {tuple(rec["parts"]) for rec in payload["coefficients"]}
         assert parts <= {(4, 1), (3, 2)}
 
-    def test_iteration_cap_exits_3(self, capsys):
-        code, _, err = run(
-            capsys, "optimal", "-d", "2", "-N", "12", "--max-iterations", "2"
-        )
+    def test_iteration_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sud_estimate.spectral._MAX_APPLICATIONS", 2)
+        code, _, err = run(capsys, "optimal", "-d", "2", "-N", "12")
         assert code == EXIT_NUMERICAL
         assert json.loads(err)["type"] == "ConvergenceError"
 
@@ -537,13 +550,9 @@ class TestOptimal:
             return solve(structure, **kwargs)
 
         monkeypatch.setattr("sud_estimate.spectral.max_eigenpair", counting)
-        code, _, _ = run(
-            capsys, "optimal", "-d", "2", "-N", "12",
-            "--tol", "1e-11", "--max-iterations", "500",
-        )
+        code, _, _ = run(capsys, "optimal", "-d", "2", "-N", "12", "--tol", "1e-11")
         assert code == EXIT_OK
-        options = {"tol": 1e-11, "max_iterations": 500}
-        assert calls == [("full", options), ("strict", options)]
+        assert calls == [("full", {"tol": 1e-11}), ("strict", {"tol": 1e-11})]
 
     def test_builds_the_incidence_once_for_both_solves(self, capsys, box_removals):
         # one structure for the full and strict solves and the product's risk
@@ -570,6 +579,17 @@ class TestOptimal:
         assert code == EXIT_OK
         assert len(calls) == 1
         assert path.read_text() == json.dumps(json.loads(out)["coefficients"], indent=2) + "\n"
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+    def test_export_to_an_unwritable_path_exits_2(self, capsys, tmp_path, target):
+        # it used to exit 1 with a FileNotFoundError or IsADirectoryError traceback
+        path = tmp_path / target
+        code, out, err = run(capsys, "optimal", "-d", "2", "-N", "5", "--export", str(path))
+        assert code == EXIT_INFEASIBLE and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["type"] == "ValueError"
+        assert str(path) in error["error"]
 
     def test_coefficients_are_the_eigenvector_floats_exactly(self, capsys):
         from sud_estimate.spectral import build_incidence, max_eigenpair
@@ -818,13 +838,19 @@ class TestParser:
             ["risk", "-d", "2", "-N", "5", "--workers", "2"],
             ["optimal", "-d", "2", "-N", "5", "--workers", "2"],
             ["verify", "-d", "2", "--n-max", "2", "--workers", "2"],
+            ["optimal", "-d", "2", "-N", "5", "--max-iterations", "5"],
+            ["sweep", "-d", "2", "-N", "3:5", "--fit"],
+            ["sweep", "-d", "2", "-N", "3:5", "--no-fit"],
+            ["verify", "-d", "2", "--n-max", "2", "--tol", "1e-9"],
         ],
     )
     def test_flag_the_command_never_reads_is_usage_error(self, capsys, argv):
+        # the refused flag is the last one, with its value if it takes one
+        flag = max(i for i, token in enumerate(argv) if token.startswith("--"))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INFEASIBLE
-        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[flag:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -833,8 +859,6 @@ class TestParser:
             (["sweep", "-d", "2", "-N", "3:5", "--workers", "0"], "--workers: must be >= 1"),
             (["sweep", "-d", "2", "-N", "3:5", "--workers", "-1"], "--workers: must be >= 1"),
             (["verify", "-d", "2", "--n-max", "-1"], "--n-max: must be >= 1"),
-            (["optimal", "-d", "2", "-N", "5", "--max-iterations", "0"],
-             "--max-iterations: must be >= 1"),
         ],
     )
     def test_count_out_of_range_is_usage_error_naming_the_flag(self, capsys, argv, message):
@@ -846,9 +870,8 @@ class TestParser:
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     @pytest.mark.parametrize(
         "argv",
-        [["risk", "-d", "2", "-N", "5"], ["optimal", "-d", "2", "-N", "5"],
-         ["verify", "-d", "2", "--n-max", "2"]],
-        ids=["risk", "optimal", "verify"],
+        [["risk", "-d", "2", "-N", "5"], ["optimal", "-d", "2", "-N", "5"]],
+        ids=["risk", "optimal"],
     )
     def test_tol_out_of_range_is_usage_error_naming_the_flag(self, capsys, argv, value):
         with pytest.raises(SystemExit) as exc:
@@ -860,3 +883,37 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--version"])
         assert "sud-estimate" in capsys.readouterr().out
+
+
+def _args_reads(function) -> set[str]:
+    """The ``args.<name>`` attributes that ``function`` reads, and those of every
+    ``cli`` helper it passes ``args`` to, by name tokens of their source.
+
+    ``_config_echo`` reads every option through ``vars(args)`` and so proves none.
+    """
+    source = io.StringIO(inspect.getsource(function))
+    tokens = [t for t in tokenize.generate_tokens(source.readline)
+              if t.type in (tokenize.NAME, tokenize.OP)]
+    read = set()
+    for first, second, third in zip(tokens, tokens[1:], tokens[2:]):
+        if first.string == "args" and second.string == "." and third.type == tokenize.NAME:
+            read.add(third.string)
+        elif (second.string == "(" and third.string == "args"
+              and first.string not in ("_config_echo", function.__name__)):
+            helper = getattr(cli, first.string, None)
+            if inspect.isfunction(helper):
+                read |= _args_reads(helper)
+    return read
+
+
+def test_every_option_is_read_by_its_command():
+    # a flag that its command never reads is configuration with no result behind it
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in subparsers.choices.items():
+        read = _args_reads(parser.get_default("func"))
+        unread += [f"{command} {'/'.join(a.option_strings) or a.dest}" for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    assert subparsers.choices.keys() == {"risk", "sweep", "constant", "optimal", "verify"}
+    assert not unread, f"options that no command reads: {unread}"

@@ -324,7 +324,7 @@ class TestFloatPath:
     def test_matches_exact_path(self):
         for d, lo in ((2, 3), (3, 6)):
             for scheme in ("product", "uniform"):
-                curve = risk_curve(d, range(lo, lo + 20), scheme, fit=False)
+                curve = risk_curve(d, range(lo, lo + 20), scheme)
                 assert [p.n for p in curve.points] == list(range(lo, lo + 20))
                 for p in curve.points:
                     assert p.risk == exact_risk(d, p.n, scheme_weights(scheme, d, p.n)).risk
@@ -334,14 +334,14 @@ class TestFloatPath:
     def test_huge_coefficients_do_not_overflow(self):
         # coefficients near 200^60: squared as raw floats they overflowed to NaN
         w = power_weights(2, 400, 60)
-        point = risk_curve(2, [400], "power:60", fit=False).points[0]
+        point = risk_curve(2, [400], "power:60").points[0]
         assert point.risk == exact_risk(2, 400, w).risk
         assert math.isfinite(point.risk_float) and math.isfinite(point.n2_risk)
 
     def test_huge_fractional_exponent_does_not_overflow(self):
         # 200.0 ** 1000.5, the largest gap product at d=2 N=40, raised OverflowError;
         # the scheme sits almost wholly on (30, 10), whose risk alone is 1/2
-        point = risk_curve(2, [40], "power:2001/2", fit=False).points[0]
+        point = risk_curve(2, [40], "power:2001/2").points[0]
         assert point.risk_float == pytest.approx(0.49996, abs=1e-5)
 
 
@@ -478,13 +478,13 @@ class TestExpansionDiagnostics:
 
 class TestRiskCurve:
     def test_skips_infeasible_levels(self):
-        curve = risk_curve(2, range(1, 7), "product", fit=False)
+        curve = risk_curve(2, range(1, 7), "product")
         assert [p.n for p in curve.points] == [3, 4, 5, 6]
         assert [n for n, _ in curve.skipped] == [1, 2]
         assert curve.points[0].risk == Fraction(1, 2)
 
     def test_all_infeasible_gives_empty_curve(self):
-        curve = risk_curve(3, range(1, 5), "product", fit=False)
+        curve = risk_curve(3, range(1, 5), "product")
         assert curve.points == ()
         assert len(curve.skipped) == 4
 
@@ -507,12 +507,12 @@ class TestRiskCurve:
             return scheme_weights(spec, d, n, **kwargs)
 
         monkeypatch.setattr("sud_estimate.risk.scheme_weights", counting)
-        curve = risk_curve(2, range(1, 7), "product", fit=False)
+        curve = risk_curve(2, range(1, 7), "product")
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
         assert [n for n, _ in curve.skipped] == [1, 2]
 
     def test_csv_shape(self):
-        curve = risk_curve(2, range(3, 8), "product", fit=False)
+        curve = risk_curve(2, range(3, 8), "product")
         text = curve_to_csv(curve, exact=True)
         lines = text.strip().split("\n")
         assert lines[0] == "N,risk_num,risk_den,risk_float,N2_risk"

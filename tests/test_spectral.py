@@ -228,12 +228,13 @@ class TestMaxEigenpair:
     @pytest.mark.parametrize(
         "cap, spent", [(2, 2), (_KEPT + 3, _KEPT), (_KEPT + 8, _KEPT + _DEGREE)]
     )
-    def test_cap_inside_a_filter_block_stops_before_it(self, cap, spent):
+    def test_cap_inside_a_filter_block_stops_before_it(self, monkeypatch, cap, spent):
         # a filtered step costs _DEGREE applications; one that would pass the
         # cap is not taken, and the current Ritz vector comes back certified
+        monkeypatch.setattr("sud_estimate.spectral._MAX_APPLICATIONS", cap)
         s = build_incidence(3, 60, "full")
         with pytest.raises(ConvergenceError) as info:
-            max_eigenpair(s, max_iterations=cap)
+            max_eigenpair(s)
         best = info.value.best
         assert best.iterations == spent <= cap
         v = np.array([float(best.eigvec.entries.get(p, 0)) for p in rows(s.parent_table)])
@@ -252,10 +253,11 @@ class TestMaxEigenpair:
         assert r.iterations <= most
         assert r.eigmax == pytest.approx(4 * math.cos(math.pi / (n + 3)) ** 2, abs=1e-10)
 
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
+        monkeypatch.setattr("sud_estimate.spectral._MAX_APPLICATIONS", 2)
         s = build_incidence(2, 10, "full")
         with pytest.raises(ConvergenceError) as info:
-            max_eigenpair(s, tol=1e-12, max_iterations=2)
+            max_eigenpair(s, tol=1e-12)
         best = info.value.best
         assert best is not None
         assert best.iterations == 2
@@ -265,7 +267,7 @@ class TestMaxEigenpair:
         # 6 columns: the first cycle exhausts the Krylov space, and a beta at
         # rounding level is a breakdown however small tol is
         with pytest.raises(ConvergenceError, match="broke down") as info:
-            max_eigenpair(build_incidence(2, 10), tol=1e-300, max_iterations=10**4)
+            max_eigenpair(build_incidence(2, 10), tol=1e-300)
         best = info.value.best
         assert best.iterations <= 6
         assert best.eigmax == pytest.approx(4 * math.cos(math.pi / 13) ** 2, rel=1e-14)
@@ -286,12 +288,9 @@ class TestMaxEigenpair:
         assert r.iterations == 162
         assert r.residual <= 1e-15 * r.eigmax
 
-    def test_rejects_nonpositive_cap_and_tolerance(self):
-        s = build_incidence(2, 10, "full")
+    def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
-            max_eigenpair(s, max_iterations=0)
-        with pytest.raises(ValueError):
-            max_eigenpair(s, tol=0.0)
+            max_eigenpair(build_incidence(2, 10, "full"), tol=0.0)
 
     def test_determinism(self):
         a = max_eigenpair(build_incidence(3, 8, "full"))
