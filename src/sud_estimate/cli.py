@@ -18,6 +18,11 @@ tables do not fit in memory), 3 numerical failure (non-convergence, refused
 resolution, an exact value outside its mathematical range or a NaN or
 infinity in a report).  Errors are one JSON object on stderr.
 ``parse_range`` and ``curve_to_csv`` are shared with the experiment scripts.
+
+``main(argv)`` may be called any number of times in one process, and every
+call parses with the one parser that ``build_parser()`` builds on its first
+call and returns from then on.  That parser is shared: callers must not
+mutate it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import collections.abc
 import csv
+import functools
 import io
 import json
 import math
@@ -71,7 +77,8 @@ EXIT_NUMERICAL = 3
 
 
 def parse_range(text: str) -> list[int]:
-    """'a:b' inclusive, 'a:b:step', or a single integer; never empty."""
+    """'a:b' or 'a:b:step' with both ends inclusive at either sign of step, or
+    a single integer; never empty.  Every refusal is a usage error naming the range."""
     pieces = text.split(":")
     try:
         nums = [int(p) for p in pieces]
@@ -81,10 +88,16 @@ def parse_range(text: str) -> list[int]:
         return nums
     if len(nums) > 3:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    values = list(range(nums[0], nums[1] + 1, *nums[2:]))
-    if not values:
+    start, end, step = nums[0], nums[1], nums[2] if len(nums) == 3 else 1
+    if step == 0:
+        raise argparse.ArgumentTypeError(f"zero step in range {text!r}")
+    levels = range(start, end + 1 if step > 0 else end - 1, step)
+    if not levels:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return values
+    try:
+        return list(levels)
+    except (OverflowError, MemoryError) as exc:  # more levels than an index or memory holds
+        raise argparse.ArgumentTypeError(f"range {text!r} is too long") from exc
 
 
 def _int_at_least(lo: int):
@@ -361,7 +374,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="sud-estimate",
         description="Risk and rate analysis of coefficient schemes for SU(d) estimation.",

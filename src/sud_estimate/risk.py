@@ -244,23 +244,27 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     vector keeps the lexicographic order, so it keeps the canonical order of
     both tables: the k-th such child's parent is the k-th such parent.  So
     the columns for box row i are the positions of the parents addable in
-    row i, found with no search, and read child by child, then box row by
-    box row, they are in the CSR order of B.
+    row i, found with no search.  ``indptr`` comes first; then, box row by
+    box row, each child removable in that row writes its parent's column
+    into the next free slot of its CSR row, so every entry is written once,
+    in the CSR order of B, with no dense (d, k) temporary.
     """
     parents = partition_table(d, n)
     children = partition_table(d, n + 1)
-    # masks and columns are (d, k), so the entries of one box row are contiguous
+    # masks are (d, k), so the mask of one box row is contiguous
     removable = np.empty(children.shape[::-1], dtype=bool)
     np.greater(children[:, :-1].T, children[:, 1:].T, out=removable[:-1])
     np.greater(children[:, -1], 0, out=removable[-1])
     addable = np.ones(parents.shape[::-1], dtype=bool)
     np.greater(parents[:, :-1].T, parents[:, 1:].T, out=addable[1:])
-    column = np.empty(removable.shape, dtype=np.int64)
-    for i in range(d):
-        column[i, removable[i]] = np.flatnonzero(addable[i])
     indptr = np.zeros(len(children) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(removable, axis=0), out=indptr[1:])
-    matrix = BoxMatrix((len(children), len(parents)), indptr, column.T[removable.T])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    slot = indptr[:-1].copy()  # the next free entry of each child's row
+    for i in range(d):
+        indices[slot[removable[i]]] = np.flatnonzero(addable[i])
+        slot += removable[i]
+    matrix = BoxMatrix((len(children), len(parents)), indptr, indices)
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 

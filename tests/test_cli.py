@@ -4,10 +4,13 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +46,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _child_env() -> dict:
+    """This process's environment with the package on the path and 80 columns,
+    the width at which argparse wraps usage text."""
+    env = dict(os.environ, COLUMNS="80", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture
@@ -883,6 +897,109 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["--version"])
         assert "sud-estimate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, levels",
+        [("400:100:-100", [400, 300, 200, 100]), ("600:200:-200", [600, 400, 200]),
+         ("5:1:-2", [5, 3, 1]), ("5:2:-2", [5, 3]), ("7:7:-1", [7]), ("3:9:3", [3, 6, 9])],
+    )
+    def test_range_includes_its_end_at_either_sign_of_step(self, text, levels):
+        assert cli.parse_range(text) == levels
+
+    def test_negative_step_sweep_runs_its_last_level(self, capsys):
+        code, report, _ = run_json(capsys, "sweep", "-d", "2", "-N", "12:6:-3", "--no-timestamp")
+        assert code == EXIT_OK
+        assert report["config"]["n"] == [12, 9, 6]
+        assert [row["N"] for row in report["rows"]] == [6, 9, 12]
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["sweep", "-d", "2", "-N", "3:9:0"], "3:9:0"),
+            (["constant", "-d", "2", "--riemann", "10:20:0"], "10:20:0"),
+        ],
+    )
+    def test_zero_step_is_usage_error_naming_the_range(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert f"zero step in range '{text}'" in err
+        assert "invalid parse_range value" not in err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["sweep", "-d", "2", "-N", "1:10000000000000000000"], "1:10000000000000000000"),
+            (["constant", "-d", "2", "--riemann", "10000000000000000000:1:-1"],
+             "10000000000000000000:1:-1"),
+        ],
+    )
+    def test_range_past_the_index_limit_is_usage_error_naming_it(self, capsys, argv, text):
+        # its length does not fit a C ssize_t: OverflowError, raised inside parse_args
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert f"range '{text}' is too long" in err
+        assert "Traceback" not in err
+
+    def test_range_past_the_address_space_is_usage_error_naming_it(self):
+        # 10^12 levels need an 8 TB list: MemoryError once the child caps its
+        # own address space at 2 GiB, before it imports the package
+        code = (
+            "import resource, runpy, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "sys.argv = ['sud-estimate', 'sweep', '-d', '2', '-N', '1:1000000000000']; "
+            "runpy.run_module('sud_estimate.cli', run_name='__main__')"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=_child_env(), timeout=60)
+        assert result.returncode == EXIT_INFEASIBLE, result.stderr
+        assert "range '1:1000000000000' is too long" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestParserReuse:
+    # one request per outcome: usage error, --version, then each subcommand
+    REQUESTS = [
+        ["sweep", "-d", "2", "-N", "10:5"],
+        ["--version"],
+        ["risk", "-d", "3", "-N", "9", "--scheme", "uniform", "--terms"],
+        ["sweep", "-d", "2", "-N", "4:12:4", "--exact"],
+        ["constant", "-d", "2", "--riemann", "6:8"],
+        ["optimal", "-d", "3", "-N", "7", "--format", "csv"],
+        ["verify", "-d", "2", "--n-max", "3", "--points", "5"],
+    ]
+
+    def test_build_parser_returns_one_shared_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sud_estimate.cli as c; print(c.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+
+    def test_requests_in_one_process_print_what_fresh_processes_print(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli.build_parser.cache_clear()  # the first request builds the parser, the rest reuse it
+        env = _child_env()
+        for argv in self.REQUESTS:
+            if argv[0] != "--version":
+                argv = [*argv, "--no-timestamp"]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "sud_estimate.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli.build_parser.cache_info().currsize == 1
 
 
 def _args_reads(function) -> set[str]:

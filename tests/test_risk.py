@@ -274,8 +274,8 @@ class TestIntegerPaths:
 class TestBoxRemoval:
     @pytest.mark.parametrize(
         "d, n",
-        [(1, 0), (1, 9), (2, 1), (2, 5), (2, 401), (3, 0), (3, 30), (3, 602), (4, 0), (4, 12),
-         (4, 82), (5, 9), (6, 14), (7, 10)],
+        [(1, 0), (1, 9), (2, 1), (2, 5), (2, 401), (3, 0), (3, 30), (3, 402), (3, 602), (4, 0),
+         (4, 12), (4, 82), (5, 9), (5, 30), (6, 14), (7, 10)],
     )
     def test_matches_reference_loop_bit_for_bit(self, d, n):
         got = _box_removal(d, n).matrix
@@ -284,6 +284,8 @@ class TestBoxRemoval:
         for name in ("indptr", "indices"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.indices.flags.c_contiguous and got.indices.dtype == np.int64
+        assert got.indices.shape == (got.indptr[-1],)
 
     def test_every_row_has_a_parent(self):
         # exact_risk sums each CSR row with np.add.reduceat, which returns a
