@@ -18,11 +18,6 @@ tables do not fit in memory), 3 numerical failure (non-convergence, refused
 resolution, an exact value outside its mathematical range or a NaN or
 infinity in a report).  Errors are one JSON object on stderr.
 ``parse_range`` and ``curve_to_csv`` are shared with the experiment scripts.
-
-``main(argv)`` may be called any number of times in one process, and every
-call parses with the one parser that ``build_parser()`` builds on its first
-call and returns from then on.  That parser is shared: callers must not
-mutate it.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from __future__ import annotations
 import argparse
 import collections.abc
 import csv
-import functools
 import io
 import json
 import math
@@ -374,9 +368,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="sud-estimate",
         description="Risk and rate analysis of coefficient schemes for SU(d) estimation.",

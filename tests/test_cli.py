@@ -52,9 +52,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _child_env() -> dict:
-    """This process's environment with the package on the path and 80 columns,
-    the width at which argparse wraps usage text."""
-    env = dict(os.environ, COLUMNS="80", OPENBLAS_NUM_THREADS="1")
+    """This process's environment with the package on the path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return env
 
@@ -958,48 +957,6 @@ class TestParser:
         assert result.returncode == EXIT_INFEASIBLE, result.stderr
         assert "range '1:1000000000000' is too long" in result.stderr
         assert "Traceback" not in result.stderr
-
-
-class TestParserReuse:
-    # one request per outcome: usage error, --version, then each subcommand
-    REQUESTS = [
-        ["sweep", "-d", "2", "-N", "10:5"],
-        ["--version"],
-        ["risk", "-d", "3", "-N", "9", "--scheme", "uniform", "--terms"],
-        ["sweep", "-d", "2", "-N", "4:12:4", "--exact"],
-        ["constant", "-d", "2", "--riemann", "6:8"],
-        ["optimal", "-d", "3", "-N", "7", "--format", "csv"],
-        ["verify", "-d", "2", "--n-max", "3", "--points", "5"],
-    ]
-
-    def test_build_parser_returns_one_shared_parser(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_import_builds_no_parser(self):
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sud_estimate.cli as c; print(c.build_parser.cache_info().currsize)"],
-            capture_output=True, text=True, env=_child_env(), timeout=60,
-        )
-        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
-
-    def test_requests_in_one_process_print_what_fresh_processes_print(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        cli.build_parser.cache_clear()  # the first request builds the parser, the rest reuse it
-        env = _child_env()
-        for argv in self.REQUESTS:
-            if argv[0] != "--version":
-                argv = [*argv, "--no-timestamp"]
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            fresh = subprocess.run([sys.executable, "-m", "sud_estimate.cli", *argv],
-                                   capture_output=True, text=True, env=env, timeout=120)
-            assert (code, captured.out, captured.err) == (
-                fresh.returncode, fresh.stdout, fresh.stderr), argv
-        assert cli.build_parser.cache_info().currsize == 1
 
 
 def _args_reads(function) -> set[str]:
