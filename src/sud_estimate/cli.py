@@ -182,6 +182,8 @@ def curve_to_csv(curve: RiskCurve, exact: bool) -> str:
 
 
 def _cmd_risk(args) -> int:
+    if args.terms and args.format == "csv":
+        raise ValueError("--terms has no CSV form: the CSV report is one row per level")
     w, structure = _scheme_and_structure(args.scheme, args.d, args.n, tol=args.tol)
     breakdown = exact_risk(args.d, args.n, w, structure)
     body = {

@@ -29,9 +29,9 @@ reduction over the CSR rows,
 in int64 when a bound on the numerators keeps every row sum exact and over an
 object array of Python ints otherwise, and ||B c||^2 is an int64 dot only
 under the same kind of bound (``weights._sum_of_products``).  The expansion
-diagnostics take their per-row gap-product terms in int64, which holds them
-exactly at every level that ``_check_gap_bound`` admits, and form their sums
-of products the same way.
+diagnostics take the gap products of each level-(N+1) partition and of its
+parents in int64, under the bound the gap-product schemes use, and form their
+sums of products the same way.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .weights import (
     _INT64_MAX,
     Scheme,
     WeightVector,
+    _check_gap_bound,
     _sum_of_products,
     parse_scheme,
     scheme_weights,
@@ -321,7 +322,7 @@ class ExpansionDiagnostics:
     shifts the gap vector p by +e_{i-1} - e_i, so the parent coefficient is
     prod(p) + r(i), with the exact integer correction
 
-        r(i) = -prod_{j != i} p_j + [i > 1] (p_i - 1) prod_{j != i-1, i} p_j.
+        r(i) = prod(p - e_i + e_{i-1}) - prod(p)    (e_0 = 0).
 
     Expand numerator and denominator of the risk around the leading gap
     products, summing over the level-(N+1) partitions:
@@ -355,68 +356,28 @@ class ExpansionDiagnostics:
         )
 
 
-def _check_gap_bound(d: int, m: int) -> None:
-    """Refuse a level m whose gap-product terms might leave int64.
-
-    A partition of level m into d rows has gaps p_j = lambda_j - lambda_(j+1)
-    (lambda_(d+1) = 0) with sum_j j * p_j = m.  A product of k <= d of them,
-    over distinct rows j, is prod (j p_j) / prod j, where prod (j p_j) <=
-    (m/k)^k by AM-GM and prod j >= k!, so it is at most
-    B = max over k <= d of (m/k)^k / k!; so is a product with p_i - 1 in
-    place of a gap p_i >= 1.  The per-row terms built from them (a product,
-    a sum of at most 2d of them, a product times a count of at most d) are
-    at most 2d * B in magnitude.  A level where 2d * B reaches 2^62 is
-    refused with a ValueError, so below it every such term is exact in
-    int64.  The terms (m/k)^k / k! rise to their maximum and then fall (the
-    ratio of consecutive ones, m k^k / (k+1)^(k+2), decreases in k), so the
-    scan stops at the first one no smaller than the next.
-    """
-    for k in range(1, d + 1):
-        if 2 * d * m**k >= 2**62 * k**k * math.factorial(k):
-            raise ValueError(f"level {m} is too large for d={d}: its gap products "
-                             f"may not fit in int64")
-        if m * k**k <= (k + 1) ** (k + 2):
-            return
-
-
 def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     """Exact expansion pieces at level ``n`` for the gap-product scheme.
 
-    The per-row terms of the level-(n+1) gap table are int64 columns, one
-    per row index i: the gaps p_i, the prefix products prod_{j<i} p_j and
-    suffix products prod_{j>i} p_j that give r(i), r's row sums, prod(p)
-    and the count k of removable rows.  Each is a product of at most d gaps
-    of a partition of level n+1, at most d times one, or a sum of at most 2d
-    of them, so it is at most 2d times max over k <= d of ((n+1)/k)^k / k!
-    (see :func:`_check_gap_bound`); a level where that reaches 2^62 is
-    refused with a ValueError before any table is built.  Their sums of
-    products are :func:`~sud_estimate.weights._sum_of_products`: int64 dots
-    where a bound keeps them exact, Python ints otherwise.  Needs
-    n >= d(d+1)/2 - 1 so that level n+1 contains a strict partition;
-    otherwise every term vanishes and :class:`EmptySumError` is raised.
+    p is the (d, k) int64 gap table of level n+1, and r(i) is taken by its
+    definition, masked to 0 where row i is not removable.  Every int64 value
+    is a gap product of level n or n+1, one times 0, or a sum of at most d
+    of them (r's row sums, k * prod(p)), so a level past
+    :func:`~sud_estimate.weights._check_gap_bound` with d terms is refused
+    before any table is built.  Their sums of products are
+    :func:`~sud_estimate.weights._sum_of_products`.  Needs n >= d(d+1)/2 - 1
+    so that level n+1 contains a strict partition; otherwise every term
+    vanishes and :class:`EmptySumError` is raised.
     """
-    _check_gap_bound(d, n + 1)
-    children = partition_table(d, n + 1)
-    p = [children[:, i] - children[:, i + 1] for i in range(d - 1)] + [children[:, -1]]
-    before = [np.ones(len(children), dtype=np.int64)]  # before[i] = prod_{j<i} p_j
-    for i in range(1, d):
-        before.append(before[-1] * p[i - 1])
-    after = [before[0]]  # built from the last row: after[i] = prod_{j>i} p_j
-    for i in range(d - 1, 0, -1):
-        after.append(after[-1] * p[i])
-    after.reverse()
-    r = np.empty((d, len(children)), dtype=np.int64)
-    r_sum = np.zeros(len(children), dtype=np.int64)
-    k = np.zeros(len(children), dtype=np.int64)  # the removable rows
-    for i in range(d):
-        np.negative(before[i] * after[i], out=r[i])
-        if i:
-            r[i] += (p[i] - 1) * before[i - 1] * after[i]
-        removable = p[i] != 0
-        r[i] *= removable  # r(i) exists only for a removable row
-        r_sum += r[i]
-        k += removable
-    prod = before[-1] * p[-1]
+    _check_gap_bound(d, n + 1, terms=d)
+    p = partition_table(d, n + 1).T.copy()
+    p[:-1] -= p[1:]
+    prod = p.prod(axis=0)
+    shifts = np.eye(d, k=-1, dtype=np.int64) - np.eye(d, dtype=np.int64)  # e_(i-1) - e_i
+    r = np.stack([(p + shift[:, None]).prod(axis=0) for shift in shifts]) - prod
+    r *= p > 0  # r(i) exists only for a removable row
+    r_sum = r.sum(axis=0)
+    k = np.count_nonzero(p, axis=0)
     k_prod = k * prod
     c_t = _sum_of_products(k_prod)
     if c_t == 0:

@@ -29,6 +29,8 @@ import itertools
 import json
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -73,7 +75,8 @@ class WeightVector:
     on row i of ``table``, a zero coefficient being off the support.  It
     keeps copies of both.  ``table`` must be (k, d), k >= 0 (a ValueError
     names its shape otherwise), with a signed integer dtype (a ValueError
-    names its first row otherwise).  An integer array of numerators is
+    names its first row otherwise), and ``numerators`` 1-D of length k (a
+    ValueError names its shape and k otherwise).  An integer array of numerators is
     taken as int64, anything else as an object array whose
     entries must be ints (a TypeError otherwise).  One batched check runs over all rows, and a
     ValueError names the first row that fails it; rows are sorted
@@ -102,6 +105,9 @@ class WeightVector:
             numerators = numerators.astype(np.int64)
         else:
             numerators = np.array(numerators, dtype=object)
+        if numerators.shape != (len(table),):
+            raise ValueError(f"numerators of shape {numerators.shape} for a table of "
+                             f"{len(table)} rows: one numerator per row")
         if d > 0:  # one pass per column
             bad = table[:, -1] < 0
             total = table[:, -1].copy()
@@ -255,23 +261,34 @@ def _built(structure):
     return structure() if callable(structure) else structure
 
 
+def _check_gap_bound(d: int, m: int, terms: int = 1) -> None:
+    """Refuse (ValueError) a level m where terms * (m/d)^d / d! reaches 2^63.
+
+    The gaps p_j = lambda_j - lambda_(j+1) >= 0 of a partition of level m
+    into d rows have sum_j j * p_j = m, so by AM-GM their product, if not 0,
+    is prod (j p_j) / d! <= (m/d)^d / d!, and less at a lower level.  int64
+    +, - and * are exact modulo 2^64, so below the bound any value formed
+    from them is exact, whatever its intermediate values, if it is a gap
+    product, a sum of at most ``terms`` of them, the difference of two such
+    sums, or any value times 0.
+    """
+    if d >= 1 and terms * m**d >= 2**63 * d**d * math.factorial(d):
+        raise ValueError(f"level {m} is too large for d={d}: its gap products "
+                         f"may not fit in int64")
+
+
 def _gap_products(d: int, n: int, structure=None) -> tuple[np.ndarray, np.ndarray]:
     """The strict table of level n and the int64 gap product of each row, in canonical order.
 
-    The products are taken one column of gaps at a time.  A strict row has
-    every gap p_j >= 1, so each partial product is at most the full one, and
-    with sum_j j * p_j = n the full one is prod (j p_j) / d! <= (n/d)^d / d!
-    by AM-GM.  A level where that bound reaches 2^63 is refused with a
-    ValueError, and a level 0 <= n < d(d+1)/2, which has no strict row,
-    with :class:`EmptySupportError`, both before any table is built; below
-    the bound every product is exact in int64.  The strict table is the
-    ``strict`` rows of the box-removal ``structure`` of level n (full or
-    strict support; a function that builds it is called only after those
-    refusals), or is enumerated when ``structure`` is None.
+    The products are taken one column of gaps at a time.  A level past the
+    bound of :func:`_check_gap_bound` is refused, and a level 0 <= n <
+    d(d+1)/2, which has no strict row, with :class:`EmptySupportError`, both
+    before any table is built.  The strict table is the ``strict`` rows of
+    the box-removal ``structure`` of level n (full or strict support; a
+    function that builds it is called only after those refusals), or is
+    enumerated when ``structure`` is None.
     """
-    if d >= 1 and n**d >= 2**63 * d**d * math.factorial(d):
-        raise ValueError(f"level {n} is too large for d={d}: its gap products "
-                         f"may not fit in int64")
+    _check_gap_bound(d, n)
     if 0 <= n < d * (d + 1) // 2:  # a negative level is refused by the table build
         raise EmptySupportError(
             f"no strictly decreasing partition at level {n} for d={d} "
@@ -362,11 +379,22 @@ class Scheme:
         return self.kind
 
 
+def _parse_fraction(value) -> Fraction:
+    """``Fraction(value)``, but a ValueError for a decimal exponent, which Fraction
+    raises 10 to, past the digit limit ``int`` keeps on decimal text (4,300 if none)."""
+    exponent = isinstance(value, str) and re.search(r"e([-+]?[\d_]+)\s*\Z", value, re.I)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if exponent and abs(int(exponent[1])) > limit:
+        raise ValueError(f"decimal exponent beyond the limit of {limit}")
+    return Fraction(value)
+
+
 def parse_scheme(spec: str | Scheme) -> Scheme:
     """Parse ``product``, ``uniform``, ``power:<alpha>``, ``optimal[:support]``
     or ``file:<path>``.
 
-    ``alpha`` accepts integers, decimals and rationals like ``1/2``.
+    ``alpha`` accepts integers, decimals and rationals like ``1/2``, read by
+    :func:`_parse_fraction`.
     """
     if isinstance(spec, Scheme):
         return spec
@@ -378,7 +406,7 @@ def parse_scheme(spec: str | Scheme) -> Scheme:
     if text.startswith("power:"):
         arg = text.split(":", 1)[1]
         try:
-            alpha = Fraction(arg)
+            alpha = _parse_fraction(arg)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad exponent in scheme {text!r}") from exc
         if alpha < 0:
@@ -485,16 +513,17 @@ def weights_from_json(records) -> WeightVector:
     """Inverse of :func:`weights_to_json`; a malformed record's ValueError names its index.
 
     The scheme's level and d are those of the first record, and its integer
-    form has the lcm of the weights' denominators as its denominator.
+    form has the lcm of the weights' denominators as its denominator.  A
+    weight is read by :func:`_parse_fraction`; an infinite one is malformed.
     """
     if not isinstance(records, list):
         raise ValueError(f"weight records must be a JSON list, not {type(records).__name__}")
     keys, values = [], []
     for i, rec in enumerate(records):
         try:
-            values.append(Fraction(rec["weight"]))
+            values.append(_parse_fraction(rec["weight"]))
             keys.append(tuple(rec["parts"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"weight record {i} is malformed: {exc!r}") from exc
     if not keys:
         raise EmptySupportError("weight file has no entries")
@@ -516,7 +545,9 @@ def save_weights(records: list[dict], path) -> None:
 
 def load_weights(path) -> WeightVector:
     try:
-        text = Path(path).read_text()
+        records = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read weight file {path}: {exc.strerror}") from exc
-    return weights_from_json(json.loads(text))
+    except RecursionError as exc:
+        raise ValueError(f"weight file {path} is nested too deeply to parse") from exc
+    return weights_from_json(records)

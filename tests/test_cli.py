@@ -13,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sud_estimate import characters, cli
 from sud_estimate.asymptotics import exact_constant
@@ -177,6 +179,12 @@ class TestRisk:
             (None, "cannot read weight file"),
             ('[{"parts": [4, 1], "weight": "1/2"}, {"parts": [4, 1], "weight": "1/3"},'
              ' {"parts": [3, 2], "weight": "1"}]', "a partition of level 5 appears twice"),
+            # a RecursionError exited 1 with a traceback, an infinite weight exited 3
+            pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested"),
+            pytest.param('[{"parts": [4, 1], "weight": 1e999}]', "weight record 0 is malformed",
+                         id="1e999"),
+            pytest.param('[{"parts": [4, 1], "weight": 1}, {"parts": [3, 2], "weight": -Infinity}]',
+                         "weight record 1 is malformed", id="-Infinity"),
         ],
     )
     def test_malformed_weight_file_exits_2(self, capsys, tmp_path, content, names):
@@ -189,6 +197,33 @@ class TestRisk:
         error = json.loads(err)
         assert error["type"] == "ValueError"
         assert names in error["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "file:{path}"], ["--scheme", "power:1e999999999"],
+        ["--scheme", "power:1e-999999999"],
+    ], ids=["file", "power", "power-negative"])
+    def test_decimal_exponent_past_the_digit_limit_is_refused_at_once(self, tmp_path, argv):
+        # Fraction("1e999999999") computes 10^999999999: in a child process, so
+        # that a hang fails the test instead of stalling the suite
+        path = tmp_path / "w.json"
+        path.write_text('[{"parts": [4, 1], "weight": "1e999999999"}]')
+        argv = ["sud-estimate", "risk", "-d", "2", "-N", "5",
+                *(a.format(path=path) for a in argv)]
+        code = (f"import runpy, sys; sys.argv = {argv!r}; "
+                "runpy.run_module('sud_estimate.cli', run_name='__main__')")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=_child_env(), timeout=30)
+        assert result.returncode == EXIT_INFEASIBLE, result.stderr
+        assert result.stdout == ""
+        assert "exponent" in json.loads(result.stderr)["error"]
+
+    def test_terms_with_csv_is_refused_before_any_table(self, capsys, level_tables):
+        # the CSV row has no place for the terms, which it dropped without a word
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5", "--terms", "--format", "csv")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "--terms" in json.loads(err)["error"]
+        assert level_tables == []
 
     def test_rational_beyond_the_digit_limit_is_printed_exactly(self, capsys):
         want = exact_risk(2, 5, scheme_weights(HUGE, 2, 5)).risk
@@ -265,6 +300,40 @@ class TestRisk:
             "error": "risk 2 escaped [0, 1]; this is a bug",
             "type": "ArithmeticError",
         }
+
+
+# JSON values a weight file may hold where a record expects parts or a weight:
+# bools, floats (infinities and NaN included), nested lists and decimal
+# exponents on both sides of the digit limit
+_JSON_VALUES = st.recursive(
+    st.one_of(st.booleans(), st.none(), st.integers(-2, 6), st.floats(),
+              st.sampled_from([math.inf, -math.inf, math.nan]),
+              st.builds("{}e{}".format, st.integers(0, 9), st.integers(-20_000, 20_000))),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6,
+)
+_WEIGHT_RECORDS = st.fixed_dictionaries({
+    "parts": st.one_of(st.sampled_from([[5, 0], [4, 1], [3, 2]]), _JSON_VALUES),
+    "weight": st.one_of(st.sampled_from(["1", "2/3", 4]), _JSON_VALUES),
+})
+_WEIGHT_FILES = st.one_of(
+    st.lists(_WEIGHT_RECORDS, min_size=1, max_size=3),
+    st.lists(st.one_of(_WEIGHT_RECORDS, _JSON_VALUES), max_size=3),
+    _JSON_VALUES,
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_WEIGHT_FILES)
+def test_any_weight_file_exits_0_or_2_with_one_json_error_line(capsys, tmp_path, records):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(records))
+    code, out, err = run(capsys, "risk", "-d", "2", "-N", "5", "--scheme", f"file:{path}")
+    assert code in (EXIT_OK, EXIT_INFEASIBLE), err
+    if code == EXIT_INFEASIBLE:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert set(json.loads(err)) == {"error", "type"}
 
 
 @pytest.mark.parametrize("argv", [["risk", "-d", "3", "-N", "30"],

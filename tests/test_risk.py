@@ -452,9 +452,17 @@ class TestExpansionDiagnostics:
         for value in (diag.c_t, diag.c_u, diag.t1, diag.u1, diag.t2, diag.u2):
             assert type(value.numerator) is int and type(value.denominator) is int
 
+    @pytest.mark.parametrize("d, top", [(1, 40), (2, 40), (3, 40), (4, 40), (5, 34), (6, 34),
+                                        (7, 34)])
+    def test_matches_the_object_array_reference_at_every_level(self, d, top):
+        # the low levels carry zero gaps and rows that are not removable,
+        # whose masked products must vanish exactly
+        for n in range(d * (d + 1) // 2 - 1, top + 1):
+            assert expansion_diagnostics(d, n) == object_expansion(d, n), n
+
     def test_largest_level_inside_the_bound_is_exact(self):
-        # at d=1 the one child of level n+1 has gap n+1; the bound 2(n+1) reaches 2^62 at n = 2^61 - 1
-        n = 2**61 - 2
+        # at d=1 the one child of level n+1 has gap n+1; the bound d(n+1) reaches 2^63 at n = 2^63 - 1
+        n = 2**63 - 2
         assert expansion_diagnostics(1, n) == ExpansionDiagnostics(
             1, n, Fraction((n + 1) ** 2), Fraction((n + 1) ** 2),
             Fraction(-2, n + 1), Fraction(-2, n + 1), Fraction(1, (n + 1) ** 2),
@@ -470,6 +478,21 @@ class TestExpansionDiagnostics:
         monkeypatch.setattr("sud_estimate.risk.partition_table", refuse)
         with pytest.raises(ValueError, match="int64"):
             expansion_diagnostics(2, 10**10)
+
+    @pytest.mark.parametrize("d, first", [(2, 6_074_001_000), (6, 19_298)])
+    def test_refusal_starts_where_d_gap_products_reach_2_to_63(self, monkeypatch, d, first):
+        # first is the lowest level m = n+1 with d (m/d)^d / d! >= 2^63
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr("sud_estimate.risk.partition_table", build)
+        with pytest.raises(Built):
+            expansion_diagnostics(d, first - 2)
+        with pytest.raises(ValueError, match="int64"):
+            expansion_diagnostics(d, first - 1)
 
     def test_degenerate_levels_raise(self):
         with pytest.raises(EmptySumError):

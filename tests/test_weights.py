@@ -177,6 +177,18 @@ class TestWeightVector:
             with pytest.raises(ValueError, match=re.escape(message)):
                 mapped_weights(d, 5, entries)
 
+    @pytest.mark.parametrize("numerators, shape", [
+        ([3, 2], "(2,)"), (np.array([3, 2]), "(2,)"), ([3, 2, 1, 7], "(4,)"),
+        ([[3, 2, 1]], "(1, 3)"), (5, "()"),
+    ])
+    @pytest.mark.parametrize("rows", [[[5, 0], [4, 1], [3, 2]], [[3, 2], [4, 1], [5, 0]]],
+                             ids=["canonical", "reversed"])
+    def test_numerators_not_one_per_row_are_refused(self, rows, numerators, shape):
+        # 2 numerators built a 3-row scheme, 4 counted a coefficient with no row
+        message = f"numerators of shape {shape} for a table of 3 rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightVector(2, 5, np.array(rows), numerators)
+
     def test_norm_sq_is_the_exact_sum_of_squares(self):
         w = mapped_weights(2, 6, {(6, 0): Fraction(1, 6), (5, 1): Fraction(-0, 4),
                                   (4, 2): Fraction(3, 10), (3, 3): 2})
@@ -420,11 +432,33 @@ class TestSerialization:
             # a repeated partition is refused, not overwritten by its last record
             ([{"parts": [4, 1], "weight": "1/2"}, {"parts": [4, 1], "weight": "1/3"},
               {"parts": [3, 2], "weight": "1"}], "a partition of level 5 appears twice"),
+            # an infinite weight raised OverflowError
+            ([{"parts": [4, 1], "weight": 1}, {"parts": [3, 2], "weight": float("inf")}],
+             "weight record 1 is malformed"),
+            ([{"parts": [4, 1], "weight": float("-inf")}], "weight record 0 is malformed"),
         ],
     )
     def test_malformed_records_name_the_record(self, records, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             weights_from_json(records)
+
+    def test_decimal_exponent_up_to_the_digit_limit(self):
+        # Fraction computes 10 to the exponent; past the limit int() keeps on
+        # decimal text, the weight is refused before that power is formed
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        limit = limit or 4300
+        for text in (f"1e{limit}", f"1E+{limit}", f"3e-{limit}"):
+            w = weights_from_json([{"parts": [4, 1], "weight": text}])
+            assert w.entries == {(4, 1): Fraction(text)}
+        for text in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e1_000_000", " 7e999999999 "):
+            with pytest.raises(ValueError, match="weight record 0 is malformed.*exponent"):
+                weights_from_json([{"parts": [4, 1], "weight": text}])
+
+    def test_deeply_nested_file_names_the_path(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match=re.escape(f"weight file {path}")):
+            load_weights(path)
 
     def test_missing_file_names_the_path(self, tmp_path):
         path = tmp_path / "absent.json"
