@@ -2,7 +2,7 @@
 
 A partition is a weakly decreasing tuple of d nonnegative integers (trailing
 zeros kept, so the tuple length always equals d).  Its level is the total
-number of boxes.  Row indices are 1-based throughout, matching the usual
+number of boxes.  Rows are numbered from 1 throughout, matching the usual
 Young-diagram convention, so ``e_i`` means "add one box to row i".
 
 The partitions of one level form a (k, d) int64 table in the canonical
@@ -103,7 +103,7 @@ def enumerate_partitions(d: int, n: int, strict: bool = False) -> list[tuple[int
 def pieri_add(parts) -> list[tuple[int, tuple[int, ...]]]:
     """Rows where one box can be added without leaving the partition lattice.
 
-    Returns [(i, parts + e_i)] with 1-based row indices i, ordered by i.
+    Returns [(i, parts + e_i)] with 1-based row numbers i, ordered by i.
     Row i is addable iff i == 1 or lambda_{i-1} > lambda_i.  These are the
     irreps appearing when tensoring with the defining representation.
     """

@@ -15,23 +15,23 @@ The inner sums are the entries of B c, where B is the 0/1 box-removal
 incidence matrix between the partitions of level N+1 and level N, so the
 numerator is ||B c||^2.  B is built in one place (``_box_removal``) as an
 :class:`IncidenceStructure`, which also serves the spectral optimum; its
-matrix is a :class:`BoxMatrix`, a 0/1 CSR form in plain numpy.  The
-risk is computed in one arithmetic: exact integers on the scheme's integer
-form (numerators over a common denominator), giving an exact rational,
-which reports round when they print.  The scheme's support rows are placed on
-the columns of B by one walk over the runs of rows that share a prefix in the
+matrix is a :class:`BoxMatrix`, a (d, k) table of each level-(N+1)
+partition's parent through each box row, in plain numpy.  The risk is
+computed in one arithmetic: exact integers on the scheme's integer form
+(numerators over a common denominator), giving an exact rational, which
+reports round when they print.  The scheme's support rows are placed on the
+columns of B by one walk over the runs of rows that share a prefix in the
 canonical level table (``_locate``), with no search; the run marks of that
 table are built once per structure, so every scheme scored on it shares
-them.  The CLI builds one
-structure per level, and the gap-product schemes read their support from its
-strict rows, so a scored level enumerates two tables, N and N+1.  B c is one
-reduction over the CSR rows,
-in int64 when a bound on the numerators keeps every row sum exact and over an
-object array of Python ints otherwise, and ||B c||^2 is an int64 dot only
-under the same kind of bound (``weights._sum_of_products``).  The expansion
-diagnostics take the gap products of each level-(N+1) partition and of its
-parents in int64, under the bound the gap-product schemes use, and form their
-sums of products the same way.
+them.  The CLI builds one structure per level, and the gap-product schemes
+read their support from its strict rows, so a scored level enumerates two
+tables, N and N+1.  B c is one gather-sum over the slots of that table, the
+kernel of both float products too, in int64 when a bound on the numerators
+keeps every sum exact and over Python ints otherwise, and ||B c||^2 is an
+int64 dot only under the same kind of bound (``weights._sum_of_products``).
+The expansion diagnostics take the gap products of each level-(N+1)
+partition and of its parents in int64, under the bound the gap-product
+schemes use, and form their sums of products the same way.
 """
 
 from __future__ import annotations
@@ -100,50 +100,63 @@ class RiskBreakdown:
         }
 
 
+def _gather_sum(table, padded: np.ndarray) -> np.ndarray:
+    """sum_i padded[table[i]] over the rows of ``table`` (an array, or a tuple of
+    its rows), added in row order; its pads read the zero that ends ``padded``."""
+    out = padded[table[0]]
+    for row in table[1:]:
+        out += padded[row]
+    return out
+
+
 @dataclass(frozen=True)
 class BoxMatrix:
-    """A 0/1 matrix in CSR form: row r has its ones in the columns
-    ``indices[indptr[r]:indptr[r + 1]]`` (int64 arrays).
+    """A (k, m) 0/1 matrix with at most d ones per row: ``up[i, r]``, of a (d, k)
+    int64 table, is the column of slot i of row r, or the pad m.
 
-    Both products sum each output entry in CSR order, row by row, which is
-    the order of a compressed-row product and of one on the transposed
-    matrix converted back to rows.
+    Its transpose ``down``, (d, m) with pad k, is built when B^T y first needs
+    it.  Each product is :func:`_gather_sum` over the rows of a table, walked
+    as a tuple (faster than the array), on a zero-ended copy of the vector:
+    each entry adds its terms in slot order, and an empty slot adds +0.0.
     """
 
     shape: tuple[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
+    up: np.ndarray
 
     @cached_property
-    def entry_rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.up != self.shape[1]))
+
+    @cached_property
+    def down(self) -> np.ndarray:
+        """``down[i, c]`` is the row r with ``up[i, r] == c``, or the pad k."""
+        down = np.full((len(self.up), self.shape[1] + 1), self.shape[0], dtype=np.int64)
+        down[np.arange(len(self.up))[:, None], self.up] = np.arange(self.shape[0])
+        return down[:, :-1]  # the last column collected the empty slots
+
+    @cached_property
+    def _slots(self) -> tuple:  # for B x and B^T y: rows and a buffer, one thread at a time
+        return ((tuple(self.up), np.zeros(self.shape[1] + 1)),
+                (tuple(self.down), np.zeros(self.shape[0] + 1)))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """B x."""
-        return np.bincount(self.entry_rows, x[self.indices], self.shape[0])
+        rows, padded = self._slots[0]
+        padded[:-1] = x
+        return _gather_sum(rows, padded)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """B^T y."""
-        return np.bincount(self.indices, y[self.entry_rows], self.shape[1])
+        rows, padded = self._slots[1]
+        padded[:-1] = y
+        return _gather_sum(rows, padded)
 
     def take_columns(self, keep: np.ndarray) -> BoxMatrix:
-        """The columns ``keep`` (increasing), renumbered from 0; entries keep their order.
-
-        Rows may lose every entry; the row pointer counts the kept entries
-        per row, so such rows stay empty.
-        """
-        renumber = np.full(self.shape[1], -1, dtype=np.int64)
+        """The columns ``keep`` (increasing), renumbered from 0; entries keep
+        their slots, and those in other columns become pads."""
+        renumber = np.full(self.shape[1] + 1, len(keep), dtype=np.int64)
         renumber[keep] = np.arange(len(keep))
-        columns = renumber[self.indices]
-        kept = columns >= 0
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.bincount(self.entry_rows[kept], minlength=self.shape[0]), out=indptr[1:])
-        return BoxMatrix((self.shape[0], len(keep)), indptr, columns[kept])
+        return BoxMatrix((self.shape[0], len(keep)), renumber[self.up])
 
 
 @dataclass(frozen=True)
@@ -245,10 +258,8 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     vector keeps the lexicographic order, so it keeps the canonical order of
     both tables: the k-th such child's parent is the k-th such parent.  So
     the columns for box row i are the positions of the parents addable in
-    row i, found with no search.  ``indptr`` comes first; then, box row by
-    box row, each child removable in that row writes its parent's column
-    into the next free slot of its CSR row, so every entry is written once,
-    in the CSR order of B, with no dense (d, k) temporary.
+    row i, found with no search, and they fill the slots of box row i of
+    ``BoxMatrix.up``; a child whose row i is not removable keeps the pad.
     """
     parents = partition_table(d, n)
     children = partition_table(d, n + 1)
@@ -258,14 +269,10 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     np.greater(children[:, -1], 0, out=removable[-1])
     addable = np.ones(parents.shape[::-1], dtype=bool)
     np.greater(parents[:, :-1].T, parents[:, 1:].T, out=addable[1:])
-    indptr = np.zeros(len(children) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(removable, axis=0), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    slot = indptr[:-1].copy()  # the next free entry of each child's row
+    up = np.full(removable.shape, len(parents), dtype=np.int64)
     for i in range(d):
-        indices[slot[removable[i]]] = np.flatnonzero(addable[i])
-        slot += removable[i]
-    matrix = BoxMatrix((len(children), len(parents)), indptr, indices)
+        up[i, removable[i]] = np.flatnonzero(addable[i])
+    matrix = BoxMatrix((len(children), len(parents)), up)
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
 
@@ -284,8 +291,9 @@ def exact_risk(
 ) -> RiskBreakdown:
     """Exact risk of the scheme ``w`` at level ``n``.
 
-    B c is one sum per CSR row of B (none is empty) over ``w.denominator * c``.
-    A row has at most d ones, so the sums are taken in int64 when the
+    B c is one gather-sum over the slots of ``BoxMatrix.up``, on
+    ``w.denominator * c`` with a zero appended for the empty slots.  A row
+    has at most d ones, so the sums are taken in int64 when the
     numerators are int64 and d times the largest is at most 2^63 - 1, and in
     Python ints otherwise; ||B c||^2 is :func:`~sud_estimate.weights._sum_of_products`
     of them.  ``structure`` is the full-support box-removal structure of level
@@ -298,9 +306,9 @@ def exact_risk(
         raise EmptySupportError(f"scheme has empty support at level {n} (d={d})")
     structure = _full_structure(d, n, structure)
     fits = w.numerators.dtype == np.int64 and d * int(w.numerators.max()) <= _INT64_MAX
-    c = np.zeros(structure.matrix.shape[1], dtype=np.int64 if fits else object)
+    c = np.zeros(structure.matrix.shape[1] + 1, dtype=np.int64 if fits else object)
     c[_locate(structure.parent_table, w.table, structure.run_marks)] = w.numerators
-    sums = np.add.reduceat(c[structure.matrix.indices], structure.matrix.indptr[:-1])
+    sums = _gather_sum(structure.matrix.up, c)
     scale_sq = w.denominator * w.denominator
     numerator = Fraction(_sum_of_products(sums), scale_sq)
     risk = 1 - numerator / (d * d * w.norm_sq)

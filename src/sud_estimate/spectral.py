@@ -33,7 +33,7 @@ of A, those inside the filter included.  The solve returns only a pair
 that passes a residual certificate ||A v - theta v|| <= tol * theta,
 recomputed with A itself on the final nonnegative vector.  Plain numpy
 throughout: B is the :class:`~sud_estimate.risk.BoxMatrix` of the
-box-removal structure, and its two products are bincounts.
+box-removal structure, whose two products are gather-sums over its slot tables.
 """
 
 from __future__ import annotations

@@ -341,8 +341,8 @@ def power_weights(d: int, n: int, alpha, structure=None) -> WeightVector:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     top = int(products.max())
     if a.denominator == 1:
-        k = a.numerator
-        bits = math.log2(top)  # 0 when every product is 1: its powers stay 1
+        k = a.numerator if top > 1 else 1  # every product is 1, and so is every power of it
+        bits = math.log2(top)
         if bits and k > MAX_POWER_BITS / bits:
             raise ValueError(f"exponent too large at d={d}, level {n}: the gap products "
                              f"({bits:.3g} bits) to that power exceed the cap of "
@@ -550,4 +550,6 @@ def load_weights(path) -> WeightVector:
         raise ValueError(f"cannot read weight file {path}: {exc.strerror}") from exc
     except RecursionError as exc:
         raise ValueError(f"weight file {path} is nested too deeply to parse") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"weight file {path} is not UTF-8 JSON text: {exc}") from exc
     return weights_from_json(records)

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import strategies as st
 
 from sud_estimate.partitions import enumerate_partitions
@@ -56,6 +57,15 @@ def mapped_weights(d: int, n: int, entries) -> WeightVector:
     scale = math.lcm(*(v.denominator for v in values))
     return WeightVector(d, n, _key_table(d, n, list(entries)),
                         [v.numerator * (scale // v.denominator) for v in values], scale)
+
+
+def dense(b, dtype=float) -> np.ndarray:
+    """The 0/1 box-removal matrix ``b`` as a dense array, read from its ``up`` table."""
+    k, m = b.shape
+    out = np.zeros((k, m + 1), dtype=dtype)
+    for row in b.up:
+        out[np.arange(k), row] = 1
+    return out[:, :m]  # column m is the pad of the empty slots
 
 
 def brute_partitions(d: int, n: int) -> list[tuple[int, ...]]:

@@ -198,6 +198,31 @@ class TestRisk:
         assert error["type"] == "ValueError"
         assert names in error["error"]
 
+    @pytest.mark.parametrize("content, names", [
+        (b'[{"parts": [4, 1], ', "Expecting property name"),
+        (b"\xff\xfe[1", "can't decode byte 0xff"),
+    ], ids=["truncated", "utf-16"])
+    def test_undecodable_weight_file_names_its_path(self, capsys, tmp_path, content, names):
+        # both exited 2 with a JSONDecodeError or UnicodeDecodeError naming no file
+        path = tmp_path / "w.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "5", "--scheme", f"file:{path}")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert f"weight file {path} is not UTF-8 JSON text" in error["error"]
+        assert names in error["error"]
+
+    @pytest.mark.parametrize("alpha", ["1e400", "1e30"])
+    def test_huge_integer_power_on_a_level_of_unit_products(self, capsys, alpha):
+        # every gap product at d=2 N=3 is 1, so every power of it is too; numpy's
+        # products**alpha raised OverflowError and exited 3
+        code, out, err = run(capsys, "risk", "-d", "2", "-N", "3", "--scheme", f"power:{alpha}")
+        assert (code, err) == (EXIT_OK, "")
+        want = exact_risk(2, 3, scheme_weights("power:1", 2, 3)).risk
+        assert Fraction(json.loads(out)["risk"]) == want
+
     @pytest.mark.parametrize("argv", [
         ["--scheme", "file:{path}"], ["--scheme", "power:1e999999999"],
         ["--scheme", "power:1e-999999999"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gap_vector, mapped_weights, removable_rows, weight_vector_st
+from conftest import dense, gap_vector, mapped_weights, removable_rows, weight_vector_st
 from sud_estimate.errors import EmptySumError, EmptySupportError
 from sud_estimate.partitions import partition_table
 from sud_estimate.risk import (
@@ -121,8 +121,7 @@ class TestExactRisk:
         assert built == [len(structure.parent_table)]
         # each risk is ||B c||^2 / (d^2 ||c||^2) on the dense matrix, in exact integers
         index = {row: i for i, row in enumerate(map(tuple, structure.parent_table.tolist()))}
-        b = np.zeros(structure.matrix.shape, dtype=object)
-        b[structure.matrix.entry_rows, structure.matrix.indices] = 1
+        b = dense(structure.matrix, dtype=object)
         for w, risk_value in zip(schemes, risks):
             c = np.zeros(b.shape[1], dtype=object)
             c[[index[row] for row in map(tuple, w.table.tolist())]] = w.numerators.tolist()
@@ -159,15 +158,18 @@ def reference_incidence(d: int, n: int) -> BoxMatrix:
     cols = enumerate_partitions(d, n)
     rows = enumerate_partitions(d, n + 1)
     col_of = {parts: j for j, parts in enumerate(cols)}
-    indices, indptr = [], [0]
-    for child in rows:
+    up = [[len(cols)] * len(rows) for _ in range(d)]
+    for r, child in enumerate(rows):
         for i, (a, b) in enumerate(zip(child, child[1:] + (0,))):
             if a > b:
-                indices.append(col_of[child[:i] + (a - 1,) + child[i + 1 :]])
-        indptr.append(len(indices))
-    return BoxMatrix(
-        (len(rows), len(cols)), np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)
-    )
+                up[i][r] = col_of[child[:i] + (a - 1,) + child[i + 1 :]]
+    return BoxMatrix((len(rows), len(cols)), np.array(up, dtype=np.int64))
+
+
+def parent_sums(b: BoxMatrix, c: list) -> list:
+    """Each row's sum of ``c`` over its columns, in Python arithmetic."""
+    padded = c + [0]
+    return [sum(padded[j] for j in slots) for slots in zip(*b.up.tolist())]
 
 
 def python_int_breakdown(d: int, n: int, w: WeightVector) -> tuple[Fraction, list[int]]:
@@ -177,8 +179,7 @@ def python_int_breakdown(d: int, n: int, w: WeightVector) -> tuple[Fraction, lis
     c = [0] * b.shape[1]
     for parts, v in zip(map(tuple, w.table.tolist()), w.numerators.tolist()):
         c[column[parts]] = v
-    indices, indptr = b.indices.tolist(), b.indptr.tolist()
-    sums = [sum(c[j] for j in indices[indptr[r]:indptr[r + 1]]) for r in range(b.shape[0])]
+    sums = parent_sums(b, c)
     return 1 - Fraction(sum(s * s for s in sums), d * d * sum(v * v for v in c)), sums
 
 
@@ -281,18 +282,17 @@ class TestBoxRemoval:
         got = _box_removal(d, n).matrix
         want = reference_incidence(d, n)
         assert got.shape == want.shape
-        for name in ("indptr", "indices"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert got.indices.flags.c_contiguous and got.indices.dtype == np.int64
-        assert got.indices.shape == (got.indptr[-1],)
+        assert got.up.dtype == want.up.dtype and got.up.tobytes() == want.up.tobytes()
+        assert got.up.flags.c_contiguous and got.up.shape == (d, got.shape[0])
+        assert got.nnz == want.nnz and type(got.nnz) is int
 
     def test_every_row_has_a_parent(self):
-        # exact_risk sums each CSR row with np.add.reduceat, which returns a
-        # wrong value for an empty segment instead of zero
+        # every level-(n+1) partition has a removable box, so on full support
+        # no row of B is all pads and every parent sum of exact_risk has a term
         for d in range(1, 7):
             for n in range(13):
-                assert np.diff(_box_removal(d, n).matrix.indptr).min() >= 1, (d, n)
+                b = _box_removal(d, n).matrix
+                assert (b.up != b.shape[1]).any(axis=0).all(), (d, n)
 
     @pytest.mark.parametrize(
         "d, n, scheme",
@@ -304,11 +304,7 @@ class TestBoxRemoval:
         # like a file: scheme's, has rows with repeated parts and zeros
         w = sparse_weights(d, n) if scheme == "sparse" else scheme_weights(scheme, d, n)
         b = reference_incidence(d, n)
-        cols = enumerate_partitions(d, n)
-        sums = [
-            sum(w.entries.get(cols[j], 0) for j in b.indices[b.indptr[r] : b.indptr[r + 1]])
-            for r in range(b.shape[0])
-        ]
+        sums = parent_sums(b, [w.entries.get(p, 0) for p in enumerate_partitions(d, n)])
         assert exact_risk(d, n, w).numerator == sum(s * s for s in sums)
 
     def test_tables_and_strict_mask(self):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import itertools
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from sud_estimate.errors import ConvergenceError, EmptySupportError
-from conftest import removable_rows
+from conftest import dense, removable_rows
 from sud_estimate.partitions import enumerate_partitions, partition_table
 from sud_estimate.risk import BoxMatrix, IncidenceStructure, exact_risk
 from sud_estimate.spectral import (
@@ -33,29 +34,22 @@ def rows(table: np.ndarray) -> list[tuple[int, ...]]:
     return list(map(tuple, table.tolist()))
 
 
-def dense(b: BoxMatrix) -> np.ndarray:
-    """The 0/1 matrix as a dense array, read from its CSR arrays."""
-    out = np.zeros(b.shape)
-    out[np.repeat(np.arange(b.shape[0]), np.diff(b.indptr)), b.indices] = 1.0
-    return out
-
-
 class TestIncidence:
     def test_strict_support_example(self):
         s = build_incidence(2, 5, "strict")
         assert rows(s.parent_table) == [(4, 1), (3, 2)]
         assert rows(s.child_table) == [(6, 0), (5, 1), (4, 2), (3, 3)]
-        assert np.diff(s.matrix.indptr).tolist() == [0, 1, 2, 1]
+        assert dense(s.matrix).sum(axis=1).tolist() == [0, 1, 2, 1]
 
     def test_full_support_row_degrees_count_removable_rows(self):
         for d, n in [(2, 6), (3, 7), (4, 9)]:
             s = build_incidence(d, n, "full")
-            for parts, deg in zip(rows(s.child_table), np.diff(s.matrix.indptr)):
+            for parts, deg in zip(rows(s.child_table), dense(s.matrix).sum(axis=1)):
                 assert deg == len(removable_rows(parts))
 
     def test_column_degrees_count_children(self):
         s = build_incidence(3, 6, "full")
-        degrees = np.bincount(s.matrix.indices, minlength=s.matrix.shape[1])
+        degrees = dense(s.matrix).sum(axis=0)
         for parts, deg in zip(rows(s.parent_table), degrees):
             distinct_rows = len(set(parts))
             assert deg == distinct_rows  # one addable row per distinct value
@@ -87,12 +81,53 @@ class TestBoxMatrix:
             y = rng.integers(-50, 50, b.shape[0]).astype(float)
             assert np.array_equal(b @ x, want @ x)
             assert np.array_equal(b.rmatvec(y), want.T @ y)
-        assert np.count_nonzero(np.diff(strict.matrix.indptr) == 0) > 0
+        assert np.count_nonzero(dense(strict.matrix).sum(axis=1) == 0) > 0
         keep = np.flatnonzero(full.strict)
         assert np.array_equal(dense(strict.matrix), dense(full.matrix)[:, keep])
-        # each row keeps its entries in their order, so sums keep their order
-        kept = np.isin(full.matrix.indices, keep)
-        assert np.array_equal(keep[strict.matrix.indices], full.matrix.indices[kept])
+        # each entry keeps its slot, so sums keep their order; the others become pads
+        m = full.matrix.shape[1]
+        kept = np.isin(full.matrix.up, keep)
+        assert np.array_equal(np.append(keep, m)[strict.matrix.up],
+                              np.where(kept, full.matrix.up, m))
+
+    @pytest.mark.parametrize("d, n", [(1, 7), (2, 5), (2, 12), (3, 6), (3, 11), (4, 10),
+                                      (4, 14), (5, 15), (5, 19)])
+    @pytest.mark.parametrize("support", ["full", "strict"])
+    def test_products_add_in_the_order_of_a_loop(self, d, n, support):
+        # B x adds each child's parent terms in box-row order, B^T y each
+        # parent's child terms c + e_i in table order, from 0.0: a float
+        # loop in that order must agree bit for bit
+        s = build_incidence(d, n, support)
+        b = s.matrix
+        k, m = b.shape
+        row_of = {p: r for r, p in enumerate(rows(s.child_table))}
+        col_of = {p: c for c, p in enumerate(rows(s.parent_table))}
+        rng = np.random.default_rng(100 * d + n)
+        x, y = rng.normal(size=m), rng.normal(size=k)
+        want_bx, want_bty, entries = [], [], 0
+        for child in rows(s.child_table):
+            total = 0.0
+            for i in sorted(removable_rows(child)):
+                parent = child[: i - 1] + (child[i - 1] - 1,) + child[i:]
+                if parent in col_of:
+                    total += x[col_of[parent]]
+                    entries += 1
+            want_bx.append(total)
+        for parent in rows(s.parent_table):
+            total = 0.0
+            for i in range(d):
+                child = parent[:i] + (parent[i] + 1,) + parent[i + 1 :]
+                if child in row_of:
+                    total += y[row_of[child]]
+            want_bty.append(total)
+        assert np.array_equal(b @ x, want_bx)
+        assert np.array_equal(b.rmatvec(y), want_bty)
+        assert b.nnz == entries and type(b.nnz) is int
+        if support == "strict" and d > 1:
+            assert (b.up == m).all(axis=0).any()  # a child with no strict parent
+        slot, child = np.nonzero(b.up != m)
+        assert np.array_equal(b.down[slot, b.up[slot, child]], child)
+        assert np.count_nonzero(b.down != k) == entries
 
 
 class TestMaxEigenpair:
@@ -132,11 +167,11 @@ class TestMaxEigenpair:
         # two identical components tie for the top eigenvalue
         block = build_incidence(2, 6, "full").matrix
         nrows, ncols = block.shape
-        pair = BoxMatrix(
-            (2 * nrows, 2 * ncols),
-            np.concatenate([block.indptr, block.indptr[1:] + block.nnz]),
-            np.concatenate([block.indices, block.indices + ncols]),
-        )
+        padded = block.up == ncols
+        pair = BoxMatrix((2 * nrows, 2 * ncols), np.concatenate(
+            [np.where(padded, 2 * ncols, block.up), np.where(padded, 2 * ncols, block.up + ncols)],
+            axis=1,
+        ))
         parents = partition_table(3, 7)[: 2 * ncols]
         children = partition_table(3, 8)[: 2 * nrows]
         s = IncidenceStructure(3, 7, "full", children, parents, pair)
@@ -444,6 +479,27 @@ def test_package_imports_no_scipy():
             else:
                 continue
             assert all(m.split(".")[0] != "scipy" for m in modules), (path.name, ast.dump(node))
+
+
+def test_only_risk_reads_the_layout_of_box_matrix():
+    # B's tables are risk.py's decision: elsewhere B is used through @,
+    # rmatvec, take_columns, nnz and shape alone
+    public = {"rmatvec", "take_columns", "nnz", "shape"}
+    members = {name for name in vars(BoxMatrix) if not name.startswith("__")}
+    members |= {f.name for f in dataclasses.fields(BoxMatrix)}
+    layout = members - public
+    assert {"up", "down"} <= layout
+    for path in sorted((SRC / "sud_estimate").glob("*.py")):
+        if path.name == "risk.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            assert name not in layout | {"_gather_sum"}, (path.name, node.lineno, name)
 
 
 def test_every_exported_name_is_read_outside_the_tests():
