@@ -16,7 +16,10 @@ Reports are JSON by default (stable key order, exact rationals as
 scheme or weight file, an export path that cannot be written, a level whose
 tables do not fit in memory), 3 numerical failure (non-convergence, refused
 resolution, an exact value outside its mathematical range or a NaN or
-infinity in a report).  Errors are one JSON object on stderr.
+infinity in a report).  Errors are one JSON object on stderr, except usage
+errors (a bad option value, a zero range step), which argparse prints as its
+usage text (exit 2).  ``sud-estimate`` ends on SIGPIPE, printing nothing more,
+when the reader of its stdout closes it.
 ``parse_range`` and ``curve_to_csv`` are shared with the experiment scripts.
 """
 
@@ -56,12 +59,12 @@ from .risk import (
 )
 from .spectral import build_incidence, max_eigenpair, optimality_gap
 from .weights import (
+    _fraction_records,
     fraction_text,
     int_text,
     records_text,
     save_weights,
     scheme_weights,
-    weights_to_json,
 )
 
 EXIT_OK = 0
@@ -139,11 +142,11 @@ def _payload(args: argparse.Namespace, command: str, body: dict) -> dict:
     return out
 
 
-def _print_json(payload: dict, coefficients: list[dict] | None = None) -> None:
+def _print_json(payload: dict, key: str | None = None, records=(), name: str = "weight") -> None:
     """Print the report, or refuse it whole if it holds a NaN or an infinity.
 
-    ``coefficients``, weight records (ints and strings only), become the
-    report's last key, written by ``records_text`` as ``json.dumps`` would.
+    With ``key``, the report ends in ``key``: ``{"parts": parts, name: text}`` for each
+    ``(parts, text)`` of ``records``, streamed by ``records_text`` once the rest is checked.
     """
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
@@ -151,12 +154,14 @@ def _print_json(payload: dict, coefficients: list[dict] | None = None) -> None:
         raise NumericalInstabilityError(
             f"{payload['command']}: non-finite number in the report ({exc})"
         ) from exc
-    if coefficients is not None:  # text ends in "\n}"
-        text = f'{text[:-2]},\n  "coefficients": {records_text(coefficients, 1)}\n}}'
+    if key is not None:  # text ends in "\n}"
+        sys.stdout.write(f'{text[:-2]},\n  "{key}": ')
+        sys.stdout.writelines(records_text(records, name, 1))
+        text = "\n}"
     print(text)
 
 
-def _csv_rows(header: list[str], rows: list[list]) -> str:
+def _csv_rows(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -194,11 +199,6 @@ def _cmd_risk(args) -> int:
         "norm_sq": fraction_text(breakdown.norm_sq),
         "support_size": len(w.numerators),
     }
-    if args.terms:
-        body["numerator_terms"] = [
-            {"parts": list(parts), "value": fraction_text(value)}
-            for parts, value in breakdown.numerator_terms.items()
-        ]
     if args.format == "csv":
         print(
             _csv_rows(
@@ -209,6 +209,9 @@ def _cmd_risk(args) -> int:
             ),
             end="",
         )
+    elif args.terms:
+        terms = ((parts, fraction_text(v)) for parts, v in breakdown.numerator_terms.items())
+        _print_json(_payload(args, "risk", body), "numerator_terms", terms, "value")
     else:
         _print_json(_payload(args, "risk", body))
     return EXIT_OK
@@ -274,11 +277,11 @@ def _cmd_optimal(args) -> int:
     result = getattr(gap, args.support)
     if result is None:
         raise EmptySupportError(f"no {args.support} partition at level {args.n} for d={args.d}")
-    coeffs = weights_to_json(result.eigvec)
     if args.export:
-        save_weights(coeffs, args.export)
+        save_weights(result.eigvec, args.export)
     if args.format == "csv":
-        rows = [[ " ".join(str(x) for x in rec["parts"]), rec["weight"]] for rec in coeffs]
+        rows = ([" ".join(map(str, parts)), text]
+                for parts, text in _fraction_records(result.eigvec))
         print(_csv_rows(["parts", "weight"], rows), end="")
         return EXIT_OK
     risk = getattr(gap, f"risk_{args.support}")
@@ -295,7 +298,7 @@ def _cmd_optimal(args) -> int:
         "product_gap": (None if gap.risk_product is None
                         else float(gap.risk_product - gap.risk_full)),
     }
-    _print_json(_payload(args, "optimal", body), coeffs)
+    _print_json(_payload(args, "optimal", body), "coefficients", _fraction_records(result.eigvec))
     return EXIT_OK
 
 
@@ -454,6 +457,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    import signal  # only the console command needs it: ~1 ms off every other import
+
+    # a closed stdout ends it on SIGPIPE, like other filters, not with verify's exit 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

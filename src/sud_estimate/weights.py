@@ -14,7 +14,8 @@ unnormalised: every risk expression downstream is a ratio of quadratic forms
 in c, so dividing by the squared norm on the way out is exact, whereas
 rescaling the coefficients themselves to unit Euclidean norm would require
 square roots.  Only the character oracle, which works in floating point
-anyway, scales them to unit norm.
+anyway, scales them to unit norm.  A scheme is written, to a weight file or
+a report, one record at a time by :func:`records_text`, with no list of records.
 
 The scheme of main interest puts c(lambda) proportional to the product of the
 row gaps lambda_i - lambda_{i+1}; it vanishes off the strictly decreasing
@@ -49,7 +50,6 @@ __all__ = [
     "uniform_weights",
     "parse_scheme",
     "scheme_weights",
-    "weights_to_json",
     "records_text",
     "weights_from_json",
     "save_weights",
@@ -475,42 +475,39 @@ def fraction_text(value: Fraction) -> str:
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
-def weights_to_json(w: WeightVector) -> list[dict]:
-    """Serialisable form: one record per support partition, canonical order.
-
-    A record is ``{"parts": [ints], "weight": "num/den"}``, the coefficient
-    in lowest terms, read from the integer form (one gcd per record, no
-    ``Fraction``) and printed by :func:`int_text`.
-    """
+def _fraction_records(w: WeightVector):
+    """``(parts, "num/den")`` of each support partition of ``w``, in canonical order, the
+    coefficient in lowest terms from the integer form (one gcd, no ``Fraction``)."""
     den = w.denominator
-    records = []
     for parts, v in zip(w.table.tolist(), w.numerators.tolist()):
         g = math.gcd(v, den)
-        records.append({"parts": parts, "weight": f"{int_text(v // g)}/{int_text(den // g)}"})
-    return records
+        yield parts, f"{int_text(v // g)}/{int_text(den // g)}"
 
 
-def records_text(records: list[dict], depth: int = 0) -> str:
-    """``json.dumps(records, indent=2)`` of :func:`weights_to_json` records, byte for byte.
+def records_text(records, key: str = "weight", depth: int = 0):
+    """``json.dumps(list, indent=2)`` of ``{"parts": parts, key: text}`` for each ``(parts,
+    text)`` of ``records`` (ints and a string), byte for byte, one piece per record.
 
     ``depth`` is the nesting level the list sits at in an enclosing
     ``indent=2`` document: its lines are indented by 2 * depth more spaces,
     and the text can follow ``"key": `` in it.  With an indent ``json.dumps``
-    walks the records in its pure-Python encoder; here each record is one
-    format of its parts and its weight, quoted by the encoder's own string
-    escaper.
+    walks a list in its pure-Python encoder; here each record is one format
+    of its parts and its text, quoted by the encoder's own string escaper.
     """
-    if not records:
-        return "[]"
-    item, key, part = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    item, line, part = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
     quote = json.encoder.encode_basestring_ascii
-    body = (f'{{{key}"parts": [{part}{("," + part).join(map(str, rec["parts"]))}{key}],'
-            f'{key}"weight": {quote(rec["weight"])}{item}}}' for rec in records)
-    return f"[{item}" + f",{item}".join(body) + "\n" + "  " * depth + "]"
+    name = quote(key)
+    sep = "["
+    for parts, text in records:
+        yield (f'{sep}{item}{{{line}"parts": [{part}{("," + part).join(map(str, parts))}{line}],'
+               f'{line}{name}: {quote(text)}{item}}}')
+        sep = ","
+    yield "[]" if sep == "[" else "\n" + "  " * depth + "]"
 
 
 def weights_from_json(records) -> WeightVector:
-    """Inverse of :func:`weights_to_json`; a malformed record's ValueError names its index.
+    """Inverse of :func:`save_weights`, on the parsed records; a malformed record's
+    ValueError names its index.
 
     The scheme's level and d are those of the first record, and its integer
     form has the lcm of the weights' denominators as its denominator.  A
@@ -534,11 +531,14 @@ def weights_from_json(records) -> WeightVector:
                         [v.numerator * (scale // v.denominator) for v in values], scale)
 
 
-def save_weights(records: list[dict], path) -> None:
-    """Write the :func:`weights_to_json` records of a scheme as
-    ``json.dumps(records, indent=2)`` prints them, and a final newline."""
+def save_weights(w: WeightVector, path) -> None:
+    """Stream ``w`` into a weight file, opened first (a ValueError if it cannot be): its
+    ``{"parts": [ints], "weight": "num/den"}`` records as ``json.dumps(records,
+    indent=2)`` prints them, in canonical order, and a final newline."""
     try:
-        Path(path).write_text(records_text(records) + "\n")
+        with open(path, "w") as f:
+            f.writelines(records_text(_fraction_records(w)))
+            f.write("\n")
     except OSError as exc:
         raise ValueError(f"cannot write weight file {path}: {exc.strerror}") from exc
 

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sud_estimate.partitions import enumerate_partitions
-from sud_estimate.weights import WeightVector, _key_table
+from sud_estimate.weights import WeightVector, _key_table, fraction_text
 
 
 @st.composite
@@ -48,6 +48,12 @@ def weight_vector_st(draw, d: int | None = None, max_level: int = 10):
     if all(v == 0 for v in values):
         values[0] += 1
     return dd, n, dict(zip(support, values))
+
+
+def fraction_records(w: WeightVector) -> list[dict]:
+    """The weight records of ``w``, built through one Fraction per partition: the
+    list whose ``json.dumps(records, indent=2)`` a report or a weight file prints."""
+    return [{"parts": list(p), "weight": fraction_text(v)} for p, v in w.entries.items()]
 
 
 def mapped_weights(d: int, n: int, entries) -> WeightVector:

@@ -1,10 +1,12 @@
 import argparse
+import csv
 import dataclasses
 import inspect
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_records
 from sud_estimate import characters, cli
 from sud_estimate.asymptotics import exact_constant
 from sud_estimate.characters import haar_quadrature, min_resolution
@@ -35,7 +38,6 @@ from sud_estimate.weights import (
     power_weights,
     save_weights,
     scheme_weights,
-    weights_to_json,
 )
 
 
@@ -249,6 +251,17 @@ class TestRisk:
         assert out == ""
         assert "--terms" in json.loads(err)["error"]
         assert level_tables == []
+
+    def test_non_finite_head_exits_3_before_any_term(self, capsys, monkeypatch):
+        # the terms are streamed after the head: a NaN there prints nothing
+        payload = cli._payload
+        monkeypatch.setattr(cli, "_payload", lambda args, command, body: {
+            **payload(args, command, body), "n2_risk": math.nan})
+        code, out, err = run(capsys, "risk", "-d", "3", "-N", "30", "--terms")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"].startswith("risk: non-finite number")
 
     def test_rational_beyond_the_digit_limit_is_printed_exactly(self, capsys):
         want = exact_risk(2, 5, scheme_weights(HUGE, 2, 5)).risk
@@ -667,25 +680,27 @@ class TestOptimal:
         assert code == EXIT_OK
         assert box_removals == [(3, 30)]
 
-    def test_export_builds_the_records_once(self, capsys, monkeypatch, tmp_path):
-        # the exported file is written from the records the report prints
-        import sud_estimate.weights as weights
-
-        calls = []
-        to_json = weights.weights_to_json
-
-        def counting(w):
-            calls.append(w)
-            return to_json(w)
-
-        monkeypatch.setattr(weights, "weights_to_json", counting)
-        monkeypatch.setattr(cli, "weights_to_json", counting)
+    def test_export_file_is_the_reported_coefficients(self, capsys, tmp_path):
         path = tmp_path / "opt.json"
         code, out, _ = run(capsys, "optimal", "-d", "3", "-N", "12",
                            "--export", str(path), "--no-timestamp")
         assert code == EXIT_OK
-        assert len(calls) == 1
         assert path.read_text() == json.dumps(json.loads(out)["coefficients"], indent=2) + "\n"
+
+    def test_non_finite_head_exits_3_before_any_coefficient(self, capsys, monkeypatch):
+        # the coefficients are streamed after the head: a NaN there prints nothing
+        solve = cli.optimality_gap
+
+        def nan_residual(*args, **kwargs):
+            gap = solve(*args, **kwargs)
+            return dataclasses.replace(gap, full=dataclasses.replace(gap.full, residual=math.nan))
+
+        monkeypatch.setattr(cli, "optimality_gap", nan_residual)
+        code, out, err = run(capsys, "optimal", "-d", "3", "-N", "30", "--no-timestamp")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"].startswith("optimal: non-finite number")
 
     @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
     def test_export_to_an_unwritable_path_exits_2(self, capsys, tmp_path, target):
@@ -721,13 +736,17 @@ class TestOptimal:
         assert len(lines) == 4  # all three level-5 partitions carry weight
 
 
-def fraction_records(w):
-    """The coefficient records built through one Fraction per partition."""
-    return [{"parts": list(p), "weight": fraction_text(v)} for p, v in w.entries.items()]
+def csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class TestReportBytes:
-    """The optimal report and the exported file are the plain ``json.dumps`` texts."""
+    """The streamed reports and the exported file are the plain ``json.dumps`` and
+    ``csv`` texts of records built through one Fraction per partition."""
 
     @pytest.mark.parametrize(
         "d, n, support",
@@ -740,8 +759,7 @@ class TestReportBytes:
                            "--export", str(path), "--no-timestamp")
         assert code == EXIT_OK
         w = getattr(optimality_gap(d, n), support).eigvec
-        records = weights_to_json(w)
-        assert records == fraction_records(w)
+        records = fraction_records(w)
         payload = json.loads(out)
         assert list(payload)[-1] == "coefficients"
         payload["coefficients"] = records
@@ -752,12 +770,41 @@ class TestReportBytes:
         # power:10000 at d=2 N=5 has 3^10000 (4,772 digits) as a numerator;
         # power:5000 stays below the 4,300 digits str() allows (2,386)
         w = power_weights(2, 5, 10000)
-        records = weights_to_json(w)
-        assert records == fraction_records(w)
+        records = fraction_records(w)
         assert max(len(rec["weight"]) for rec in records) > 4300
         path = tmp_path / "huge.json"
-        save_weights(weights_to_json(w), path)
+        save_weights(w, path)
         assert path.read_text() == json.dumps(records, indent=2) + "\n"
+
+    @pytest.mark.parametrize("d, n, support", [(1, 5, "full"), (2, 0, "full"), (3, 7, "strict"),
+                                               (3, 122, "full"), (4, 12, "full")])
+    def test_csv_is_the_csv_writer_text(self, capsys, d, n, support):
+        code, out, _ = run(capsys, "optimal", "-d", str(d), "-N", str(n), "--support", support,
+                           "--format", "csv")
+        assert code == EXIT_OK
+        records = fraction_records(getattr(optimality_gap(d, n), support).eigvec)
+        assert out == csv_text(["parts", "weight"],
+                               [[" ".join(map(str, r["parts"])), r["weight"]] for r in records])
+
+    @pytest.mark.parametrize("d, n, scheme", [
+        (1, 3, "product"), (2, 5, "product"), (3, 31, "product"), (3, 12, "optimal:strict"),
+        (2, 5, "file:{path}"),
+    ], ids=["d=1", "d=2", "d=3", "optimal-strict", "file"])
+    def test_terms_report_is_the_json_dumps_of_its_payload(self, capsys, tmp_path, d, n, scheme):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([{"parts": [5, 0], "weight": "1/3"},
+                                    {"parts": [4, 1], "weight": "2/7"},
+                                    {"parts": [3, 2], "weight": "5"}]))
+        scheme = scheme.format(path=path)
+        code, out, _ = run(capsys, "risk", "-d", str(d), "-N", str(n), "--scheme", scheme,
+                           "--terms", "--no-timestamp")
+        assert code == EXIT_OK
+        terms = exact_risk(d, n, scheme_weights(scheme, d, n)).numerator_terms
+        payload = json.loads(out)
+        assert list(payload)[-1] == "numerator_terms"
+        payload["numerator_terms"] = [{"parts": list(p), "value": fraction_text(v)}
+                                      for p, v in terms.items()]
+        assert out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 class TestVerify:
@@ -1051,6 +1098,25 @@ class TestParser:
         assert result.returncode == EXIT_INFEASIBLE, result.stderr
         assert "range '1:1000000000000' is too long" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_closed_stdout_ends_the_process_without_a_traceback():
+    # `risk ... --terms | head -1` printed a BrokenPipeError traceback and exited 1,
+    # the exit of a failed verify; the report is far larger than a pipe's buffer
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sud_estimate.cli", "risk", "-d", "3", "-N", "200", "--terms"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    try:
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert code == -signal.SIGPIPE
 
 
 def _args_reads(function) -> set[str]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import mapped_weights, weight_vector_st
+from conftest import fraction_records, mapped_weights, weight_vector_st
 from sud_estimate import partitions
 from sud_estimate.errors import EmptySupportError
 from sud_estimate.risk import exact_risk
@@ -17,6 +17,7 @@ from sud_estimate.spectral import build_incidence, max_eigenpair
 from sud_estimate.weights import (
     WeightVector,
     _exact_ratios,
+    _fraction_records,
     _gap_products,
     _int_array,
     _sum_of_products,
@@ -31,7 +32,6 @@ from sud_estimate.weights import (
     scheme_weights,
     uniform_weights,
     weights_from_json,
-    weights_to_json,
 )
 
 
@@ -383,15 +383,12 @@ class TestSerialization:
 
     def test_round_trip(self):
         w = product_weights(2, 7)
-        back = weights_from_json(weights_to_json(w))
+        back = weights_from_json(json.loads("".join(records_text(_fraction_records(w)))))
         assert back == w
 
     def test_record_format(self):
-        recs = weights_to_json(product_weights(2, 5))
-        assert recs == [
-            {"parts": [4, 1], "weight": "3/1"},
-            {"parts": [3, 2], "weight": "2/1"},
-        ]
+        recs = list(_fraction_records(product_weights(2, 5)))
+        assert recs == [([4, 1], "3/1"), ([3, 2], "2/1")]
 
     @pytest.mark.parametrize(
         "w",
@@ -400,19 +397,28 @@ class TestSerialization:
         ids=["empty", "product", "d=1", "power:1/2", "beyond-the-digit-limit"],
     )
     def test_records_text_is_the_json_dumps_text(self, w):
-        records = [] if w is None else weights_to_json(w)
-        assert records_text(records) == json.dumps(records, indent=2)
+        records = [] if w is None else fraction_records(w)
+
+        def text(depth: int) -> str:
+            return "".join(records_text([] if w is None else _fraction_records(w), "weight", depth))
+
+        assert text(0) == json.dumps(records, indent=2)
         assert json.dumps({"a": 1, "c": records}, indent=2) == (
-            '{\n  "a": 1,\n  "c": ' + records_text(records, 1) + "\n}"
+            '{\n  "a": 1,\n  "c": ' + text(1) + "\n}"
         )
         assert json.dumps({"a": {"c": records}}, indent=2) == (
-            '{\n  "a": {\n    "c": ' + records_text(records, 2) + "\n  }\n}"
+            '{\n  "a": {\n    "c": ' + text(2) + "\n  }\n}"
+        )
+        values = [{"parts": r["parts"], "value": r["weight"]} for r in records]
+        pairs = [(r["parts"], r["value"]) for r in values]
+        assert json.dumps({"c": values}, indent=2) == (
+            '{\n  "c": ' + "".join(records_text(pairs, "value", 1)) + "\n}"
         )
 
     def test_file_round_trip_and_scheme(self, tmp_path):
         w = power_weights(2, 8, 2)
         path = tmp_path / "w.json"
-        save_weights(weights_to_json(w), path)
+        save_weights(w, path)
         assert load_weights(path) == w
         again = scheme_weights(f"file:{path}", 2, 8)
         assert again == w
