@@ -25,8 +25,10 @@ def main() -> None:
                         metavar="A:B[:STEP]")
     parser.add_argument("--extrapolate", type=parse_range, default="81:401:20",
                         metavar="A:B[:STEP]",
-                        help="levels for the N^2 rate fit of the optimum")
+                        help="levels for the N^2 rate fit of the optimum (at least two)")
     args = parser.parse_args()
+    if len(args.extrapolate) < 2:
+        parser.error("--extrapolate needs at least two levels to fit")
 
     closed_form = args.d == 2
     header = "   N    product    optimal     strict   N^2 opt"

@@ -210,8 +210,8 @@ def _cmd_risk(args) -> int:
             end="",
         )
     elif args.terms:
-        terms = ((parts, fraction_text(v)) for parts, v in breakdown.numerator_terms.items())
-        _print_json(_payload(args, "risk", body), "numerator_terms", terms, "value")
+        _print_json(_payload(args, "risk", body), "numerator_terms", breakdown.term_records(),
+                    "value")
     else:
         _print_json(_payload(args, "risk", body))
     return EXIT_OK
@@ -277,11 +277,12 @@ def _cmd_optimal(args) -> int:
     result = getattr(gap, args.support)
     if result is None:
         raise EmptySupportError(f"no {args.support} partition at level {args.n} for d={args.d}")
+    w = result.eigvec
     if args.export:
-        save_weights(result.eigvec, args.export)
+        save_weights(w, args.export)
+    records = _fraction_records(w.table, w.numerators.tolist(), w.denominator)
     if args.format == "csv":
-        rows = ([" ".join(map(str, parts)), text]
-                for parts, text in _fraction_records(result.eigvec))
+        rows = ([" ".join(map(str, parts)), text] for parts, text in records)
         print(_csv_rows(["parts", "weight"], rows), end="")
         return EXIT_OK
     risk = getattr(gap, f"risk_{args.support}")
@@ -298,7 +299,7 @@ def _cmd_optimal(args) -> int:
         "product_gap": (None if gap.risk_product is None
                         else float(gap.risk_product - gap.risk_full)),
     }
-    _print_json(_payload(args, "optimal", body), "coefficients", _fraction_records(result.eigvec))
+    _print_json(_payload(args, "optimal", body), "coefficients", records)
     return EXIT_OK
 
 

@@ -8,7 +8,9 @@ Young-diagram convention, so ``e_i`` means "add one box to row i".
 The partitions of one level form a (k, d) int64 table in the canonical
 lexicographically descending order (``partition_table``); scheme builds, box
 removal and the character oracle read it, and ``enumerate_partitions`` lists
-its rows as tuples.  ``pieri_add`` gives the children of one partition.
+its rows as tuples.  Every pass over it reads a column, so the table and the
+tables cut from it (``_compress_rows``) are column-contiguous.  ``pieri_add``
+gives the children of one partition.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def level(parts) -> int:
 
 
 def partition_table(d: int, n: int, strict: bool = False) -> np.ndarray:
-    """All partitions of ``n`` into at most ``d`` parts, one per row of a (k, d) int64 table.
+    """All partitions of ``n`` into at most ``d`` parts, one per row of a
+    column-contiguous (k, d) int64 table.
 
     Rows are in the canonical lexicographically descending order.  The table
     is built one column at a time: each prefix branches into every admissible
@@ -86,7 +89,12 @@ def partition_table(d: int, n: int, strict: bool = False) -> np.ndarray:
         rest = rest[prefix] - value
         cap = value
     columns.append(rest)  # the last row takes what is left
-    return np.stack(columns, axis=1)
+    return np.array(columns).T
+
+
+def _compress_rows(keep: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table[keep]`` for a boolean ``keep``, but column-contiguous like ``table``."""
+    return np.compress(keep, table.T, axis=1).T
 
 
 def enumerate_partitions(d: int, n: int, strict: bool = False) -> list[tuple[int, ...]]:

@@ -23,12 +23,13 @@ reports round when they print.  The scheme's support rows are placed on the
 columns of B by one walk over the runs of rows that share a prefix in the
 canonical level table (``_locate``), with no search; the run marks of that
 table are built once per structure, so every scheme scored on it shares
-them.  The CLI builds one structure per level, and the gap-product schemes
-read their support from its strict rows, so a scored level enumerates two
-tables, N and N+1.  B c is one gather-sum over the slots of that table, the
-kernel of both float products too, in int64 when a bound on the numerators
-keeps every sum exact and over Python ints otherwise, and ||B c||^2 is an
-int64 dot only under the same kind of bound (``weights._sum_of_products``).
+them.  The CLI builds one structure per level, whose level-N table is cut
+out of its level-(N+1) table, and the gap-product schemes read their support
+from its strict rows, so a scored level enumerates one table, N+1.  B c is
+one gather-sum over the slots of that table, the kernel of both float
+products too, in int64 when a bound on the numerators keeps every sum exact
+and over Python ints otherwise, and ||B c||^2 is an int64 dot only under the
+same kind of bound (``weights._sum_of_products``).
 The expansion diagnostics take the gap products of each level-(N+1)
 partition and of its parents in int64, under the bound the gap-product
 schemes use, and form their sums of products the same way.
@@ -45,12 +46,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptySumError, EmptySupportError
-from .partitions import partition_table
+from .partitions import _compress_rows, partition_table
 from .weights import (
     _INT64_MAX,
     Scheme,
     WeightVector,
     _check_gap_bound,
+    _fraction_records,
     _sum_of_products,
     parse_scheme,
     scheme_weights,
@@ -75,12 +77,12 @@ __all__ = [
 class RiskBreakdown:
     """Exact risk, its numerator and, on request, the per-partition numerator terms.
 
-    ``numerator_terms[lambda']`` is (sum of parent coefficients)^2 on the raw
-    (unnormalised) scale, so
+    The term of a level-(N+1) partition lambda' is (sum of parent
+    coefficients)^2 on the raw (unnormalised) scale, so
 
-        risk = 1 - numerator / (d^2 * norm_sq),  numerator = sum(numerator_terms.values()).
+        risk = 1 - numerator / (d^2 * norm_sq),  numerator = sum of the terms.
 
-    The terms are built from the level-(N+1) table the first time they are read.
+    :meth:`term_records` streams them from the level-(N+1) table.
     """
 
     d: int
@@ -92,12 +94,11 @@ class RiskBreakdown:
     _parent_sums: np.ndarray = field(repr=False, compare=False)  # int64 or Python ints
     _scale_sq: int = field(repr=False, compare=False)
 
-    @cached_property
-    def numerator_terms(self) -> dict[tuple[int, ...], Fraction]:
-        return {  # squared as Python ints: the square of an int64 sum can overflow
-            child: Fraction(s * s, self._scale_sq)
-            for child, s in zip(map(tuple, self._children.tolist()), self._parent_sums.tolist())
-        }
+    def term_records(self):
+        """``(parts, "num/den")`` of each level-(N+1) partition's term, in canonical
+        order, in lowest terms (:func:`~sud_estimate.weights._fraction_records`)."""
+        squares = (s * s for s in self._parent_sums.tolist())  # an int64 square can overflow
+        return _fraction_records(self._children, squares, self._scale_sq)
 
 
 def _gather_sum(table, padded: np.ndarray) -> np.ndarray:
@@ -260,18 +261,23 @@ def _box_removal(d: int, n: int) -> IncidenceStructure:
     the columns for box row i are the positions of the parents addable in
     row i, found with no search, and they fill the slots of box row i of
     ``BoxMatrix.up``; a child whose row i is not removable keeps the pad.
+    Row 1 of every parent is addable, so the parent table is the children
+    whose row 1 is removable, less e_1: only level n+1 is enumerated.
     """
-    parents = partition_table(d, n)
+    if n < 0:
+        raise ValueError(f"level must be >= 0, got {n}")
     children = partition_table(d, n + 1)
     # masks are (d, k), so the mask of one box row is contiguous
     removable = np.empty(children.shape[::-1], dtype=bool)
     np.greater(children[:, :-1].T, children[:, 1:].T, out=removable[:-1])
     np.greater(children[:, -1], 0, out=removable[-1])
+    parents = _compress_rows(removable[0], children)
+    parents[:, 0] -= 1
     addable = np.ones(parents.shape[::-1], dtype=bool)
     np.greater(parents[:, :-1].T, parents[:, 1:].T, out=addable[1:])
     up = np.full(removable.shape, len(parents), dtype=np.int64)
-    for i in range(d):
-        up[i, removable[i]] = np.flatnonzero(addable[i])
+    for i in range(d):  # a mask on the row view: up[i, mask] takes numpy's slower 2-D path
+        up[i][removable[i]] = np.flatnonzero(addable[i])
     matrix = BoxMatrix((len(children), len(parents)), up)
     return IncidenceStructure(d, n, "full", children, parents, matrix)
 
@@ -378,7 +384,7 @@ def expansion_diagnostics(d: int, n: int) -> ExpansionDiagnostics:
     vanishes and :class:`EmptySumError` is raised.
     """
     _check_gap_bound(d, n + 1, terms=d)
-    p = partition_table(d, n + 1).T.copy()
+    p = partition_table(d, n + 1).T  # a fresh table: its (d, k) rows become the gaps
     p[:-1] -= p[1:]
     prod = p.prod(axis=0)
     shifts = np.eye(d, k=-1, dtype=np.int64) - np.eye(d, dtype=np.int64)  # e_(i-1) - e_i

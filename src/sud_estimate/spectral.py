@@ -46,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, EmptySupportError
+from .partitions import _compress_rows
 from .risk import BoxMatrix, IncidenceStructure, _box_removal, _full_structure, exact_risk
 from .weights import WeightVector, _exact_ratios, product_weights
 
@@ -72,7 +73,8 @@ def _restrict(structure: IncidenceStructure, support: str) -> IncidenceStructure
         )
     return IncidenceStructure(
         structure.d, structure.level, support, structure.child_table,
-        structure.parent_table[keep], structure.matrix.take_columns(keep),
+        _compress_rows(structure.strict, structure.parent_table),
+        structure.matrix.take_columns(keep),
     )
 
 

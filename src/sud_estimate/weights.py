@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySupportError
-from .partitions import check_partition, level, partition_table
+from .partitions import _compress_rows, check_partition, level, partition_table
 
 __all__ = [
     "WeightVector",
@@ -298,7 +298,7 @@ def _gap_products(d: int, n: int, structure=None) -> tuple[np.ndarray, np.ndarra
     if structure is None:
         table = partition_table(d, n, strict=True)
     elif (structure.d, structure.level) == (d, n):
-        table = structure.parent_table[structure.strict]
+        table = _compress_rows(structure.strict, structure.parent_table)
     else:
         raise ValueError(f"structure is the one of d={structure.d}, level {structure.level}, "
                          f"not of ({d}, {n})")
@@ -475,13 +475,13 @@ def fraction_text(value: Fraction) -> str:
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
-def _fraction_records(w: WeightVector):
-    """``(parts, "num/den")`` of each support partition of ``w``, in canonical order, the
-    coefficient in lowest terms from the integer form (one gcd, no ``Fraction``)."""
-    den = w.denominator
-    for parts, v in zip(w.table.tolist(), w.numerators.tolist()):
-        g = math.gcd(v, den)
-        yield parts, f"{int_text(v // g)}/{int_text(den // g)}"
+def _fraction_records(table: np.ndarray, numerators, denominator: int):
+    """``(parts, "num/den")`` of each row of ``table`` with its numerator (Python ints) over
+    ``denominator``, in lowest terms by one gcd, with no ``Fraction``; a scheme's records
+    are ``_fraction_records(w.table, w.numerators.tolist(), w.denominator)``."""
+    for parts, v in zip(table.tolist(), numerators):
+        g = math.gcd(v, denominator)
+        yield parts, f"{int_text(v // g)}/{int_text(denominator // g)}"
 
 
 def records_text(records, key: str = "weight", depth: int = 0):
@@ -537,7 +537,8 @@ def save_weights(w: WeightVector, path) -> None:
     indent=2)`` prints them, in canonical order, and a final newline."""
     try:
         with open(path, "w") as f:
-            f.writelines(records_text(_fraction_records(w)))
+            f.writelines(records_text(_fraction_records(w.table, w.numerators.tolist(),
+                                                        w.denominator)))
             f.write("\n")
     except OSError as exc:
         raise ValueError(f"cannot write weight file {path}: {exc.strerror}") from exc

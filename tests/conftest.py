@@ -56,6 +56,17 @@ def fraction_records(w: WeightVector) -> list[dict]:
     return [{"parts": list(p), "weight": fraction_text(v)} for p, v in w.entries.items()]
 
 
+def reference_terms(d: int, n: int, w: WeightVector) -> dict[tuple[int, ...], Fraction]:
+    """The numerator term of each level-(n+1) partition, in canonical order: the square
+    of the sum of ``w``'s coefficients on its parents, found by removing each removable box."""
+    terms = {}
+    for child in enumerate_partitions(d, n + 1):
+        s = sum(w.entries.get(child[: i - 1] + (child[i - 1] - 1,) + child[i:], 0)
+                for i in removable_rows(child))
+        terms[child] = Fraction(s) ** 2
+    return terms
+
+
 def mapped_weights(d: int, n: int, entries) -> WeightVector:
     """The scheme with coefficient ``entries[p]`` on partition p of level n
     (absent or zero: off the support), over the lcm of the denominators."""

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_records
+from conftest import fraction_records, reference_terms
 from sud_estimate import characters, cli
 from sud_estimate.asymptotics import exact_constant
 from sud_estimate.characters import haar_quadrature, min_resolution
@@ -393,12 +393,19 @@ def test_memory_error_exits_2_with_one_json_line(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv, levels", [(["risk", "-d", "3", "-N", "30"], [30]),
                                           (["sweep", "-d", "3", "-N", "20:30:10"], [20, 30])],
                          ids=["risk", "sweep"])
-def test_two_level_tables_per_scored_level(capsys, level_tables, argv, levels):
-    # the levels N and N+1 of box removal; the gap-product support is the
-    # strict rows of the level-N table, not a third enumeration
+def test_one_level_table_per_scored_level(capsys, level_tables, argv, levels):
+    # box removal enumerates level N+1 and cuts the level-N table out of it;
+    # the gap-product support is the strict rows of that table
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert sorted(level_tables) == [(3, m, False) for n in levels for m in (n, n + 1)]
+    assert sorted(level_tables) == [(3, n + 1, False) for n in levels]
+
+
+def test_negative_level_is_refused(capsys):
+    code, out, err = run(capsys, "risk", "-d", "3", "-N", "-1")
+    assert code == EXIT_INFEASIBLE
+    assert out == ""
+    assert json.loads(err) == {"error": "level must be >= 0, got -1", "type": "ValueError"}
 
 
 class TestSweep:
@@ -799,7 +806,7 @@ class TestReportBytes:
         code, out, _ = run(capsys, "risk", "-d", str(d), "-N", str(n), "--scheme", scheme,
                            "--terms", "--no-timestamp")
         assert code == EXIT_OK
-        terms = exact_risk(d, n, scheme_weights(scheme, d, n)).numerator_terms
+        terms = reference_terms(d, n, scheme_weights(scheme, d, n))
         payload = json.loads(out)
         assert list(payload)[-1] == "numerator_terms"
         payload["numerator_terms"] = [{"parts": list(p), "value": fraction_text(v)}

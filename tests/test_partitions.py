@@ -81,6 +81,12 @@ class TestPartitionTable:
     def test_rows_are_tuples_of_python_ints(self):
         assert all(type(x) is int for p in enumerate_partitions(3, 9) for x in p)
 
+    @pytest.mark.parametrize("d, n, strict", [(2, 9, False), (3, 30, False), (4, 20, True),
+                                              (3, 602, True), (6, 40, False)])
+    def test_table_is_column_contiguous(self, d, n, strict):
+        # every pass over a level table reads one column at a time
+        assert partition_table(d, n, strict).flags.f_contiguous
+
 
 class TestValidation:
     def test_rejects_increasing_rows(self):

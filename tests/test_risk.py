@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, gap_vector, mapped_weights, removable_rows, weight_vector_st
+from conftest import (
+    dense,
+    gap_vector,
+    mapped_weights,
+    reference_terms,
+    removable_rows,
+    weight_vector_st,
+)
 from sud_estimate.errors import EmptySumError, EmptySupportError
 from sud_estimate.partitions import partition_table
 from sud_estimate.risk import (
@@ -51,12 +58,12 @@ class TestExactRisk:
 
     def test_breakdown_terms(self):
         b = exact_risk(2, 5, product_weights(2, 5))
-        assert b.numerator_terms == {
-            (6, 0): Fraction(0),
-            (5, 1): Fraction(9),
-            (4, 2): Fraction(25),
-            (3, 3): Fraction(4),
-        }
+        assert list(b.term_records()) == [
+            ([6, 0], "0/1"),
+            ([5, 1], "9/1"),
+            ([4, 2], "25/1"),
+            ([3, 3], "4/1"),
+        ]
         assert b.norm_sq == 13
         assert b.numerator == 38
         assert b.risk == 1 - Fraction(38, 4 * 13)
@@ -75,10 +82,15 @@ class TestExactRisk:
             assert slack == 1 - Fraction(1, d)
 
     def test_terms_are_built_when_read(self):
-        b = exact_risk(3, 30, product_weights(3, 30))
-        assert "numerator_terms" not in vars(b)
-        assert list(b.numerator_terms) == enumerate_partitions(3, 31)
-        assert sum(b.numerator_terms.values()) == b.numerator
+        # streamed one record at a time from the level-31 table and the parent sums
+        w = product_weights(3, 30)
+        b = exact_risk(3, 30, w)
+        records = b.term_records()
+        assert iter(records) is records
+        terms = {tuple(parts): Fraction(text) for parts, text in records}
+        assert terms == reference_terms(3, 30, w)
+        assert list(terms) == enumerate_partitions(3, 31)
+        assert sum(terms.values()) == b.numerator
 
     def test_empty_support_raises(self):
         with pytest.raises(EmptySupportError):
@@ -235,7 +247,7 @@ class TestIntegerPaths:
         b = exact_risk(2, 5, w)
         assert b._parent_sums.dtype == np.int64 and max(b._parent_sums) > 2**31.5
         _, sums = python_int_breakdown(2, 5, w)
-        assert list(b.numerator_terms.values()) == [Fraction(s * s) for s in sums]
+        assert [text for _, text in b.term_records()] == [f"{s * s}/1" for s in sums]
         assert b.numerator == sum(s * s for s in sums)
 
     @given(weight_vector_st(max_level=8), st.integers(2**79, 2**119))
@@ -306,6 +318,27 @@ class TestBoxRemoval:
         b = reference_incidence(d, n)
         sums = parent_sums(b, [w.entries.get(p, 0) for p in enumerate_partitions(d, n)])
         assert exact_risk(d, n, w).numerator == sum(s * s for s in sums)
+
+    def test_parent_table_is_cut_from_the_child_table(self):
+        # the children whose row 1 is removable, less e_1, are the whole level-n table
+        for d in range(1, 7):
+            for n in range(41):
+                parents = _box_removal(d, n).parent_table
+                want = partition_table(d, n)
+                assert parents.dtype == want.dtype and parents.shape == want.shape, (d, n)
+                assert np.array_equal(parents, want), (d, n)
+
+    def test_negative_level_is_refused(self):
+        for build in (_box_removal, product_weights):
+            with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+                build(3, -1)
+
+    def test_tables_are_column_contiguous(self):
+        s = _box_removal(3, 30)
+        assert s.child_table.flags.f_contiguous and s.parent_table.flags.f_contiguous
+        for w in (product_weights(3, 30, s), power_weights(3, 30, 3, s),
+                  power_weights(3, 30, Fraction(1, 2), s), uniform_weights(3, 30, s)):
+            assert len(w.table) > 1 and w.table.flags.f_contiguous
 
     def test_tables_and_strict_mask(self):
         s = _box_removal(3, 9)

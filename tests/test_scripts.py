@@ -24,13 +24,26 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(argv, expected):
+    result = run_script(argv)
+    assert result.returncode == 0, result.stderr
+    assert expected in result.stdout
+
+
+def test_one_extrapolation_level_is_a_usage_error():
+    # the fit needs two levels; one used to end in fit_constant's traceback
+    result = run_script(["optimal_gap.py", "-d", "2", "-N", "3:4", "--extrapolate", "20"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--extrapolate needs at least two levels" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def run_script(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    assert expected in result.stdout

@@ -35,6 +35,11 @@ from sud_estimate.weights import (
 )
 
 
+def scheme_records(w: WeightVector):
+    """The weight records of ``w`` from its integer form."""
+    return _fraction_records(w.table, w.numerators.tolist(), w.denominator)
+
+
 class TestGapWeights:
     def test_product_examples(self):
         assert product_weights(2, 3).entries[(2, 1)] == 1
@@ -383,11 +388,11 @@ class TestSerialization:
 
     def test_round_trip(self):
         w = product_weights(2, 7)
-        back = weights_from_json(json.loads("".join(records_text(_fraction_records(w)))))
+        back = weights_from_json(json.loads("".join(records_text(scheme_records(w)))))
         assert back == w
 
     def test_record_format(self):
-        recs = list(_fraction_records(product_weights(2, 5)))
+        recs = list(scheme_records(product_weights(2, 5)))
         assert recs == [([4, 1], "3/1"), ([3, 2], "2/1")]
 
     @pytest.mark.parametrize(
@@ -400,7 +405,7 @@ class TestSerialization:
         records = [] if w is None else fraction_records(w)
 
         def text(depth: int) -> str:
-            return "".join(records_text([] if w is None else _fraction_records(w), "weight", depth))
+            return "".join(records_text([] if w is None else scheme_records(w), "weight", depth))
 
         assert text(0) == json.dumps(records, indent=2)
         assert json.dumps({"a": 1, "c": records}, indent=2) == (
